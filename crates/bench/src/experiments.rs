@@ -400,7 +400,6 @@ pub fn exp_trace_learning() -> FigureResult {
 /// generalized one-step rule, and the DP optimum (upper bound).
 pub fn exp_general_instance(trials: u64) -> FigureResult {
     use resq::core::policy::{Action, WorkflowPolicy};
-    use resq::core::workflow::task_law::TaskDuration;
     use resq::{HeterogeneousDynamic, Stage};
     use resq_dist::Sample;
 
@@ -432,7 +431,7 @@ pub fn exp_general_instance(trials: u64) -> FigureResult {
                 let c = c_law.sample(rng);
                 return if w + c <= r { w } else { 0.0 };
             }
-            let x = mk_task(n).draw(rng);
+            let x = mk_task(n).sample(rng);
             if w + x > r {
                 return 0.0;
             }
@@ -457,7 +456,7 @@ pub fn exp_general_instance(trials: u64) -> FigureResult {
                 let c = c_law.sample(rng);
                 return if w + c <= r { w } else { 0.0 };
             }
-            let x = mk_task(n).draw(rng);
+            let x = mk_task(n).sample(rng);
             if w + x > r {
                 return 0.0;
             }

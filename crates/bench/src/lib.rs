@@ -3,7 +3,8 @@
 //! # resq-bench
 //!
 //! Experiment harness regenerating **every figure of the paper** plus the
-//! extension experiments of DESIGN.md, and Criterion micro-benchmarks.
+//! extension experiments of DESIGN.md, and the `perf_baseline` timing
+//! harness.
 //!
 //! Each `fig*` binary (see `src/bin/`) calls into [`figures`], which
 //! computes the plotted series with the `resq` library, writes it as CSV

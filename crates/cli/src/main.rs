@@ -18,9 +18,10 @@ use resq::obs::{
     chrometrace, event_type, http, span, tracectx, Event, JsonlSink, NullSink, RunInfo,
     RunManifest, RunRegistry, RunSink, TraceCtx, TracedSink,
 };
+use resq::core::policy::ThresholdWorkflowPolicy;
 use resq::sim::{
-    run_trials, run_trials_batched, run_trials_observed, BatchScratch, FaultyWorkflowSim,
-    MonteCarloConfig, ReliabilityInjector, WorkflowSim,
+    run_trials, run_trials_batched, run_trials_observed, BatchScratch, FaultyOutcome,
+    FaultyWorkflowSim, MonteCarloConfig, ReliabilityInjector, WorkflowSim,
 };
 use resq::dist::{Sample, Uniform};
 use resq::{
@@ -1211,16 +1212,48 @@ fn plan_dynamic(args: &Args) -> Result<(), ArgError> {
     )
 }
 
-fn simulate(args: &Args) -> Result<(), ArgError> {
-    // Any fault-injection flag switches to the fault-injected kernel;
-    // without them the plain path below is taken unchanged (and its
-    // event logs stay byte-identical to previous releases).
-    if args.f64_or("ckpt-fail-prob", 0.0)? != 0.0
-        || args.f64_or("failstop-rate", 0.0)? != 0.0
-        || args.get("retry").is_some()
-    {
-        return simulate_faulty(args);
+/// The trial kernel `resq simulate` runs: the plain §4 simulator, or the
+/// fault-injected one when any fault flag is given.
+enum SimKernel {
+    Plain(WorkflowSim<DynLaw, DynLaw>),
+    Faulty(FaultyWorkflowSim<DynLaw, DynLaw, ReliabilityInjector>),
+}
+
+impl SimKernel {
+    /// One trial on `rng`, batched through `scratch` when given. Plain
+    /// outcomes carry no retry telemetry.
+    fn run(
+        &self,
+        policy: &ThresholdWorkflowPolicy,
+        rng: &mut Xoshiro256pp,
+        scratch: Option<&mut BatchScratch>,
+    ) -> FaultyOutcome {
+        let plain = |outcome| FaultyOutcome {
+            outcome,
+            ..FaultyOutcome::default()
+        };
+        match (self, scratch) {
+            (Self::Plain(sim), None) => plain(sim.run_once(policy, rng)),
+            (Self::Plain(sim), Some(scratch)) => plain(sim.run_once_batched(policy, rng, scratch)),
+            (Self::Faulty(sim), None) => sim.run_once(policy, rng),
+            (Self::Faulty(sim), Some(scratch)) => sim.run_once_batched(policy, rng, scratch),
+        }
     }
+}
+
+/// `resq simulate`: Monte-Carlo runs of the dynamic threshold rule.
+///
+/// Any fault-injection flag — unreliable checkpoint writes
+/// (`--ckpt-fail-prob`), a retry policy (`--retry`) or fail-stop errors
+/// (`--failstop-rate`) — switches to the fault-injected kernel, which
+/// adds `retry-outcome` rows for sampled trials and echoes the
+/// `ckpt_attempts_total` / `ckpt_failures_total` counter deltas in the
+/// manifest. Without them the plain kernel runs, and its event logs stay
+/// byte-identical to previous releases.
+fn simulate(args: &Args) -> Result<(), ArgError> {
+    let q = args.f64_or("ckpt-fail-prob", 0.0)?;
+    let failstop_rate = args.f64_or("failstop-rate", 0.0)?;
+    let faulty = q != 0.0 || failstop_rate != 0.0 || args.get("retry").is_some();
     let r = args.require_f64("reservation")?;
     let ckpt = continuous(args, "ckpt")?;
     let task = continuous(args, "task")?;
@@ -1231,6 +1264,24 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
     let sample_every = args.u64_or("sample-every", 10_000)?;
     let progress = args.bool_flag("progress");
     let batch = args.bool_flag("batch");
+    if !(0.0..1.0).contains(&q) {
+        return Err(ArgError(format!(
+            "flag `--ckpt-fail-prob` must be in [0, 1), got {q}"
+        )));
+    }
+    let retry_raw = args.get("retry").unwrap_or("immediate:3");
+    let retry = parse_retry(retry_raw)?;
+    let reliability = if q > 0.0 {
+        CheckpointReliability::PerAttempt { p: 1.0 - q }
+    } else {
+        CheckpointReliability::Reliable
+    };
+    let injector =
+        ReliabilityInjector::new(reliability, failstop_rate).map_err(|e| ArgError(e.to_string()))?;
+    // The planner's own checks: a trial only ends once the reservation
+    // expires or the policy checkpoints, so a non-finite reservation or a
+    // task law that never advances the clock would run forever.
+    DynamicStrategy::validate(&task, &ckpt, r).map_err(|e| ArgError(e.to_string()))?;
     let obs = Obs::from_args("simulate", args)?;
     // Config echo. Deliberately NO thread count here: the event log is
     // byte-identical for a fixed seed regardless of --threads (threads
@@ -1238,24 +1289,39 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
     // IS echoed: for laws whose batch kernel reorders draws the results
     // legitimately differ from the scalar path, so the toggle is config,
     // not provenance.
-    obs.emit(
-        Event::new(event_type::RUN_STARTED)
-            .str("command", "simulate")
-            .str("task", args.require("task")?)
-            .str("ckpt", args.require("ckpt")?)
-            .f64("reservation", r)
-            .f64("threshold", threshold)
-            .u64("trials", trials)
-            .u64("seed", seed)
-            .u64("sample_every", sample_every)
-            .bool("batch", batch),
-    );
-    let sim = WorkflowSim {
-        reservation: r,
-        task,
-        ckpt,
+    let mut started = Event::new(event_type::RUN_STARTED)
+        .str("command", "simulate")
+        .str("task", args.require("task")?)
+        .str("ckpt", args.require("ckpt")?)
+        .f64("reservation", r)
+        .f64("threshold", threshold)
+        .u64("trials", trials)
+        .u64("seed", seed)
+        .u64("sample_every", sample_every)
+        .bool("batch", batch);
+    if faulty {
+        started = started
+            .f64("ckpt_fail_prob", q)
+            .str("retry", retry_raw)
+            .f64("failstop_rate", failstop_rate);
+    }
+    obs.emit(started);
+    let kernel = if faulty {
+        SimKernel::Faulty(FaultyWorkflowSim {
+            reservation: r,
+            task,
+            ckpt,
+            injector,
+            retry,
+        })
+    } else {
+        SimKernel::Plain(WorkflowSim {
+            reservation: r,
+            task,
+            ckpt,
+        })
     };
-    let policy = resq::core::policy::ThresholdWorkflowPolicy { threshold };
+    let policy = ThresholdWorkflowPolicy { threshold };
     let cfg = MonteCarloConfig {
         trials,
         seed,
@@ -1271,6 +1337,10 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
             }
         }
     };
+    // Counter deltas for the main pass only (the rate and replay passes
+    // below re-run trials and would double-count).
+    let attempts_before = resq::obs::metrics::CKPT_ATTEMPTS_TOTAL.get();
+    let failures_before = resq::obs::metrics::CKPT_FAILURES_TOTAL.get();
     // Live-run registration: `/runs` reports this run's progress while
     // the main pass executes. The guard is dropped (marking the run
     // finished) before the replay passes below, so re-running the same
@@ -1284,217 +1354,39 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
             BatchScratch::new,
             |_, rng, scratch| {
                 note_progress();
-                sim.run_once_batched(&policy, rng, scratch).work_saved
+                kernel.run(&policy, rng, Some(scratch)).outcome.work_saved
             },
         )
     } else {
         run_trials_observed(cfg, &obs.sink, sample_every, |_, rng| {
             note_progress();
-            sim.run_once(&policy, rng).work_saved
-        })
-    };
-    drop(run_guard);
-    // The success-rate pass re-runs the same trial streams, so it must
-    // use the same kernel as the main pass for the two to agree exactly.
-    let success = run_trials(cfg, |_, rng| {
-        let o = if batch {
-            sim.run_once_batched(&policy, rng, &mut BatchScratch::new())
-        } else {
-            sim.run_once(&policy, rng)
-        };
-        o.checkpoint_succeeded as u64 as f64
-    });
-    // Policy decisions for the sampled trials, re-derived serially in
-    // index order so the log stays deterministic. Same kernel as the
-    // main pass: `run_once_batched` resets its scratch per trial, so a
-    // fresh scratch here reproduces the batched run's draws exactly.
-    if obs.sink.enabled() && sample_every > 0 {
-        let mut scratch = BatchScratch::new();
-        let mut i = 0;
-        while i < trials {
-            let mut rng = Xoshiro256pp::for_stream(seed, i);
-            let o = if batch {
-                sim.run_once_batched(&policy, &mut rng, &mut scratch)
-            } else {
-                sim.run_once(&policy, &mut rng)
-            };
-            obs.emit(
-                Event::new(event_type::CHECKPOINT_DECISION)
-                    .u64("trial", i)
-                    .f64("threshold", threshold)
-                    .f64("work_at_checkpoint", o.work_at_checkpoint)
-                    .u64("tasks_completed", o.tasks_completed)
-                    .bool("attempted", o.checkpoint_attempted)
-                    .bool("succeeded", o.checkpoint_succeeded),
-            );
-            i += sample_every;
-        }
-    }
-    let (lo, hi) = saved.ci95();
-    obs.emit(
-        Event::new(event_type::RUN_FINISHED)
-            .u64("trials", saved.n)
-            .f64("mean_saved_work", saved.mean)
-            .f64("std_error", saved.std_error)
-            .f64("ci95_lo", lo)
-            .f64("ci95_hi", hi)
-            .f64("success_rate", success.mean)
-            .f64("min_saved", saved.min)
-            .f64("max_saved", saved.max),
-    );
-    println!("trials            : {trials} (seed {seed})");
-    println!("mean saved work   : {:.4}  (95% CI [{lo:.4}, {hi:.4}])", saved.mean);
-    println!("success rate      : {:.4}", success.mean);
-    println!("min / max saved   : {:.4} / {:.4}", saved.min, saved.max);
-    let resolved_threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    };
-    obs.finish(
-        RunManifest::new("resq simulate")
-            .config("task", args.require("task")?)
-            .config("ckpt", args.require("ckpt")?)
-            .config("reservation", r)
-            .config("threshold", threshold)
-            .config("sample_every", sample_every)
-            .config("batch", batch)
-            .seed(seed)
-            .threads(resolved_threads)
-            .trials(trials),
-    )
-}
-
-/// `resq simulate` with fault injection: unreliable checkpoint writes
-/// (`--ckpt-fail-prob`), a retry policy (`--retry`) and optional
-/// fail-stop errors (`--failstop-rate`). Same observability shape as the
-/// plain path, plus `retry-outcome` rows for sampled trials and the
-/// `ckpt_attempts_total` / `ckpt_failures_total` counter deltas echoed
-/// in the manifest.
-fn simulate_faulty(args: &Args) -> Result<(), ArgError> {
-    let r = args.require_f64("reservation")?;
-    let ckpt = continuous(args, "ckpt")?;
-    let task = continuous(args, "task")?;
-    let threshold = args.require_f64("threshold")?;
-    let trials = args.u64_or("trials", 100_000)?;
-    let seed = args.u64_or("seed", 42)?;
-    let threads = args.u64_or("threads", 0)? as usize;
-    let sample_every = args.u64_or("sample-every", 10_000)?;
-    let progress = args.bool_flag("progress");
-    let batch = args.bool_flag("batch");
-    let q = args.f64_or("ckpt-fail-prob", 0.0)?;
-    if !(0.0..1.0).contains(&q) {
-        return Err(ArgError(format!(
-            "flag `--ckpt-fail-prob` must be in [0, 1), got {q}"
-        )));
-    }
-    let failstop_rate = args.f64_or("failstop-rate", 0.0)?;
-    let retry_raw = args.get("retry").unwrap_or("immediate:3");
-    let retry = parse_retry(retry_raw)?;
-    let reliability = if q > 0.0 {
-        CheckpointReliability::PerAttempt { p: 1.0 - q }
-    } else {
-        CheckpointReliability::Reliable
-    };
-    let injector =
-        ReliabilityInjector::new(reliability, failstop_rate).map_err(|e| ArgError(e.to_string()))?;
-    let obs = Obs::from_args("simulate", args)?;
-    obs.emit(
-        Event::new(event_type::RUN_STARTED)
-            .str("command", "simulate")
-            .str("task", args.require("task")?)
-            .str("ckpt", args.require("ckpt")?)
-            .f64("reservation", r)
-            .f64("threshold", threshold)
-            .u64("trials", trials)
-            .u64("seed", seed)
-            .u64("sample_every", sample_every)
-            .bool("batch", batch)
-            .f64("ckpt_fail_prob", q)
-            .str("retry", retry_raw)
-            .f64("failstop_rate", failstop_rate),
-    );
-    let sim = FaultyWorkflowSim {
-        reservation: r,
-        task,
-        ckpt,
-        injector,
-        retry,
-    };
-    let policy = resq::core::policy::ThresholdWorkflowPolicy { threshold };
-    let cfg = MonteCarloConfig {
-        trials,
-        seed,
-        threads,
-    };
-    let tick = (trials / 20).max(1);
-    let done = AtomicU64::new(0);
-    let note_progress = || {
-        if progress {
-            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if d % tick == 0 {
-                eprintln!("progress          : {d}/{trials} trials");
-            }
-        }
-    };
-    // Counter deltas for the main pass only (the success-rate and
-    // replay passes below re-run trials and would double-count).
-    let attempts_before = resq::obs::metrics::CKPT_ATTEMPTS_TOTAL.get();
-    let failures_before = resq::obs::metrics::CKPT_FAILURES_TOTAL.get();
-    // Same live-run discipline as the plain path: the guard covers the
-    // main pass only.
-    let run_guard = obs.enter_run(seed, trials);
-    let saved = if batch {
-        run_trials_batched(
-            cfg,
-            &obs.sink,
-            sample_every,
-            BatchScratch::new,
-            |_, rng, scratch| {
-                note_progress();
-                sim.run_once_batched(&policy, rng, scratch).outcome.work_saved
-            },
-        )
-    } else {
-        run_trials_observed(cfg, &obs.sink, sample_every, |_, rng| {
-            note_progress();
-            sim.run_once(&policy, rng).outcome.work_saved
+            kernel.run(&policy, rng, None).outcome.work_saved
         })
     };
     drop(run_guard);
     let ckpt_attempts = resq::obs::metrics::CKPT_ATTEMPTS_TOTAL.get() - attempts_before;
     let ckpt_failures = resq::obs::metrics::CKPT_FAILURES_TOTAL.get() - failures_before;
-    // Success/kill rates re-run the same trial streams with the same
-    // kernel, so they agree exactly with the main pass.
-    let success = run_trials(cfg, |_, rng| {
-        let o = if batch {
-            sim.run_once_batched(&policy, rng, &mut BatchScratch::new())
-        } else {
-            sim.run_once(&policy, rng)
-        };
-        o.outcome.checkpoint_succeeded as u64 as f64
-    });
-    let killed = run_trials(cfg, |_, rng| {
-        let o = if batch {
-            sim.run_once_batched(&policy, rng, &mut BatchScratch::new())
-        } else {
-            sim.run_once(&policy, rng)
-        };
-        o.killed_by_failstop as u64 as f64
-    });
-    // Sampled-trial decision + retry rows, re-derived serially in index
-    // order so the log stays deterministic (same discipline as the
-    // plain path).
+    // Rates re-run the same trial streams with the same kernel as the
+    // main pass, so they agree exactly with it: `run_once_batched`
+    // resets its scratch per trial, so a fresh scratch reproduces the
+    // batched run's draws.
+    let rate = |hit: fn(&FaultyOutcome) -> bool| {
+        run_trials(cfg, |_, rng| {
+            let mut scratch = BatchScratch::new();
+            hit(&kernel.run(&policy, rng, batch.then_some(&mut scratch))) as u64 as f64
+        })
+        .mean
+    };
+    let success = rate(|o| o.outcome.checkpoint_succeeded);
+    let killed = if faulty { rate(|o| o.killed_by_failstop) } else { 0.0 };
+    // Policy decisions (and retry telemetry) for the sampled trials,
+    // re-derived serially in index order so the log stays deterministic.
     if obs.sink.enabled() && sample_every > 0 {
         let mut scratch = BatchScratch::new();
         let mut i = 0;
         while i < trials {
             let mut rng = Xoshiro256pp::for_stream(seed, i);
-            let o = if batch {
-                sim.run_once_batched(&policy, &mut rng, &mut scratch)
-            } else {
-                sim.run_once(&policy, &mut rng)
-            };
+            let o = kernel.run(&policy, &mut rng, batch.then_some(&mut scratch));
             obs.emit(
                 Event::new(event_type::CHECKPOINT_DECISION)
                     .u64("trial", i)
@@ -1504,52 +1396,66 @@ fn simulate_faulty(args: &Args) -> Result<(), ArgError> {
                     .bool("attempted", o.outcome.checkpoint_attempted)
                     .bool("succeeded", o.outcome.checkpoint_succeeded),
             );
-            obs.emit(o.retry_event(i));
+            if faulty {
+                obs.emit(o.retry_event(i));
+            }
             i += sample_every;
         }
     }
     let (lo, hi) = saved.ci95();
-    obs.emit(
-        Event::new(event_type::RUN_FINISHED)
-            .u64("trials", saved.n)
-            .f64("mean_saved_work", saved.mean)
-            .f64("std_error", saved.std_error)
-            .f64("ci95_lo", lo)
-            .f64("ci95_hi", hi)
-            .f64("success_rate", success.mean)
-            .f64("failstop_rate_observed", killed.mean)
+    let mut finished = Event::new(event_type::RUN_FINISHED)
+        .u64("trials", saved.n)
+        .f64("mean_saved_work", saved.mean)
+        .f64("std_error", saved.std_error)
+        .f64("ci95_lo", lo)
+        .f64("ci95_hi", hi)
+        .f64("success_rate", success);
+    if faulty {
+        finished = finished
+            .f64("failstop_rate_observed", killed)
             .u64("ckpt_attempts", ckpt_attempts)
-            .u64("ckpt_failures", ckpt_failures)
+            .u64("ckpt_failures", ckpt_failures);
+    }
+    obs.emit(
+        finished
             .f64("min_saved", saved.min)
             .f64("max_saved", saved.max),
     );
     println!("trials            : {trials} (seed {seed})");
-    println!(
-        "fault model       : write fails w.p. {q}, retry {retry_raw}, fail-stop rate {failstop_rate}"
-    );
+    if faulty {
+        println!(
+            "fault model       : write fails w.p. {q}, retry {retry_raw}, fail-stop rate {failstop_rate}"
+        );
+    }
     println!("mean saved work   : {:.4}  (95% CI [{lo:.4}, {hi:.4}])", saved.mean);
-    println!("success rate      : {:.4}", success.mean);
-    println!("killed by failstop: {:.4}", killed.mean);
-    println!("ckpt attempts     : {ckpt_attempts} total, {ckpt_failures} failed");
+    println!("success rate      : {success:.4}");
+    if faulty {
+        println!("killed by failstop: {killed:.4}");
+        println!("ckpt attempts     : {ckpt_attempts} total, {ckpt_failures} failed");
+    }
     println!("min / max saved   : {:.4} / {:.4}", saved.min, saved.max);
     let resolved_threads = if threads > 0 {
         threads
     } else {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     };
-    obs.finish(
-        RunManifest::new("resq simulate")
-            .config("task", args.require("task")?)
-            .config("ckpt", args.require("ckpt")?)
-            .config("reservation", r)
-            .config("threshold", threshold)
-            .config("sample_every", sample_every)
-            .config("batch", batch)
+    let mut manifest = RunManifest::new("resq simulate")
+        .config("task", args.require("task")?)
+        .config("ckpt", args.require("ckpt")?)
+        .config("reservation", r)
+        .config("threshold", threshold)
+        .config("sample_every", sample_every)
+        .config("batch", batch);
+    if faulty {
+        manifest = manifest
             .config("ckpt_fail_prob", q)
             .config("retry", retry_raw)
             .config("failstop_rate", failstop_rate)
             .config("ckpt_attempts_total", ckpt_attempts)
-            .config("ckpt_failures_total", ckpt_failures)
+            .config("ckpt_failures_total", ckpt_failures);
+    }
+    obs.finish(
+        manifest
             .seed(seed)
             .threads(resolved_threads)
             .trials(trials),

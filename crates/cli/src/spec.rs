@@ -31,9 +31,10 @@ pub trait ErasedLaw: Send + Sync {
     fn variance(&self) -> f64;
     /// Draw one variate.
     fn sample(&self, rng: &mut dyn RngCore) -> f64;
-    /// Fill a slice with variates via the law's batch kernel (see
-    /// [`Sample::sample_batch`]); keeps the CLI's `--batch` fast path
-    /// from degrading to one virtual call per draw.
+    /// Fill a slice with variates via the law's batch kernel —
+    /// [`Sample::sample_batch_mono`] with `R = dyn RngCore`; keeps the
+    /// CLI's `--batch` fast path from degrading to one virtual call per
+    /// draw.
     fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]);
 }
 
@@ -63,7 +64,7 @@ impl<D: Continuous + Sample + Send + Sync> ErasedLaw for D {
         Sample::sample(self, rng)
     }
     fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        Sample::sample_batch(self, rng, out)
+        Sample::sample_batch_mono(self, rng, out)
     }
 }
 
@@ -102,23 +103,15 @@ impl Sample for DynLaw {
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
         self.0.sample(rng)
     }
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        self.0.sample_batch(rng, out)
+    fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+        let mut rng = rng;
+        self.0.sample_batch(&mut rng, out)
     }
 }
 
 impl resq::core::workflow::task_law::TaskDuration for DynLaw {
     fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64 {
         resq::core::workflow::task_law::continuous_expected_one_more(self, w, r, ckpt_cdf)
-    }
-    fn mean_duration(&self) -> f64 {
-        self.0.mean()
-    }
-    fn draw(&self, rng: &mut dyn RngCore) -> f64 {
-        self.0.sample(rng)
-    }
-    fn draw_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        self.0.sample_batch(rng, out)
     }
 }
 

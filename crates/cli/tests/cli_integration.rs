@@ -248,6 +248,74 @@ fn simulate_rejects_out_of_range_fault_flags() {
     assert!(err.contains("retry"), "{err}");
 }
 
+/// Runs `resq simulate` with `flags` and asserts that it exits 2 within
+/// ten seconds with `reason` on stderr, before running any trial.
+fn assert_simulate_rejects(flags: &[&str], reason: &str) {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_resq"))
+        .arg("simulate")
+        .args(flags)
+        .args(["--trials", "100"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn resq binary");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("wait on resq").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("resq simulate {flags:?} did not exit within 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect resq output");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains(reason), "{err}");
+    assert!(out.stdout.is_empty(), "no trial may run");
+}
+
+const FIG8_LAWS: [&str; 4] = ["--task", "normal:3,0.5@0,", "--ckpt", "normal:5,0.4@0,"];
+
+#[test]
+fn simulate_rejects_an_infinite_reservation() {
+    let flags = [&FIG8_LAWS[..], &["--reservation", "inf", "--threshold", "inf"]].concat();
+    assert_simulate_rejects(&flags, "reservation length must be positive and finite");
+}
+
+#[test]
+fn simulate_rejects_an_infinite_reservation_under_fault_injection() {
+    let flags = [
+        &FIG8_LAWS[..],
+        &["--reservation", "inf", "--threshold", "inf", "--ckpt-fail-prob", "0.2"],
+    ]
+    .concat();
+    assert_simulate_rejects(&flags, "reservation length must be positive and finite");
+}
+
+#[test]
+fn simulate_rejects_a_nan_reservation() {
+    let flags = [&FIG8_LAWS[..], &["--reservation", "nan", "--threshold", "nan"]].concat();
+    assert_simulate_rejects(&flags, "reservation length must be positive and finite");
+}
+
+#[test]
+fn simulate_rejects_a_task_law_whose_draws_all_clamp_to_zero() {
+    let flags = [
+        "--task",
+        "normal:-100,1",
+        "--ckpt",
+        "normal:5,0.4@0,",
+        "--reservation",
+        "29",
+        "--threshold",
+        "20",
+    ];
+    assert_simulate_rejects(&flags, "task mean must be positive");
+}
+
 #[test]
 fn bad_flags_fail_with_usage_on_stderr() {
     let out = resq(&["plan-preemptible", "--reservation", "10"]);

@@ -746,7 +746,7 @@ impl<X: TaskDuration, C: Continuous> RetryDynamicStrategy<X, C> {
         reliability: CheckpointReliability,
         retry: RetryPolicy,
     ) -> Result<Self, CoreError> {
-        let m = task.mean_duration();
+        let m = task.mean();
         if !(m > 0.0) || !m.is_finite() {
             return Err(CoreError::InvalidTaskLaw(
                 "task mean must be positive and finite",

@@ -43,9 +43,15 @@ pub struct DynamicStrategy<X: TaskDuration, C: Continuous> {
 }
 
 impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
-    /// Builds the model; `R` positive finite, checkpoint support in
-    /// `[0, ∞)`, positive mean task duration.
+    /// Builds the model; the inputs must pass [`DynamicStrategy::validate`].
     pub fn new(task: X, ckpt: C, r: f64) -> Result<Self, CoreError> {
+        Self::validate(&task, &ckpt, r)?;
+        Ok(Self { task, ckpt, r })
+    }
+
+    /// The checks [`DynamicStrategy::new`] applies: `R` positive finite,
+    /// checkpoint support in `[0, ∞)`, positive mean task duration.
+    pub fn validate(task: &X, ckpt: &C, r: f64) -> Result<(), CoreError> {
         if !(r > 0.0) || !r.is_finite() {
             return Err(CoreError::InvalidReservation { r });
         }
@@ -53,10 +59,10 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
         if lo < -1e-9 {
             return Err(CoreError::NegativeCheckpointSupport { lo });
         }
-        if !(task.mean_duration() > 0.0) {
+        if !(task.mean() > 0.0) {
             return Err(CoreError::InvalidTaskLaw("task mean must be positive"));
         }
-        Ok(Self { task, ckpt, r })
+        Ok(())
     }
 
     /// Reservation length `R`.

@@ -53,7 +53,7 @@ impl<X: TaskDuration, C: Continuous> HeterogeneousDynamic<X, C> {
             if lo < -1e-9 {
                 return Err(CoreError::NegativeCheckpointSupport { lo });
             }
-            if !(s.task.mean_duration() > 0.0) {
+            if !(s.task.mean() > 0.0) {
                 return Err(CoreError::InvalidTaskLaw("task mean must be positive"));
             }
         }

@@ -3,15 +3,15 @@
 //! §4.3 needs, at each decision point with work `W_n = w` done, the
 //! quantity `E[W_{+1}] = ∫_0^{R−w} (x + w)·P(C ≤ R−w−x)·f_X(x) dx`
 //! (or the matching sum for integer-valued Poisson tasks). The
-//! [`TaskDuration`] trait provides exactly that expectation plus
-//! sampling, implemented:
+//! [`TaskDuration`] trait provides exactly that expectation on top of
+//! the law's mean and sampler (its `Distribution` and `Sample`
+//! supertraits), implemented:
 //!
 //! * for **every continuous law** via adaptive quadrature (a blanket
 //!   impl — this covers the paper's truncated Normal and Gamma
 //!   instantiations, and anything else a user plugs in), and
 //! * for **Poisson** via the paper's finite sum.
 
-use rand::RngCore;
 use resq_dist::{Continuous, Discrete, Distribution, Poisson, Sample};
 use resq_numerics::{GaussLegendre, LatticeCache, NeumaierSum};
 
@@ -20,8 +20,10 @@ use resq_numerics::{GaussLegendre, LatticeCache, NeumaierSum};
 /// `StaticStrategy::GL_SEARCH_TOL` for the matching static-side budget).
 const GL_FAST_TOL: f64 = 1e-6;
 
-/// A task-duration law usable by the dynamic strategy and the simulator.
-pub trait TaskDuration {
+/// A task-duration law usable by the dynamic strategy and the simulator:
+/// the simulators draw task durations through [`Sample`], the planners
+/// read the mean through [`Distribution`].
+pub trait TaskDuration: Sample + Distribution {
     /// `E[(X + w)·P(C ≤ budget − X)·1[X ≤ budget]]` where
     /// `budget = R − w` — the expected work saved when running exactly one
     /// more task and then checkpointing. `ckpt_cdf` is `c ↦ P(C ≤ c)`.
@@ -71,41 +73,6 @@ pub trait TaskDuration {
     /// scan rather than recomputed at every scan point.
     fn fast_kernel_feature(&self) -> Option<f64> {
         None
-    }
-
-    /// Mean task duration.
-    fn mean_duration(&self) -> f64;
-
-    /// Draws one task duration.
-    fn draw(&self, rng: &mut dyn RngCore) -> f64;
-
-    /// Fills `out` with task durations — the batched counterpart of
-    /// [`TaskDuration::draw`], forwarded to `Sample::sample_batch` by the
-    /// law impls so simulators can draw a trial's tasks in one block.
-    /// The default loops [`TaskDuration::draw`], which is draw-order
-    /// preserving; the same caveat as `Sample::sample_batch` applies to
-    /// laws with specialized batch kernels.
-    fn draw_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        for slot in out.iter_mut() {
-            *slot = self.draw(rng);
-        }
-    }
-
-    /// Monomorphized counterpart of [`TaskDuration::draw_batch`]: same
-    /// distribution, same RNG stream consumption, but generic over the
-    /// generator so the Monte-Carlo hot path (which holds a concrete
-    /// per-trial RNG) gets a fully inlined sampling kernel instead of a
-    /// virtual call per block. Excluded from the vtable via
-    /// `Self: Sized`, keeping the trait object-safe; the default
-    /// delegates to [`TaskDuration::draw_batch`], and law impls forward
-    /// to `Sample::sample_batch_mono`.
-    #[inline]
-    fn draw_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64])
-    where
-        Self: Sized,
-    {
-        let mut rng = rng;
-        self.draw_batch(&mut rng, out)
     }
 }
 
@@ -271,19 +238,6 @@ macro_rules! impl_continuous_task {
             fn fast_kernel_feature(&self) -> Option<f64> {
                 Some(self.quantile(0.999) - self.quantile(0.001))
             }
-            fn mean_duration(&self) -> f64 {
-                self.mean()
-            }
-            fn draw(&self, rng: &mut dyn RngCore) -> f64 {
-                self.sample(rng)
-            }
-            fn draw_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-                self.sample_batch(rng, out)
-            }
-            #[inline]
-            fn draw_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-                self.sample_batch_mono(rng, out)
-            }
         }
     )+};
 }
@@ -325,23 +279,6 @@ impl<D: Continuous + Sample> TaskDuration for resq_dist::Truncated<D> {
 
     fn fast_kernel_feature(&self) -> Option<f64> {
         Some(self.quantile(0.999) - self.quantile(0.001))
-    }
-
-    fn mean_duration(&self) -> f64 {
-        self.mean()
-    }
-
-    fn draw(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample(rng)
-    }
-
-    fn draw_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        self.sample_batch(rng, out)
-    }
-
-    #[inline]
-    fn draw_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        self.sample_batch_mono(rng, out)
     }
 }
 
@@ -388,14 +325,6 @@ impl TaskDuration for Poisson {
             }
         }
         Some(acc.value())
-    }
-
-    fn mean_duration(&self) -> f64 {
-        self.mean()
-    }
-
-    fn draw(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample(rng)
     }
 }
 
@@ -492,11 +421,14 @@ mod tests {
 
     #[test]
     fn draw_respects_law() {
+        // Draws and the mean reach the law through the supertraits.
+        fn sample_mean<X: TaskDuration>(task: &X, n: usize) -> f64 {
+            let mut rng = Xoshiro256pp::new(55);
+            (0..n).map(|_| task.sample(&mut rng)).sum::<f64>() / n as f64
+        }
         let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
-        let mut rng = Xoshiro256pp::new(55);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| task.draw(&mut rng)).sum::<f64>() / n as f64;
+        let mean = sample_mean(&task, 50_000);
         assert!((mean - 3.0).abs() < 0.02, "mean {mean}");
-        assert!((task.mean_duration() - 3.0).abs() < 1e-6);
+        assert!((task.mean() - 3.0).abs() < 1e-6);
     }
 }

@@ -98,7 +98,8 @@ impl Sample for Exponential {
     /// Block-buffered uniforms, then the same `(0, 1]` inversion as the
     /// scalar path — bit-identical to repeated [`Sample::sample`] calls
     /// (draw-order preserving).
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
+    #[inline]
+    fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
         crate::traits::fill_uniform01(rng, out);
         for slot in out.iter_mut() {
             *slot = -(1.0 - *slot).ln() / self.lambda;

@@ -111,15 +111,10 @@ impl Sample for LogNormal {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
 
-    /// Ziggurat batch kernel, draw-order preserving: bit-identical to
-    /// `out.len()` scalar [`Sample::sample`] calls on the same stream —
-    /// see [`crate::Normal`]'s batch override.
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        self.sample_batch_mono(rng, out)
-    }
-
-    /// Monomorphized ziggurat batch kernel — same stream consumption as
-    /// [`Sample::sample_batch`], fully inlined for concrete RNGs.
+    /// Ziggurat batch kernel, fully inlined for concrete RNGs and
+    /// draw-order preserving: bit-identical to `out.len()` scalar
+    /// [`Sample::sample`] calls on the same stream — see
+    /// [`crate::Normal`]'s batch override.
     #[inline]
     fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
         crate::ziggurat::fill_standard_normal(rng, out);

@@ -91,18 +91,12 @@ impl Sample for Normal {
         self.mu + self.sigma * standard_normal(rng)
     }
 
-    /// Ziggurat batch kernel. The scalar path and this override call the
-    /// same per-draw ziggurat routine in slot order, so the batch is
-    /// *draw-order preserving*: bit-identical to `out.len()` scalar
-    /// [`Sample::sample`] calls on the same stream (unlike the retired
-    /// polar-pair kernel, which consumed the stream two variates at a
-    /// time).
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        self.sample_batch_mono(rng, out)
-    }
-
-    /// Monomorphized ziggurat batch kernel — same stream consumption as
-    /// [`Sample::sample_batch`], fully inlined for concrete RNGs.
+    /// Ziggurat batch kernel, fully inlined for concrete RNGs. The scalar
+    /// path and this override call the same per-draw ziggurat routine in
+    /// slot order, so the batch is *draw-order preserving*: bit-identical
+    /// to `out.len()` scalar [`Sample::sample`] calls on the same stream
+    /// (unlike the retired polar-pair kernel, which consumed the stream
+    /// two variates at a time).
     #[inline]
     fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
         crate::ziggurat::fill_standard_normal(rng, out);

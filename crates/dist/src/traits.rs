@@ -68,40 +68,33 @@ pub trait Sample {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 
-    /// Fills `out` with variates — the batched fast path used by the
-    /// Monte-Carlo chunk kernels.
+    /// Fills `out` with variates — the one batch entry point, used by the
+    /// Monte-Carlo kernels.
+    ///
+    /// Generic over the generator so a caller holding a *concrete* RNG
+    /// gets a fully inlined kernel — no per-draw virtual dispatch,
+    /// generator state kept in registers across the whole block; callers
+    /// holding a trait object pass `R = dyn RngCore`. The `Self: Sized`
+    /// bound keeps the trait object-safe by excluding this method from
+    /// the vtable.
     ///
     /// The default implementation is a plain loop over [`Sample::sample`]
     /// and therefore consumes the RNG stream in exactly the same order as
     /// repeated scalar draws (*draw-order preserving*). Laws with a
-    /// specialized kernel (`Normal` polar pairs, high-mass `Truncated`
-    /// rejection) produce the same *distribution* from a different stream
-    /// position — statistically, not bitwise, equivalent to the scalar
-    /// path. Batch-vs-scalar bitwise tests only apply to draw-order
-    /// preserving implementations.
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        for slot in out.iter_mut() {
-            *slot = self.sample(rng);
-        }
-    }
-
-    /// Monomorphized batch fill: identical contract (and identical RNG
-    /// word consumption) to [`Sample::sample_batch`], but generic over
-    /// the generator so a caller holding a *concrete* RNG gets a fully
-    /// inlined kernel — no per-draw virtual dispatch, generator state
-    /// kept in registers across the whole block. This is the
-    /// Monte-Carlo hot entry point; the `Self: Sized` bound keeps the
-    /// trait object-safe by excluding this method from the vtable
-    /// (`dyn Sample` callers use [`Sample::sample_batch`], which laws
-    /// with specialized kernels implement by delegating here with
-    /// `R = dyn RngCore`).
+    /// specialized kernel (high-mass `Truncated` rejection) produce the
+    /// same *distribution* from a different stream position —
+    /// statistically, not bitwise, equivalent to the scalar path.
+    /// Batch-vs-scalar bitwise tests only apply to draw-order preserving
+    /// implementations.
     #[inline]
     fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64])
     where
         Self: Sized,
     {
         let mut rng = rng;
-        self.sample_batch(&mut rng, out)
+        for slot in out.iter_mut() {
+            *slot = self.sample(&mut rng);
+        }
     }
 }
 

@@ -263,15 +263,10 @@ impl<D: Continuous + Sample> Sample for Truncated<D> {
     ///   the same inversion arithmetic as [`Sample::sample`], bit-identical
     ///   to repeated scalar draws, and still O(1) per variate however deep
     ///   the truncation.
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        self.sample_batch_mono(rng, out)
-    }
-
-    /// Monomorphized form of [`Sample::sample_batch`] (same strategy,
-    /// same stream consumption); the parent fill also goes through the
-    /// parent's monomorphized kernel, so for `Truncated<Normal>` the
-    /// whole chain — ziggurat fill, mask test, repair — inlines into the
-    /// caller when the RNG is concrete.
+    ///
+    /// The parent fill goes through the parent's own batch kernel, so for
+    /// `Truncated<Normal>` the whole chain — ziggurat fill, mask test,
+    /// repair — inlines into the caller when the RNG is concrete.
     #[inline]
     fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
         let (a, b) = self.effective_support();
@@ -448,12 +443,12 @@ mod tests {
         let mut rng = Xoshiro256pp::new(41);
         for &n in &[1usize, 63, 64, 65, 130] {
             let mut out = vec![0.0f64; n];
-            t.sample_batch(&mut rng, &mut out);
+            t.sample_batch_mono(&mut rng, &mut out);
             assert!(out.iter().all(|&x| (-2.0..=2.0).contains(&x)), "n={n}");
         }
         let n = 100_000;
         let mut xs = vec![0.0f64; n];
-        t.sample_batch(&mut rng, &mut xs);
+        t.sample_batch_mono(&mut rng, &mut xs);
         for &probe in &[-1.5, -0.5, 0.0, 0.7, 1.8] {
             let emp = xs.iter().filter(|&&x| x <= probe).count() as f64 / n as f64;
             assert!(

@@ -83,7 +83,8 @@ impl Sample for Uniform {
 
     /// Block-buffered uniforms, then the scalar affine map — bit-identical
     /// to repeated [`Sample::sample`] calls (draw-order preserving).
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
+    #[inline]
+    fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
         crate::traits::fill_uniform01(rng, out);
         for slot in out.iter_mut() {
             *slot = self.a + *slot * (self.b - self.a);

@@ -120,7 +120,7 @@ impl<X: TaskDuration, C: Sample> CampaignSimulator<X, C> {
                         break;
                     }
                 }
-                let x = self.task.draw(rng).max(0.0);
+                let x = self.task.sample(rng).max(0.0);
                 if elapsed + x > m.reservation {
                     elapsed = m.reservation;
                     break;

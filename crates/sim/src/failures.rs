@@ -203,7 +203,7 @@ impl<X: TaskDuration, C: Sample, RV: Sample> FailureWorkflowSim<X, C, RV> {
                 continue;
             }
             // Run one task.
-            let x = self.task.draw(rng).max(0.0);
+            let x = self.task.sample(rng).max(0.0);
             let end = t + x;
             if end > next_fail && next_fail < r {
                 // Failure mid-task.

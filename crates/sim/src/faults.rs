@@ -39,9 +39,10 @@
 //!   configuration-independent given the attempt count.
 
 use crate::stats::Welford;
+use crate::trial::{single_shot, Faults, Schedule, ScheduleEnd};
 use crate::workflow::{BatchScratch, WorkflowOutcome};
 use rand::RngCore;
-use resq_core::policy::{Action, WorkflowPolicy};
+use resq_core::policy::WorkflowPolicy;
 use resq_core::workflow::task_law::TaskDuration;
 use resq_core::{CheckpointReliability, CoreError, RetryPolicy};
 use resq_dist::{Exponential, Sample, Xoshiro256pp};
@@ -123,17 +124,43 @@ impl FaultInjector for ReliabilityInjector {
     }
 }
 
-/// How one retry schedule ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScheduleEnd {
-    /// An attempt completed successfully at the given time.
-    Success,
-    /// The reservation end or a fail-stop error cut the schedule short.
-    Dead,
-    /// [`RetryPolicy::GiveUpAndWorkOn`]: back to running tasks.
-    GiveUp,
-    /// The attempt budget is spent; no further attempts this trial.
-    Exhausted,
+/// The injector's fault model on a trial's fault stream: per attempt,
+/// the duration `C.max(0)` and then the success coin.
+struct InjectedFaults<'a, C, I> {
+    ckpt: &'a C,
+    injector: &'a I,
+    rng: Xoshiro256pp,
+}
+
+impl<C: Sample, I: FaultInjector> Faults for InjectedFaults<'_, C, I> {
+    fn attempt(&mut self) -> (f64, bool) {
+        let c = self.ckpt.sample(&mut self.rng).max(0.0);
+        (c, self.injector.attempt_fails(c, &mut self.rng))
+    }
+
+    fn book(&self, attempts: u32, failures: u32) {
+        resq_obs::metrics::CKPT_ATTEMPTS_TOTAL.add(u64::from(attempts));
+        resq_obs::metrics::CKPT_FAILURES_TOTAL.add(u64::from(failures));
+    }
+}
+
+/// Splits the fault stream off `rng` and draws the fail-stop time on it
+/// first; the horizon is `R` or that earlier fail-stop time.
+fn injected<'a, C: Sample, I: FaultInjector>(
+    reservation: f64,
+    ckpt: &'a C,
+    injector: &'a I,
+    retry: RetryPolicy,
+    rng: &mut dyn RngCore,
+) -> Schedule<InjectedFaults<'a, C, I>> {
+    let mut rng = Xoshiro256pp::new(rng.next_u64());
+    let t_kill = injector.next_failstop(0.0, &mut rng);
+    Schedule::new(
+        InjectedFaults { ckpt, injector, rng },
+        retry,
+        reservation.min(t_kill),
+        t_kill < reservation,
+    )
 }
 
 /// Outcome of one fault-injected workflow trial: the base
@@ -197,13 +224,8 @@ impl<X: TaskDuration, C: Sample, I: FaultInjector> FaultyWorkflowSim<X, C, I> {
         rng: &mut dyn RngCore,
     ) -> FaultyOutcome {
         let mut task_rng = Xoshiro256pp::new(rng.next_u64());
-        let mut fault_rng = Xoshiro256pp::new(rng.next_u64());
-        self.run_kernel(
-            policy,
-            &mut |r: &mut Xoshiro256pp| self.task.draw(r),
-            &mut task_rng,
-            &mut fault_rng,
-        )
+        let sched = self.schedule(rng);
+        single_shot(policy, sched, || self.task.sample(&mut task_rng))
     }
 
     /// Batched-sampling variant of [`FaultyWorkflowSim::run_once`]:
@@ -219,143 +241,13 @@ impl<X: TaskDuration, C: Sample, I: FaultInjector> FaultyWorkflowSim<X, C, I> {
     ) -> FaultyOutcome {
         scratch.reset();
         let mut task_rng = Xoshiro256pp::new(rng.next_u64());
-        let mut fault_rng = Xoshiro256pp::new(rng.next_u64());
-        self.run_kernel(
-            policy,
-            &mut |r: &mut Xoshiro256pp| scratch.next_draw(&self.task, r),
-            &mut task_rng,
-            &mut fault_rng,
-        )
+        let sched = self.schedule(rng);
+        single_shot(policy, sched, || scratch.next_draw(&self.task, &mut task_rng))
     }
 
-    fn run_kernel<P: WorkflowPolicy + ?Sized>(
-        &self,
-        policy: &P,
-        next_task: &mut dyn FnMut(&mut Xoshiro256pp) -> f64,
-        task_rng: &mut Xoshiro256pp,
-        fault_rng: &mut Xoshiro256pp,
-    ) -> FaultyOutcome {
-        let r = self.reservation;
-        let t_kill = self.injector.next_failstop(0.0, fault_rng);
-        let horizon = r.min(t_kill);
-        let killed_at_horizon = t_kill < r;
-        let mut work = 0.0f64;
-        let mut clock = 0.0f64;
-        let mut tasks = 0u64;
-        let mut attempts = 0u32;
-        let mut failures = 0u32;
-        let mut exhausted = false;
-        let mut forced_tasks = 0u64;
-        let mut last_c = 0.0f64;
-        let budget = self.retry.max_attempts();
-
-        let lost = |attempts: u32,
-                    failures: u32,
-                    tasks: u64,
-                    work: f64,
-                    last_c: f64| FaultyOutcome {
-            outcome: WorkflowOutcome {
-                work_saved: 0.0,
-                tasks_completed: tasks,
-                work_at_checkpoint: work,
-                checkpoint_attempted: attempts > 0,
-                checkpoint_succeeded: false,
-                checkpoint_duration: last_c,
-                time_used: horizon,
-            },
-            ckpt_attempts: attempts,
-            ckpt_failures: failures,
-            killed_by_failstop: killed_at_horizon,
-        };
-
-        let result = loop {
-            let wants_ckpt = !exhausted
-                && forced_tasks == 0
-                && policy.decide(tasks, work) == Action::Checkpoint;
-            if wants_ckpt {
-                // The retry schedule: attempts back to back (plus
-                // backoff) starting now, at `clock`.
-                let mut t = clock;
-                let mut attempt = 0u32;
-                #[allow(unused_assignments)]
-                let mut end = t;
-                let sched = loop {
-                    attempt += 1;
-                    attempts += 1;
-                    let c = self.ckpt.sample(fault_rng).max(0.0);
-                    last_c = c;
-                    let fails = self.injector.attempt_fails(c, fault_rng);
-                    end = t + c;
-                    if end > horizon {
-                        // Cut short mid-write by the reservation end or
-                        // a fail-stop error.
-                        failures += 1;
-                        break ScheduleEnd::Dead;
-                    }
-                    if !fails {
-                        break ScheduleEnd::Success;
-                    }
-                    failures += 1;
-                    match self.retry {
-                        RetryPolicy::Immediate { .. } if attempt < budget => {
-                            t = end;
-                        }
-                        RetryPolicy::Backoff { delay, .. } if attempt < budget => {
-                            t = end + delay;
-                            if t >= horizon {
-                                // The backoff outlives the reservation:
-                                // no further attempt can start, let
-                                // alone finish.
-                                break ScheduleEnd::Dead;
-                            }
-                        }
-                        RetryPolicy::GiveUpAndWorkOn => break ScheduleEnd::GiveUp,
-                        _ => break ScheduleEnd::Exhausted,
-                    }
-                };
-                match sched {
-                    ScheduleEnd::Success => {
-                        break FaultyOutcome {
-                            outcome: WorkflowOutcome {
-                                work_saved: work,
-                                tasks_completed: tasks,
-                                work_at_checkpoint: work,
-                                checkpoint_attempted: true,
-                                checkpoint_succeeded: true,
-                                checkpoint_duration: last_c,
-                                time_used: end,
-                            },
-                            ckpt_attempts: attempts,
-                            ckpt_failures: failures,
-                            killed_by_failstop: false,
-                        };
-                    }
-                    ScheduleEnd::Dead => break lost(attempts, failures, tasks, work, last_c),
-                    ScheduleEnd::GiveUp => {
-                        clock = end;
-                        forced_tasks = 1;
-                    }
-                    ScheduleEnd::Exhausted => {
-                        clock = end;
-                        exhausted = true;
-                    }
-                }
-                continue;
-            }
-            // Run one more task.
-            let x = next_task(task_rng).max(0.0);
-            if clock + x > horizon {
-                // Reservation expiry or fail-stop mid-task.
-                break lost(attempts, failures, tasks, work, last_c);
-            }
-            clock += x;
-            work += x;
-            tasks += 1;
-            forced_tasks = forced_tasks.saturating_sub(1);
-        };
-        resq_obs::metrics::CKPT_ATTEMPTS_TOTAL.add(u64::from(result.ckpt_attempts));
-        resq_obs::metrics::CKPT_FAILURES_TOTAL.add(u64::from(result.ckpt_failures));
-        result
+    /// The trial's fault model, split off `rng` after the task stream.
+    fn schedule(&self, rng: &mut dyn RngCore) -> Schedule<InjectedFaults<'_, C, I>> {
+        injected(self.reservation, &self.ckpt, &self.injector, self.retry, rng)
     }
 }
 
@@ -398,67 +290,38 @@ pub struct RetryPreemptibleSim<C, I> {
 impl<C: Sample, I: FaultInjector> RetryPreemptibleSim<C, I> {
     /// Runs one trial with the given lead time.
     ///
-    /// The same sub-stream discipline as the workflow kernel: the fault
-    /// stream is split off the trial stream first, then the fail-stop
-    /// time, then per attempt `(duration, coin)`.
+    /// The same sub-stream discipline and retry schedule as the workflow
+    /// kernel: the fault stream is split off the trial stream first, then
+    /// the fail-stop time, then per attempt `(duration, coin)`. As there,
+    /// every unsuccessful trial whose horizon is a fail-stop error reports
+    /// `killed_by_failstop` — whether the schedule was cut short, gave
+    /// up, ran out of attempts, or had its backoff outlive the horizon.
     pub fn run_once(&self, lead_time: f64, rng: &mut dyn RngCore) -> FaultyPreemptibleOutcome {
         let r = self.reservation;
         let x = lead_time.clamp(0.0, r);
-        let mut fault_rng = Xoshiro256pp::new(rng.next_u64());
-        let t_kill = self.injector.next_failstop(0.0, &mut fault_rng);
-        let horizon = r.min(t_kill);
+        let mut sched = injected(r, &self.ckpt, &self.injector, self.retry, rng);
         let start = r - x;
-        let mut out = FaultyPreemptibleOutcome {
-            lead_time: x,
-            time_used: horizon,
-            ..Default::default()
+        // Killed while still computing (or a degenerate X = 0): no
+        // attempt starts. Give-up or an exhausted budget leave unsaved
+        // work in the tail of the reservation either way.
+        let saved_at = if start >= sched.horizon {
+            None
+        } else {
+            match sched.run(start) {
+                ScheduleEnd::Saved(end) => Some(end),
+                _ => None,
+            }
         };
-        if start >= horizon {
-            // Killed while still computing (or a degenerate X = 0).
-            out.killed_by_failstop = t_kill < r;
-            let (a, f) = (out.attempts, out.failures);
-            resq_obs::metrics::CKPT_ATTEMPTS_TOTAL.add(u64::from(a));
-            resq_obs::metrics::CKPT_FAILURES_TOTAL.add(u64::from(f));
-            return out;
+        sched.book();
+        FaultyPreemptibleOutcome {
+            work_saved: if saved_at.is_some() { r - x } else { 0.0 },
+            lead_time: x,
+            attempts: sched.attempts,
+            failures: sched.failures,
+            succeeded: saved_at.is_some(),
+            killed_by_failstop: saved_at.is_none() && sched.killed,
+            time_used: saved_at.unwrap_or(sched.horizon),
         }
-        let budget = self.retry.max_attempts();
-        let mut t = start;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            out.attempts += 1;
-            let c = self.ckpt.sample(&mut fault_rng).max(0.0);
-            let fails = self.injector.attempt_fails(c, &mut fault_rng);
-            let end = t + c;
-            if end > horizon {
-                out.failures += 1;
-                out.killed_by_failstop = t_kill < r;
-                break;
-            }
-            if !fails {
-                out.succeeded = true;
-                out.work_saved = r - x;
-                out.time_used = end;
-                break;
-            }
-            out.failures += 1;
-            match self.retry {
-                RetryPolicy::Immediate { .. } if attempt < budget => t = end,
-                RetryPolicy::Backoff { delay, .. } if attempt < budget => {
-                    t = end + delay;
-                    if t >= horizon {
-                        break;
-                    }
-                }
-                // Give-up or exhausted budget: in the single-shot §3
-                // setting the remaining tail of the reservation holds
-                // unsaved work either way.
-                _ => break,
-            }
-        }
-        resq_obs::metrics::CKPT_ATTEMPTS_TOTAL.add(u64::from(out.attempts));
-        resq_obs::metrics::CKPT_FAILURES_TOTAL.add(u64::from(out.failures));
-        out
     }
 
     /// Monte-Carlo mean of the saved work at lead time `x` over
@@ -630,5 +493,44 @@ mod tests {
         };
         let m = s.mean_work_saved(2.5, 2000, 3);
         assert!((m.mean - 7.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn preemptible_sim_reports_every_failstop_ending() {
+        // R = 10, X = 6, p = 0.3, λ = 0.2: schedules often end by running
+        // out of attempts, giving up, or backing off past the fail-stop
+        // time, and the fail-stop then ends the trial before R. The flag
+        // must say so however the schedule ended, as in the workflow
+        // simulator.
+        for retry in [
+            RetryPolicy::Immediate { max_attempts: 3 },
+            RetryPolicy::Backoff {
+                max_attempts: 3,
+                delay: 1.0,
+            },
+            RetryPolicy::GiveUpAndWorkOn,
+        ] {
+            let s = RetryPreemptibleSim {
+                reservation: 10.0,
+                ckpt: Uniform::new(1.0, 2.0).unwrap(),
+                injector: ReliabilityInjector::new(
+                    CheckpointReliability::PerAttempt { p: 0.3 },
+                    0.2,
+                )
+                .unwrap(),
+                retry,
+            };
+            let mut after_attempts = 0;
+            for i in 0..2000 {
+                let mut rng = Xoshiro256pp::for_stream(17, i);
+                let out = s.run_once(6.0, &mut rng);
+                let ended_early = !out.succeeded && out.time_used < 10.0;
+                assert_eq!(out.killed_by_failstop, ended_early, "{retry:?}, trial {i}: {out:?}");
+                if ended_early && out.attempts > 0 {
+                    after_attempts += 1;
+                }
+            }
+            assert!(after_attempts > 0, "{retry:?}: no fail-stop ended a schedule");
+        }
     }
 }

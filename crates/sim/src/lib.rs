@@ -13,8 +13,9 @@
 //! * [`preemptible`] — single-reservation execution of §3 policies
 //!   (fixed lead time `X`), plus the clairvoyant oracle.
 //! * [`workflow`] — single-reservation execution of §4 policies (static
-//!   `n_opt`, dynamic threshold, pessimistic worst-case provisioning),
-//!   with event logs.
+//!   `n_opt`, dynamic threshold, pessimistic worst-case provisioning).
+//! * [`faults`] — the same §4 trial under unreliable checkpoint writes,
+//!   retry policies and fail-stop errors, plus its §3 counterpart.
 //! * [`campaign`] — multi-reservation execution with recovery cost and
 //!   the §4.4 continue-vs-drop rules under both billing models.
 //! * [`failures`] — the paper's future-work extension: fail-stop errors
@@ -22,7 +23,7 @@
 //!   periodic-checkpoint baseline for that regime.
 //! * [`monte_carlo`] — the parallel trial runner: deterministic
 //!   per-trial RNG streams (reproducible for any thread count) fanned
-//!   out over crossbeam scoped threads.
+//!   out over scoped threads.
 //! * [`stats`] — Welford summaries, confidence intervals, quantiles and
 //!   histograms for reporting.
 //! * [`workload`] — convergence-driven iterative jobs (the paper's
@@ -35,6 +36,7 @@ pub mod faults;
 pub mod monte_carlo;
 pub mod preemptible;
 pub mod stats;
+mod trial;
 pub mod workload;
 pub mod workflow;
 
@@ -51,5 +53,5 @@ pub use monte_carlo::{
 };
 pub use preemptible::{simulate_preemptible, PreemptibleOutcome, PreemptibleSim};
 pub use stats::{Histogram, Summary, Welford};
-pub use workflow::{simulate_workflow, BatchScratch, SimEvent, WorkflowOutcome, WorkflowSim};
+pub use workflow::{BatchScratch, WorkflowOutcome, WorkflowSim};
 pub use workload::{ConvergenceModel, IterativeJob};

@@ -4,7 +4,7 @@
 //! **reproducibility**: results must not depend on the number of worker
 //! threads. Each trial `i` therefore gets its own RNG
 //! `Xoshiro256pp::for_stream(seed, i)` derived from `(seed, i)` alone,
-//! and trials are partitioned over crossbeam scoped threads in
+//! and trials are partitioned over scoped threads in
 //! contiguous fixed-size chunks, with chunk-local [`Welford`]
 //! accumulators streamed back to the coordinator and merged strictly in
 //! chunk order — O(threads) live state regardless of trial count.
@@ -246,18 +246,18 @@ where
     } else {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cursor = AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             // Bounded result channel: backpressure caps the number of
             // finished-but-unmerged chunks, which (with the monotone
             // cursor) bounds the coordinator's reorder buffer.
             let (tx, rx) =
-                crossbeam::channel::bounded::<(usize, Welford, Vec<Event>)>(threads * 2);
+                std::sync::mpsc::sync_channel::<(usize, Welford, Vec<Event>)>(threads * 2);
             for _ in 0..threads {
                 let tx = tx.clone();
                 let run_chunk = &run_chunk;
                 let make_scratch = &make_scratch;
                 let cursor = &cursor;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = make_scratch();
                     let mut worker_trials = 0u64;
                     loop {
@@ -288,8 +288,7 @@ where
                 }
             }
             debug_assert!(pending.is_empty());
-        })
-        .expect("crossbeam scope failed");
+        });
     }
 
     metrics::MC_TRIALS_RUN.add(config.trials);
@@ -316,11 +315,11 @@ where
         return out;
     }
     let chunk = n.div_ceil(threads);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (t, slots) in out.chunks_mut(chunk).enumerate() {
             let trial = &trial;
             let lo = (t * chunk) as u64;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (j, slot) in slots.iter_mut().enumerate() {
                     let i = lo + j as u64;
                     let mut rng = Xoshiro256pp::for_stream(config.seed, i);
@@ -328,8 +327,7 @@ where
                 }
             });
         }
-    })
-    .expect("crossbeam scope failed");
+    });
     out
 }
 

@@ -1,0 +1,216 @@
+//! The single-shot §4 trial, shared by [`crate::WorkflowSim`] and
+//! [`crate::FaultyWorkflowSim`], and the retry schedule, shared with
+//! [`crate::RetryPreemptibleSim`].
+//!
+//! One trial: tasks with IID sampled durations run back-to-back from
+//! time 0. At the end of each task the policy is consulted; on
+//! [`Action::Checkpoint`] a retry schedule of checkpoint write attempts
+//! starts. The trial ends when an attempt completes (the work done so far
+//! is saved), or at the *horizon* — the reservation end `R`, or an
+//! earlier fail-stop error — with everything lost.
+//!
+//! The loop is generic over the fault model ([`NoFaults`], or the
+//! injector in `crate::faults`) and over the task-draw source (a closure
+//! drawing one `sample` per task, or serving `BatchScratch` blocks), so
+//! each simulator × kernel pair compiles to its own specialised loop.
+
+use crate::faults::FaultyOutcome;
+use crate::workflow::WorkflowOutcome;
+use resq_core::policy::{Action, WorkflowPolicy};
+use resq_core::RetryPolicy;
+
+/// What can go wrong with a checkpoint write.
+pub(crate) trait Faults {
+    /// Draws one write attempt: its duration and whether the write fails.
+    fn attempt(&mut self) -> (f64, bool);
+
+    /// Books a finished trial's attempt and failure counts.
+    fn book(&self, _attempts: u32, _failures: u32) {}
+}
+
+/// The fault-free model: one write of the checkpoint duration drawn at
+/// trial start (unclamped), which never fails.
+pub(crate) struct NoFaults(pub(crate) f64);
+
+impl Faults for NoFaults {
+    #[inline]
+    fn attempt(&mut self) -> (f64, bool) {
+        (self.0, false)
+    }
+}
+
+/// How one retry schedule ended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ScheduleEnd {
+    /// An attempt completed successfully at this time.
+    Saved(f64),
+    /// The horizon cut the schedule short.
+    Dead,
+    /// [`RetryPolicy::GiveUpAndWorkOn`]: back to running tasks at this
+    /// time.
+    GiveUp(f64),
+    /// The attempt budget is spent at this time; no further attempts
+    /// this trial.
+    Exhausted(f64),
+}
+
+/// A trial's fault model, retry policy and horizon, plus the tally of
+/// the attempts made so far.
+pub(crate) struct Schedule<F> {
+    faults: F,
+    retry: RetryPolicy,
+    /// When the trial dies: `R`, or an earlier fail-stop time.
+    pub(crate) horizon: f64,
+    /// Whether the horizon is a fail-stop error rather than `R`.
+    pub(crate) killed: bool,
+    pub(crate) attempts: u32,
+    pub(crate) failures: u32,
+    /// Duration of the latest attempt (0 before the first).
+    last_c: f64,
+}
+
+impl Schedule<NoFaults> {
+    /// The fault-free trial: horizon `R`, one attempt of duration `c`.
+    pub(crate) fn fault_free(reservation: f64, c: f64) -> Self {
+        // The retry policy is never consulted: fault-free writes never
+        // fail.
+        Self::new(
+            NoFaults(c),
+            RetryPolicy::Immediate { max_attempts: 1 },
+            reservation,
+            false,
+        )
+    }
+}
+
+impl<F: Faults> Schedule<F> {
+    pub(crate) fn new(faults: F, retry: RetryPolicy, horizon: f64, killed: bool) -> Self {
+        Self {
+            faults,
+            retry,
+            horizon,
+            killed,
+            attempts: 0,
+            failures: 0,
+            last_c: 0.0,
+        }
+    }
+
+    /// Runs one retry schedule starting at `start`: attempts back to
+    /// back, plus backoff, until one completes or the policy stops.
+    ///
+    /// A write failure is detected at the end of the attempt, so a
+    /// failed attempt consumes its full duration; an attempt that would
+    /// end past the horizon is cut short.
+    pub(crate) fn run(&mut self, start: f64) -> ScheduleEnd {
+        let budget = self.retry.max_attempts();
+        let mut t = start;
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            self.attempts += 1;
+            let (c, fails) = self.faults.attempt();
+            self.last_c = c;
+            let end = t + c;
+            // Cut short mid-write by the horizon. The negated form also
+            // fails a NaN end, as the fault-free `elapsed + C ≤ R` test
+            // always has.
+            if !(end <= self.horizon) {
+                self.failures += 1;
+                return ScheduleEnd::Dead;
+            }
+            if !fails {
+                return ScheduleEnd::Saved(end);
+            }
+            self.failures += 1;
+            match self.retry {
+                RetryPolicy::Immediate { .. } if attempt < budget => t = end,
+                RetryPolicy::Backoff { delay, .. } if attempt < budget => {
+                    t = end + delay;
+                    if t >= self.horizon {
+                        // The backoff outlives the horizon: no further
+                        // attempt can start, let alone finish.
+                        return ScheduleEnd::Dead;
+                    }
+                }
+                RetryPolicy::GiveUpAndWorkOn => return ScheduleEnd::GiveUp(end),
+                _ => return ScheduleEnd::Exhausted(end),
+            }
+        }
+    }
+
+    /// Books the tally with the fault model; call once per trial.
+    pub(crate) fn book(&self) {
+        self.faults.book(self.attempts, self.failures);
+    }
+}
+
+/// Runs one single-shot trial under `policy`, drawing task durations
+/// from `next_task` (negative draws clamp to 0).
+///
+/// [`RetryPolicy::GiveUpAndWorkOn`] runs at least one more task after a
+/// failed attempt before the policy is consulted again, so a stubborn
+/// policy cannot spin on a dead checkpoint. Work done after a give-up or
+/// an exhausted budget counts towards a later checkpoint only; nothing is
+/// saved unless an attempt completes.
+#[inline]
+pub(crate) fn single_shot<P, F>(
+    policy: &P,
+    mut sched: Schedule<F>,
+    mut next_task: impl FnMut() -> f64,
+) -> FaultyOutcome
+where
+    P: WorkflowPolicy + ?Sized,
+    F: Faults,
+{
+    let mut work = 0.0f64;
+    let mut clock = 0.0f64;
+    let mut tasks = 0u64;
+    let mut exhausted = false;
+    let mut work_on = false;
+    let saved_at = loop {
+        // Consult the policy at the current boundary (including the
+        // start: a policy may checkpoint before any task — useless but
+        // legal).
+        if !exhausted && !work_on && policy.decide(tasks, work) == Action::Checkpoint {
+            match sched.run(clock) {
+                ScheduleEnd::Saved(end) => break Some(end),
+                ScheduleEnd::Dead => break None,
+                ScheduleEnd::GiveUp(end) => {
+                    clock = end;
+                    work_on = true;
+                }
+                ScheduleEnd::Exhausted(end) => {
+                    clock = end;
+                    exhausted = true;
+                }
+            }
+            continue;
+        }
+        let x = next_task().max(0.0);
+        if clock + x > sched.horizon {
+            // Reservation expiry or fail-stop mid-task.
+            break None;
+        }
+        clock += x;
+        work += x;
+        tasks += 1;
+        work_on = false;
+    };
+    sched.book();
+    let saved = saved_at.is_some();
+    FaultyOutcome {
+        outcome: WorkflowOutcome {
+            work_saved: if saved { work } else { 0.0 },
+            tasks_completed: tasks,
+            work_at_checkpoint: work,
+            checkpoint_attempted: sched.attempts > 0,
+            checkpoint_succeeded: saved,
+            checkpoint_duration: sched.last_c,
+            time_used: saved_at.unwrap_or(sched.horizon),
+        },
+        ckpt_attempts: sched.attempts,
+        ckpt_failures: sched.failures,
+        killed_by_failstop: !saved && sched.killed,
+    }
+}

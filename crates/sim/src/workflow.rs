@@ -7,9 +7,14 @@
 //! completes — the reservation expires mid-task and everything is lost
 //! (unless a checkpoint already succeeded, which ends the trial in this
 //! single-shot simulator; for §4.4 continuation see [`crate::campaign`]).
+//! The trial loop itself is shared with the fault-injected simulator
+//! (see `crate::trial`).
+//!
+//! [`Action::Checkpoint`]: resq_core::policy::Action::Checkpoint
 
+use crate::trial::{single_shot, Schedule};
 use rand::RngCore;
-use resq_core::policy::{Action, WorkflowPolicy};
+use resq_core::policy::WorkflowPolicy;
 use resq_core::workflow::task_law::TaskDuration;
 use resq_dist::Sample;
 
@@ -48,15 +53,15 @@ pub struct WorkflowSim<X, C> {
 impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
     /// Runs one trial under `policy`.
     ///
-    /// `max_tasks` bounds runaway policies that never checkpoint (the
-    /// reservation-expiry check also terminates, so this is a pure
-    /// safety net).
+    /// Runs until the policy checkpoints or the reservation expires
+    /// mid-task; a policy that never checkpoints ends at the first task
+    /// that does not fit, so `R` must be finite and the task mean
+    /// positive for the trial to end.
     pub fn run_once<P: WorkflowPolicy + ?Sized>(
         &self,
         policy: &P,
         rng: &mut dyn RngCore,
     ) -> WorkflowOutcome {
-        let r = self.reservation;
         // The checkpoint duration is independent of the task stream, so
         // it is drawn up front (as `run_oracle` always has). This fixes
         // its stream position regardless of how many tasks run, which is
@@ -65,42 +70,8 @@ impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
         // laws. (Draw-order re-lock, PR 3: trials consume `(C, X_1,
         // X_2, …)` instead of `(X_1, …, X_k, C)` — same distribution,
         // different bits; MC golden values were re-locked accordingly.)
-        let c = self.ckpt.sample(rng);
-        let mut elapsed = 0.0f64;
-        let mut tasks = 0u64;
-        loop {
-            // Consult the policy at the current boundary (including the
-            // start: a policy may checkpoint before any task — useless
-            // but legal).
-            if policy.decide(tasks, elapsed) == Action::Checkpoint {
-                let succeeded = elapsed + c <= r;
-                return WorkflowOutcome {
-                    work_saved: if succeeded { elapsed } else { 0.0 },
-                    tasks_completed: tasks,
-                    work_at_checkpoint: elapsed,
-                    checkpoint_attempted: true,
-                    checkpoint_succeeded: succeeded,
-                    checkpoint_duration: c,
-                    time_used: if succeeded { elapsed + c } else { r },
-                };
-            }
-            // Run one more task.
-            let x = self.task.draw(rng).max(0.0);
-            if elapsed + x > r {
-                // Reservation expires mid-task: everything is lost.
-                return WorkflowOutcome {
-                    work_saved: 0.0,
-                    tasks_completed: tasks,
-                    work_at_checkpoint: elapsed,
-                    checkpoint_attempted: false,
-                    checkpoint_succeeded: false,
-                    checkpoint_duration: 0.0,
-                    time_used: r,
-                };
-            }
-            elapsed += x;
-            tasks += 1;
-        }
+        let sched = Schedule::fault_free(self.reservation, self.ckpt.sample(rng));
+        single_shot(policy, sched, || self.task.sample(rng)).outcome
     }
 }
 
@@ -140,18 +111,18 @@ impl BatchScratch {
     }
 
     /// Serves the next task draw, refilling the block buffer through
-    /// `draw_batch_mono` when empty — the one batched primitive shared
+    /// `sample_batch_mono` when empty — the one batched primitive shared
     /// with the fault-injected runner (`crate::faults`). Generic over
     /// the RNG so the Monte-Carlo workers (concrete per-trial
     /// `Xoshiro256pp`) get the law's sampling kernel inlined end-to-end.
     #[inline]
-    pub(crate) fn next_draw<X: TaskDuration, R: RngCore + ?Sized>(
+    pub(crate) fn next_draw<X: Sample, R: RngCore + ?Sized>(
         &mut self,
         task: &X,
         rng: &mut R,
     ) -> f64 {
         if self.next == self.filled {
-            task.draw_batch_mono(rng, &mut self.tasks);
+            task.sample_batch_mono(rng, &mut self.tasks);
             self.filled = Self::BLOCK;
             self.next = 0;
         }
@@ -175,12 +146,12 @@ impl BatchScratch {
 
 impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
     /// Batched-sampling variant of [`WorkflowSim::run_once`]: the
-    /// checkpoint duration comes from a length-1 `sample_batch` call and
-    /// task durations are pre-drawn in blocks of 8 (see [`BatchScratch`])
-    /// through [`TaskDuration::draw_batch_mono`], replacing one virtual
-    /// sampler call per draw with a monomorphized kernel per block (and
-    /// unlocking the specialized batch kernels — ziggurat fills,
-    /// truncated mask-repair — where the laws provide them).
+    /// checkpoint duration comes from a length-1 `sample_batch_mono` call
+    /// and task durations are pre-drawn in blocks of 8 (see
+    /// [`BatchScratch`]) through [`Sample::sample_batch_mono`], replacing
+    /// one virtual sampler call per draw with a monomorphized kernel per
+    /// block (and unlocking the specialized batch kernels — ziggurat
+    /// fills, truncated mask-repair — where the laws provide them).
     ///
     /// For laws whose batch kernels are draw-order preserving (the
     /// defaults) the outcome is bit-identical to [`WorkflowSim::run_once`]
@@ -196,38 +167,8 @@ impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
         scratch: &mut BatchScratch,
     ) -> WorkflowOutcome {
         scratch.reset();
-        let r = self.reservation;
-        let c = scratch.draw_ckpt(&self.ckpt, rng);
-        let mut elapsed = 0.0f64;
-        let mut tasks = 0u64;
-        loop {
-            if policy.decide(tasks, elapsed) == Action::Checkpoint {
-                let succeeded = elapsed + c <= r;
-                return WorkflowOutcome {
-                    work_saved: if succeeded { elapsed } else { 0.0 },
-                    tasks_completed: tasks,
-                    work_at_checkpoint: elapsed,
-                    checkpoint_attempted: true,
-                    checkpoint_succeeded: succeeded,
-                    checkpoint_duration: c,
-                    time_used: if succeeded { elapsed + c } else { r },
-                };
-            }
-            let x = scratch.next_draw(&self.task, rng).max(0.0);
-            if elapsed + x > r {
-                return WorkflowOutcome {
-                    work_saved: 0.0,
-                    tasks_completed: tasks,
-                    work_at_checkpoint: elapsed,
-                    checkpoint_attempted: false,
-                    checkpoint_succeeded: false,
-                    checkpoint_duration: 0.0,
-                    time_used: r,
-                };
-            }
-            elapsed += x;
-            tasks += 1;
-        }
+        let sched = Schedule::fault_free(self.reservation, scratch.draw_ckpt(&self.ckpt, rng));
+        single_shot(policy, sched, || scratch.next_draw(&self.task, rng)).outcome
     }
 }
 
@@ -248,7 +189,7 @@ impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
         let mut best_k = 0u64;
         let mut k = 0u64;
         loop {
-            let x = self.task.draw(rng).max(0.0);
+            let x = self.task.sample(rng).max(0.0);
             if elapsed + x > r {
                 break;
             }
@@ -272,128 +213,11 @@ impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
     }
 }
 
-/// One event in a traced workflow reservation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SimEvent {
-    /// A task completed: `(end_time, duration)`.
-    TaskCompleted {
-        /// Wall-clock time within the reservation at completion.
-        at: f64,
-        /// Sampled task duration.
-        duration: f64,
-    },
-    /// The policy requested a checkpoint at the given time/work level.
-    CheckpointStarted {
-        /// Start time of the checkpoint.
-        at: f64,
-        /// Work covered by the checkpoint.
-        work: f64,
-    },
-    /// The checkpoint finished inside the reservation.
-    CheckpointSucceeded {
-        /// Completion time.
-        at: f64,
-    },
-    /// The reservation expired (mid-task or mid-checkpoint).
-    ReservationExpired {
-        /// Work lost.
-        lost: f64,
-    },
-}
-
-impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
-    /// Like [`WorkflowSim::run_once`], additionally recording the event
-    /// sequence — for debugging policies and post-mortem analysis of why
-    /// a reservation lost its work.
-    pub fn run_traced<P: WorkflowPolicy + ?Sized>(
-        &self,
-        policy: &P,
-        rng: &mut dyn RngCore,
-    ) -> (WorkflowOutcome, Vec<SimEvent>) {
-        let r = self.reservation;
-        let mut events = Vec::new();
-        // Drawn up front, mirroring `run_once` — the two must consume the
-        // stream identically for `traced_and_plain_runs_agree`.
-        let c = self.ckpt.sample(rng);
-        let mut elapsed = 0.0f64;
-        let mut tasks = 0u64;
-        loop {
-            if policy.decide(tasks, elapsed) == Action::Checkpoint {
-                events.push(SimEvent::CheckpointStarted {
-                    at: elapsed,
-                    work: elapsed,
-                });
-                let succeeded = elapsed + c <= r;
-                if succeeded {
-                    events.push(SimEvent::CheckpointSucceeded { at: elapsed + c });
-                } else {
-                    events.push(SimEvent::ReservationExpired { lost: elapsed });
-                }
-                return (
-                    WorkflowOutcome {
-                        work_saved: if succeeded { elapsed } else { 0.0 },
-                        tasks_completed: tasks,
-                        work_at_checkpoint: elapsed,
-                        checkpoint_attempted: true,
-                        checkpoint_succeeded: succeeded,
-                        checkpoint_duration: c,
-                        time_used: if succeeded { elapsed + c } else { r },
-                    },
-                    events,
-                );
-            }
-            let x = self.task.draw(rng).max(0.0);
-            if elapsed + x > r {
-                events.push(SimEvent::ReservationExpired { lost: elapsed });
-                return (
-                    WorkflowOutcome {
-                        work_saved: 0.0,
-                        tasks_completed: tasks,
-                        work_at_checkpoint: elapsed,
-                        checkpoint_attempted: false,
-                        checkpoint_succeeded: false,
-                        checkpoint_duration: 0.0,
-                        time_used: r,
-                    },
-                    events,
-                );
-            }
-            elapsed += x;
-            tasks += 1;
-            events.push(SimEvent::TaskCompleted {
-                at: elapsed,
-                duration: x,
-            });
-        }
-    }
-}
-
-/// Convenience wrapper: one §4 trial.
-pub fn simulate_workflow<X, C, P>(
-    reservation: f64,
-    task: &X,
-    ckpt: &C,
-    policy: &P,
-    rng: &mut dyn RngCore,
-) -> WorkflowOutcome
-where
-    X: TaskDuration + Clone,
-    C: Sample + Clone,
-    P: WorkflowPolicy + ?Sized,
-{
-    WorkflowSim {
-        reservation,
-        task: task.clone(),
-        ckpt: ckpt.clone(),
-    }
-    .run_once(policy, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::monte_carlo::{run_trials, MonteCarloConfig};
-    use resq_core::policy::{StaticWorkflowPolicy, ThresholdWorkflowPolicy};
+    use resq_core::policy::{Action, StaticWorkflowPolicy, ThresholdWorkflowPolicy};
     use resq_core::{DynamicStrategy, StaticStrategy};
     use resq_dist::{Normal, Truncated, Xoshiro256pp};
 
@@ -630,59 +454,6 @@ mod tests {
             } else {
                 assert_eq!(out.work_saved, 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn traced_run_is_consistent_with_outcome() {
-        let sim = sim_fig8();
-        let policy = ThresholdWorkflowPolicy { threshold: 20.3 };
-        let mut rng = Xoshiro256pp::new(77);
-        for _ in 0..500 {
-            let (out, events) = sim.run_traced(&policy, &mut rng);
-            // Event count: one per task + checkpoint start (+ outcome).
-            let task_events = events
-                .iter()
-                .filter(|e| matches!(e, SimEvent::TaskCompleted { .. }))
-                .count() as u64;
-            assert_eq!(task_events, out.tasks_completed);
-            // Event times are non-decreasing.
-            let mut last = 0.0;
-            for e in &events {
-                let t = match e {
-                    SimEvent::TaskCompleted { at, .. } => *at,
-                    SimEvent::CheckpointStarted { at, .. } => *at,
-                    SimEvent::CheckpointSucceeded { at } => *at,
-                    SimEvent::ReservationExpired { .. } => last,
-                };
-                assert!(t >= last - 1e-12, "time went backwards: {events:?}");
-                last = t;
-            }
-            // Terminal event matches the outcome.
-            match events.last().unwrap() {
-                SimEvent::CheckpointSucceeded { at } => {
-                    assert!(out.checkpoint_succeeded);
-                    assert!((at - out.time_used).abs() < 1e-12);
-                }
-                SimEvent::ReservationExpired { lost } => {
-                    assert!(!out.checkpoint_succeeded);
-                    assert!((lost - out.work_at_checkpoint).abs() < 1e-12);
-                }
-                other => panic!("non-terminal last event {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn traced_and_plain_runs_agree_given_same_stream() {
-        let sim = sim_fig8();
-        let policy = ThresholdWorkflowPolicy { threshold: 20.3 };
-        let mut r1 = Xoshiro256pp::new(123);
-        let mut r2 = Xoshiro256pp::new(123);
-        for _ in 0..200 {
-            let plain = sim.run_once(&policy, &mut r1);
-            let (traced, _) = sim.run_traced(&policy, &mut r2);
-            assert_eq!(plain, traced);
         }
     }
 

@@ -8,7 +8,7 @@ use resq::sim::{PreemptibleSim, WorkflowSim};
 use resq::{DynamicStrategy, FixedLeadPolicy, Preemptible, StaticStrategy};
 
 /// Asserts that for a draw-order-preserving law, filling a buffer in two
-/// `sample_batch` calls split at `k` consumes the RNG stream exactly like
+/// `sample_batch_mono` calls split at `k` consumes the RNG stream exactly like
 /// `n` scalar draws — the contract that lets the batched Monte-Carlo
 /// runner stay bit-identical to the scalar one for these laws.
 fn assert_split_batch_matches_scalar<D: Sample>(name: &str, law: &D, seed: u64, n: usize, k: usize) {
@@ -18,8 +18,8 @@ fn assert_split_batch_matches_scalar<D: Sample>(name: &str, law: &D, seed: u64, 
     let mut batch_rng = Xoshiro256pp::new(seed);
     let mut batch = vec![0.0f64; n];
     let (head, tail) = batch.split_at_mut(k);
-    law.sample_batch(&mut batch_rng, head);
-    law.sample_batch(&mut batch_rng, tail);
+    law.sample_batch_mono(&mut batch_rng, head);
+    law.sample_batch_mono(&mut batch_rng, tail);
 
     assert_eq!(scalar, batch, "{name}: split batch at {k}/{n} diverged from scalar draws");
     // Both consumers must leave the stream at the same position: one

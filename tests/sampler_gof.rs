@@ -1,12 +1,12 @@
 //! Kolmogorov–Smirnov goodness-of-fit tier for every continuous sampler
-//! in `resq-dist`, covering ALL THREE draw paths against the law's
-//! analytic CDF at fixed seeds:
+//! in `resq-dist`, covering BOTH draw paths against the law's analytic
+//! CDF at fixed seeds:
 //!
-//! * the scalar path (`Sample::sample` in a loop),
-//! * the dyn batch path (`Sample::sample_batch` filling a whole
-//!   buffer), and
-//! * the monomorphized batch path (`Sample::sample_batch_mono` with a
-//!   concrete generator — the Monte-Carlo hot entry since the ziggurat
+//! * the scalar path (`Sample::sample` in a loop), and
+//! * the batch path (`Sample::sample_batch_mono` filling a whole
+//!   buffer), driven both through a trait-object generator
+//!   (`R = dyn RngCore`, as `dyn`-holding callers reach it) and with a
+//!   concrete generator (the Monte-Carlo hot entry since the ziggurat
 //!   throughput engine) —
 //!
 //! including the kernels that change draw order (the mask-repair
@@ -23,6 +23,7 @@
 //! high-resolution tier (200 000 variates, tight p-value floors) runs
 //! only when `RESQ_SLOW_TESTS=1` — CI runs it as a separate job.
 
+use rand::RngCore;
 use resq::dist::{
     ks_test, Beta, Continuous, Exponential, Gamma, LogNormal, Mixture, Normal, Pareto, Sample,
     Triangular, Truncated, Uniform, Weibull, Xoshiro256pp,
@@ -33,9 +34,9 @@ fn slow_enabled() -> bool {
     std::env::var("RESQ_SLOW_TESTS").map(|v| v == "1").unwrap_or(false)
 }
 
-/// KS-checks `law` on all three draw paths with `n` variates per path.
+/// KS-checks `law` on both draw paths with `n` variates per path.
 ///
-/// The scalar, batch, and monomorphized samples use different seeds on
+/// The scalar, dyn batch, and monomorphized samples use different seeds on
 /// purpose: the paths are independent draws from the same law, and
 /// reusing a seed would make a check vacuous for draw-order-preserving
 /// kernels (identical bits trivially share a KS statistic).
@@ -51,12 +52,13 @@ fn check_gof<D: Continuous + Sample>(name: &str, law: &D, seed: u64, n: usize, p
     );
 
     let mut rng = Xoshiro256pp::new(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let dyn_rng: &mut dyn RngCore = &mut rng;
     let mut batch = vec![0.0f64; n];
-    law.sample_batch(&mut rng, &mut batch);
+    law.sample_batch_mono(dyn_rng, &mut batch);
     let out = ks_test(&batch, law);
     assert!(
         out.p_value > p_floor,
-        "{name}: batch path rejected by KS (D = {:.5}, p = {:.3e}, n = {n})",
+        "{name}: dyn batch path rejected by KS (D = {:.5}, p = {:.3e}, n = {n})",
         out.statistic,
         out.p_value
     );
@@ -82,7 +84,7 @@ fn check_gof<D: Continuous + Sample>(name: &str, law: &D, seed: u64, n: usize, p
     for (i, &len) in [1usize, 7, 63, 65].iter().enumerate() {
         let mut rng = Xoshiro256pp::new(seed.wrapping_add(100 + i as u64));
         let mut out_buf = vec![0.0f64; len];
-        law.sample_batch(&mut rng, &mut out_buf);
+        law.sample_batch_mono(&mut rng, &mut out_buf);
         let (lo, hi) = law.support();
         for &x in &out_buf {
             assert!(
