@@ -31,13 +31,15 @@ impl std::error::Error for ArgError {}
 impl Args {
     /// Boolean flags (present/absent, no value token): the observability
     /// switches shared by every subcommand.
-    pub const BOOL_FLAGS: &'static [&'static str] = &["batch", "metrics", "progress"];
+    pub const BOOL_FLAGS: &'static [&'static str] = &["metrics", "progress"];
 
     /// Parses `tokens` (without the program name): one optional
     /// subcommand, then any positional operands, then `--key value`
     /// pairs (`--key=value` also accepted). Flags listed in
     /// [`Args::BOOL_FLAGS`] take no value. A positional after the first
-    /// flag is an error (it is most likely a forgotten `--`-prefix).
+    /// flag is an error (it is most likely a forgotten `--`-prefix), and
+    /// so is a `--`-prefixed token where a value belongs (a value flag
+    /// must not swallow the next flag).
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, ArgError> {
         let mut out = Args::default();
         let mut it = tokens.into_iter().peekable();
@@ -63,6 +65,7 @@ impl Args {
             } else {
                 let v = it
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| ArgError(format!("flag `--{key}` is missing a value")))?;
                 out.flags.insert(key.to_string(), v);
             }
@@ -138,6 +141,19 @@ mod tests {
     #[test]
     fn missing_value_is_error() {
         assert!(parse(&["plan", "--reservation"]).is_err());
+    }
+
+    #[test]
+    fn value_flag_does_not_swallow_the_next_flag() {
+        let err = parse(&["simulate", "--log-json", "--metrics"]).unwrap_err();
+        assert_eq!(err.0, "flag `--log-json` is missing a value");
+        // `--batch` takes no value but is not a boolean flag: a stale
+        // `--batch --metrics` must fail, not swallow `--metrics`.
+        let err = parse(&["simulate", "--batch", "--metrics"]).unwrap_err();
+        assert_eq!(err.0, "flag `--batch` is missing a value");
+        // A single dash still starts a value: negative numbers parse.
+        let a = parse(&["go", "--x", "-1.5"]).unwrap();
+        assert_eq!(a.f64_or("x", 0.0).unwrap(), -1.5);
     }
 
     #[test]

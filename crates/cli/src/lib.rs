@@ -60,9 +60,6 @@ COMMANDS:
       --task <law>  --ckpt <law>  --reservation <R>  --threshold <W>
       [--trials <n>=100000] [--seed <s>=42] [--threads <t>=auto]
       [--sample-every <k>=10000]   trial-sample row every k-th trial index
-      [--batch]                    chunk-buffered batched sampling fast path
-                                   (same estimates; bit-identical for laws
-                                   whose batch kernel preserves draw order)
       [--ckpt-fail-prob <q>=0]     each checkpoint write attempt fails with
                                    probability q (fault injection)
       [--retry <spec>=immediate:3] what to do after a failed write:

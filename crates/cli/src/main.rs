@@ -15,13 +15,13 @@
 
 use resq::dist::{Distribution, Xoshiro256pp};
 use resq::obs::{
-    chrometrace, event_type, http, span, tracectx, Event, JsonlSink, NullSink, RunInfo,
-    RunManifest, RunRegistry, RunSink, TraceCtx, TracedSink,
+    chrometrace, event_type, http, metrics::Counter, span, tracectx, Event, JsonlSink, NullSink,
+    RunInfo, RunManifest, RunRegistry, RunSink, TraceCtx, TracedSink,
 };
 use resq::core::policy::ThresholdWorkflowPolicy;
 use resq::sim::{
-    run_trials, run_trials_batched, run_trials_observed, BatchScratch, FaultyOutcome,
-    FaultyWorkflowSim, MonteCarloConfig, ReliabilityInjector, WorkflowSim,
+    run_trials_batched, BatchScratch, FaultyOutcome, FaultyWorkflowSim, MonteCarloConfig,
+    ReliabilityInjector, WorkflowSim,
 };
 use resq::dist::{Sample, Uniform};
 use resq::{
@@ -1220,23 +1220,20 @@ enum SimKernel {
 }
 
 impl SimKernel {
-    /// One trial on `rng`, batched through `scratch` when given. Plain
-    /// outcomes carry no retry telemetry.
+    /// One trial on `rng`, batched through `scratch`. Plain outcomes
+    /// carry no retry telemetry.
     fn run(
         &self,
         policy: &ThresholdWorkflowPolicy,
         rng: &mut Xoshiro256pp,
-        scratch: Option<&mut BatchScratch>,
+        scratch: &mut BatchScratch,
     ) -> FaultyOutcome {
-        let plain = |outcome| FaultyOutcome {
-            outcome,
-            ..FaultyOutcome::default()
-        };
-        match (self, scratch) {
-            (Self::Plain(sim), None) => plain(sim.run_once(policy, rng)),
-            (Self::Plain(sim), Some(scratch)) => plain(sim.run_once_batched(policy, rng, scratch)),
-            (Self::Faulty(sim), None) => sim.run_once(policy, rng),
-            (Self::Faulty(sim), Some(scratch)) => sim.run_once_batched(policy, rng, scratch),
+        match self {
+            Self::Plain(sim) => FaultyOutcome {
+                outcome: sim.run_once_batched(policy, rng, scratch),
+                ..FaultyOutcome::default()
+            },
+            Self::Faulty(sim) => sim.run_once_batched(policy, rng, scratch),
         }
     }
 }
@@ -1263,7 +1260,9 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
     let threads = args.u64_or("threads", 0)? as usize;
     let sample_every = args.u64_or("sample-every", 10_000)?;
     let progress = args.bool_flag("progress");
-    let batch = args.bool_flag("batch");
+    if trials == 0 {
+        return Err(ArgError("flag `--trials` must be at least 1".into()));
+    }
     if !(0.0..1.0).contains(&q) {
         return Err(ArgError(format!(
             "flag `--ckpt-fail-prob` must be in [0, 1), got {q}"
@@ -1282,13 +1281,17 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
     // expires or the policy checkpoints, so a non-finite reservation or a
     // task law that never advances the clock would run forever.
     DynamicStrategy::validate(&task, &ckpt, r).map_err(|e| ArgError(e.to_string()))?;
+    // A NaN threshold compares false against every work level, so the
+    // policy would never checkpoint.
+    if threshold.is_nan() {
+        return Err(ArgError(
+            "flag `--threshold` must be a number, got NaN".into(),
+        ));
+    }
     let obs = Obs::from_args("simulate", args)?;
     // Config echo. Deliberately NO thread count here: the event log is
     // byte-identical for a fixed seed regardless of --threads (threads
-    // and wall time are provenance and live in the manifest). `--batch`
-    // IS echoed: for laws whose batch kernel reorders draws the results
-    // legitimately differ from the scalar path, so the toggle is config,
-    // not provenance.
+    // and wall time are provenance and live in the manifest).
     let mut started = Event::new(event_type::RUN_STARTED)
         .str("command", "simulate")
         .str("task", args.require("task")?)
@@ -1297,8 +1300,7 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
         .f64("threshold", threshold)
         .u64("trials", trials)
         .u64("seed", seed)
-        .u64("sample_every", sample_every)
-        .bool("batch", batch);
+        .u64("sample_every", sample_every);
     if faulty {
         started = started
             .f64("ckpt_fail_prob", q)
@@ -1337,48 +1339,38 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
             }
         }
     };
-    // Counter deltas for the main pass only (the rate and replay passes
-    // below re-run trials and would double-count).
+    // Counter deltas for the main pass only (the replay pass below
+    // re-runs sampled trials and would double-count).
     let attempts_before = resq::obs::metrics::CKPT_ATTEMPTS_TOTAL.get();
     let failures_before = resq::obs::metrics::CKPT_FAILURES_TOTAL.get();
     // Live-run registration: `/runs` reports this run's progress while
     // the main pass executes. The guard is dropped (marking the run
-    // finished) before the replay passes below, so re-running the same
+    // finished) before the replay pass below, so re-running sampled
     // trial streams does not inflate the progress counter.
     let run_guard = obs.enter_run(seed, trials);
-    let saved = if batch {
-        run_trials_batched(
-            cfg,
-            &obs.sink,
-            sample_every,
-            BatchScratch::new,
-            |_, rng, scratch| {
-                note_progress();
-                kernel.run(&policy, rng, Some(scratch)).outcome.work_saved
-            },
-        )
-    } else {
-        run_trials_observed(cfg, &obs.sink, sample_every, |_, rng| {
+    // Successes and fail-stop kills are counted in the same pass: each
+    // worker tallies locally and flushes once, when it finishes, and
+    // integer sums do not depend on how chunks were spread over workers.
+    let successes = Counter::new("simulate_successes", "trials whose checkpoint succeeded");
+    let kills = Counter::new("simulate_kills", "trials killed by a fail-stop error");
+    let saved = run_trials_batched(
+        cfg,
+        &obs.sink,
+        sample_every,
+        || (BatchScratch::new(), successes.tally(), kills.tally()),
+        |_, rng, (scratch, succeeded, killed)| {
             note_progress();
-            kernel.run(&policy, rng, None).outcome.work_saved
-        })
-    };
+            let o = kernel.run(&policy, rng, scratch);
+            succeeded.add(u64::from(o.outcome.checkpoint_succeeded));
+            killed.add(u64::from(o.killed_by_failstop));
+            o.outcome.work_saved
+        },
+    );
     drop(run_guard);
     let ckpt_attempts = resq::obs::metrics::CKPT_ATTEMPTS_TOTAL.get() - attempts_before;
     let ckpt_failures = resq::obs::metrics::CKPT_FAILURES_TOTAL.get() - failures_before;
-    // Rates re-run the same trial streams with the same kernel as the
-    // main pass, so they agree exactly with it: `run_once_batched`
-    // resets its scratch per trial, so a fresh scratch reproduces the
-    // batched run's draws.
-    let rate = |hit: fn(&FaultyOutcome) -> bool| {
-        run_trials(cfg, |_, rng| {
-            let mut scratch = BatchScratch::new();
-            hit(&kernel.run(&policy, rng, batch.then_some(&mut scratch))) as u64 as f64
-        })
-        .mean
-    };
-    let success = rate(|o| o.outcome.checkpoint_succeeded);
-    let killed = if faulty { rate(|o| o.killed_by_failstop) } else { 0.0 };
+    let success = successes.get() as f64 / trials as f64;
+    let killed = kills.get() as f64 / trials as f64;
     // Policy decisions (and retry telemetry) for the sampled trials,
     // re-derived serially in index order so the log stays deterministic.
     if obs.sink.enabled() && sample_every > 0 {
@@ -1386,7 +1378,7 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
         let mut i = 0;
         while i < trials {
             let mut rng = Xoshiro256pp::for_stream(seed, i);
-            let o = kernel.run(&policy, &mut rng, batch.then_some(&mut scratch));
+            let o = kernel.run(&policy, &mut rng, &mut scratch);
             obs.emit(
                 Event::new(event_type::CHECKPOINT_DECISION)
                     .u64("trial", i)
@@ -1444,8 +1436,7 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
         .config("ckpt", args.require("ckpt")?)
         .config("reservation", r)
         .config("threshold", threshold)
-        .config("sample_every", sample_every)
-        .config("batch", batch);
+        .config("sample_every", sample_every);
     if faulty {
         manifest = manifest
             .config("ckpt_fail_prob", q)
@@ -1621,64 +1612,6 @@ mod tests {
             "2000"
         ])
         .is_ok());
-    }
-
-    #[test]
-    fn simulate_batch_fast_path() {
-        assert!(run_tokens(&[
-            "simulate",
-            "--task",
-            "normal:3,0.5@0,",
-            "--ckpt",
-            "normal:5,0.4@0,",
-            "--reservation",
-            "29",
-            "--threshold",
-            "20.3",
-            "--trials",
-            "2000",
-            "--batch"
-        ])
-        .is_ok());
-    }
-
-    #[test]
-    fn simulate_batch_event_log_is_thread_count_invariant() {
-        let dir = std::env::temp_dir().join("resq-cli-obs-batch-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let capture = |threads: &str, name: &str| {
-            let log = dir.join(name);
-            run_tokens(&[
-                "simulate",
-                "--task",
-                "normal:3,0.5@0,",
-                "--ckpt",
-                "normal:5,0.4@0,",
-                "--reservation",
-                "29",
-                "--threshold",
-                "20.3",
-                "--trials",
-                "9000",
-                "--seed",
-                "5",
-                "--sample-every",
-                "2000",
-                "--threads",
-                threads,
-                "--batch",
-                "--log-json",
-                log.to_str().unwrap(),
-            ])
-            .unwrap();
-            let text = std::fs::read_to_string(&log).unwrap();
-            std::fs::remove_file(&log).ok();
-            std::fs::remove_file(dir.join(name.replace(".jsonl", ".manifest.json"))).ok();
-            text
-        };
-        let one = capture("1", "bt1.jsonl");
-        let four = capture("4", "bt4.jsonl");
-        assert_eq!(one, four, "batched event log must not depend on --threads");
     }
 
     #[test]

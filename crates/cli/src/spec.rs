@@ -32,9 +32,9 @@ pub trait ErasedLaw: Send + Sync {
     /// Draw one variate.
     fn sample(&self, rng: &mut dyn RngCore) -> f64;
     /// Fill a slice with variates via the law's batch kernel —
-    /// [`Sample::sample_batch_mono`] with `R = dyn RngCore`; keeps the
-    /// CLI's `--batch` fast path from degrading to one virtual call per
-    /// draw.
+    /// [`Sample::sample_batch_mono`] with `R = dyn RngCore`; keeps
+    /// `simulate`'s batched trials from degrading to one virtual call
+    /// per draw.
     fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]);
 }
 

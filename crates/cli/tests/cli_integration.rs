@@ -317,6 +317,77 @@ fn simulate_rejects_a_task_law_whose_draws_all_clamp_to_zero() {
 }
 
 #[test]
+fn simulate_rejects_zero_trials() {
+    let out = resq(&[
+        "simulate",
+        "--task",
+        "normal:3,0.5@0,",
+        "--ckpt",
+        "normal:5,0.4@0,",
+        "--reservation",
+        "29",
+        "--threshold",
+        "20.3",
+        "--trials",
+        "0",
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("flag `--trials` must be at least 1"), "{err}");
+    assert!(out.stdout.is_empty(), "no summary may be printed");
+}
+
+#[test]
+fn simulate_rejects_a_nan_threshold() {
+    let flags = [
+        &FIG8_LAWS[..],
+        &["--reservation", "29", "--threshold", "nan"],
+    ]
+    .concat();
+    assert_simulate_rejects(&flags, "flag `--threshold` must be a number, got NaN");
+}
+
+#[test]
+fn simulate_runs_each_trial_once() {
+    // Success and fail-stop rates are tallied in the main pass, so the
+    // Monte-Carlo counters must show exactly one run of `--trials`
+    // trials — with and without fault injection.
+    let plain = [
+        "simulate",
+        "--task",
+        "gamma:9,0.333333",
+        "--ckpt",
+        "uniform:1,2",
+        "--reservation",
+        "29",
+        "--threshold",
+        "20.3",
+        "--trials",
+        "5000",
+        "--metrics-format",
+        "json",
+    ];
+    let faulty = [
+        &plain[..],
+        &["--ckpt-fail-prob", "0.3", "--failstop-rate", "0.002"],
+    ]
+    .concat();
+    for args in [&plain[..], &faulty[..]] {
+        let out = resq(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{err}");
+        let metrics = resq::obs::json::parse(err.trim()).expect("metrics JSON on stderr");
+        let counters = metrics.get("counters").unwrap();
+        assert_eq!(
+            counters.get("mc_trials_run").unwrap().as_u64(),
+            Some(5000),
+            "{err}"
+        );
+        assert_eq!(counters.get("mc_runs").unwrap().as_u64(), Some(1), "{err}");
+    }
+}
+
+#[test]
 fn bad_flags_fail_with_usage_on_stderr() {
     let out = resq(&["plan-preemptible", "--reservation", "10"]);
     assert!(!out.status.success());

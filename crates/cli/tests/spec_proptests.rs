@@ -82,7 +82,7 @@ proptest! {
     #[test]
     fn args_parse_never_panics(picks in prop::collection::vec(0usize..64, 0..12)) {
         const TOKENS: &[&str] = &[
-            "--ckpt", "--reservation", "--retry", "--batch", "--", "-", "---x",
+            "--ckpt", "--reservation", "--retry", "--progress", "--", "-", "---x",
             "uniform:1,7.5", "10", "simulate", "", "--ckpt-fail-prob", "0.3",
             "--threads", "--metrics-format", "prometheus",
         ];

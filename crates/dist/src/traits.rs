@@ -78,14 +78,12 @@ pub trait Sample {
     /// bound keeps the trait object-safe by excluding this method from
     /// the vtable.
     ///
-    /// The default implementation is a plain loop over [`Sample::sample`]
-    /// and therefore consumes the RNG stream in exactly the same order as
-    /// repeated scalar draws (*draw-order preserving*). Laws with a
-    /// specialized kernel (high-mass `Truncated` rejection) produce the
-    /// same *distribution* from a different stream position —
-    /// statistically, not bitwise, equivalent to the scalar path.
-    /// Batch-vs-scalar bitwise tests only apply to draw-order preserving
-    /// implementations.
+    /// Contract: the batch is bit-identical to `out.len()` repeated
+    /// [`Sample::sample`] calls on the same stream and leaves the
+    /// generator at the same position (*draw-order preserving*), for any
+    /// `R`. The default implementation is that loop; specialized kernels
+    /// only reorganize the work. `tests/batch_contract.rs` checks every
+    /// sampler in this crate.
     #[inline]
     fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64])
     where

@@ -225,87 +225,80 @@ impl<D: Continuous> Continuous for Truncated<D> {
     }
 }
 
-/// Parent mass above which the batch kernel samples by rejection from the
-/// parent instead of inversion: expected waste is at most
-/// `1/REJECTION_MIN_MASS − 1 ≈ 11%` of the parent draws, far cheaper than
-/// one parent-quantile evaluation per variate. The paper's `N_{[0,∞)}`
-/// laws sit at mass ≈ 1 − 1e-9, where rejection is essentially free.
+/// Parent mass at or above which both sampling paths draw by rejection
+/// from the parent instead of inversion: the expected waste is at most
+/// `1/REJECTION_MIN_MASS − 1 ≈ 11%` of the parent draws, far cheaper
+/// than one parent-quantile evaluation per variate, and `k` rejects in a
+/// row have probability at most `0.1^k`, so the loop needs no cap. The
+/// paper's `N_{[0,∞)}` laws sit at mass ≈ 1 − 1e-9, where rejection is
+/// essentially free.
 const REJECTION_MIN_MASS: f64 = 0.9;
 
-impl<D: Continuous + Sample> Sample for Truncated<D> {
-    /// Inversion sampling through the parent quantile — O(1) regardless of
-    /// how unlikely the truncation interval is under the parent (rejection
-    /// sampling would stall on deep truncations).
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        let u = uniform01(rng);
-        let x = self.parent.quantile(self.f_lo + u * self.mass);
-        let (a, b) = self.effective_support();
-        x.clamp(a, b)
+impl<D: Continuous> Truncated<D> {
+    /// Whether a parent draw lies in `[lo, hi]` (false for NaN).
+    #[inline]
+    fn accepts(&self, x: f64) -> bool {
+        x >= self.lo && x <= self.hi
     }
 
-    /// Batch kernel with a mass-dependent strategy:
+    /// Inversion through the parent quantile of a `[0, 1)` uniform.
+    #[inline]
+    fn invert(&self, u: f64) -> f64 {
+        let (a, b) = self.effective_support();
+        self.parent.quantile(self.f_lo + u * self.mass).clamp(a, b)
+    }
+}
+
+impl<D: Continuous + Sample> Sample for Truncated<D> {
+    /// Mass-dependent strategy, shared with the batch kernel:
     ///
-    /// * mass ≥ `REJECTION_MIN_MASS` (0.9) — fill from the parent's own
-    ///   batch kernel, then *repair* the few out-of-interval slots with
-    ///   buffered inversion draws. The repair is branch-free in the
-    ///   per-element sense: the accept test ORs reject positions into a
-    ///   per-tile bitmask (no data-dependent redraw loop per slot), then
-    ///   one uniform block + one parent-quantile evaluation per set bit
-    ///   overwrites them. Replacing a reject with an
-    ///   independent exact inversion draw preserves the law (accepted
-    ///   parent draws conditioned on the interval *are* the truncated
-    ///   law; repaired slots are the truncated law by construction), so
-    ///   the batch is i.i.d. truncated with a *bounded* stream cost —
-    ///   unlike classic per-slot rejection, the RNG words consumed per
-    ///   tile are `tile + rejects`, never unbounded. Consumes the stream
-    ///   differently from the scalar path: *not* draw-order preserving.
-    /// * mass < `REJECTION_MIN_MASS` — block-buffered uniforms through
-    ///   the same inversion arithmetic as [`Sample::sample`], bit-identical
-    ///   to repeated scalar draws, and still O(1) per variate however deep
-    ///   the truncation.
+    /// * mass ≥ `REJECTION_MIN_MASS` (0.9) — rejection: redraw from the
+    ///   parent until the draw lies in `[lo, hi]`;
+    /// * below it — inversion through the parent quantile, O(1)
+    ///   regardless of how unlikely the truncation interval is under the
+    ///   parent (rejection would stall on deep truncations).
+    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+        if self.mass >= REJECTION_MIN_MASS {
+            loop {
+                let x = self.parent.sample(rng);
+                if self.accepts(x) {
+                    return x;
+                }
+            }
+        }
+        self.invert(uniform01(rng))
+    }
+
+    /// The scalar strategies, a block at a time and draw-order preserving:
     ///
-    /// The parent fill goes through the parent's own batch kernel, so for
-    /// `Truncated<Normal>` the whole chain — ziggurat fill, mask test,
-    /// repair — inlines into the caller when the RNG is concrete.
+    /// * mass ≥ `REJECTION_MIN_MASS` — fill the missing tail of `out`
+    ///   with the parent's own batch kernel, keep the in-interval draws
+    ///   in stream order, and repeat until `out` is full. The scalar loop
+    ///   reads the same sequence of parent draws and keeps the same ones;
+    /// * below it — block-buffered uniforms through the same inversion
+    ///   as the scalar path.
+    ///
+    /// For `Truncated<Normal>` the whole chain — ziggurat fill and
+    /// compaction — inlines into the caller when the RNG is concrete.
     #[inline]
     fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        let (a, b) = self.effective_support();
         if self.mass >= REJECTION_MIN_MASS {
-            self.parent.sample_batch_mono(rng, out);
-            // One 64-bit reject mask per tile: the accept test is a
-            // branchless OR into the mask (catches NaN from a
-            // pathological parent), and the hot path — no rejects, the
-            // overwhelmingly common case at mass ≈ 1 — touches no stack
-            // buffers at all. TILE matches the uniform block so a repair
-            // costs ≤ 1 fill_bytes call.
-            const TILE: usize = 64;
-            for tile in out.chunks_mut(TILE) {
-                let mut mask = 0u64;
-                for (j, &x) in tile.iter().enumerate() {
-                    mask |= u64::from(!(x >= self.lo && x <= self.hi)) << j;
-                }
-                if mask != 0 {
-                    let n_rej = mask.count_ones() as usize;
-                    let mut u = [0.0f64; TILE];
-                    let ubuf = &mut u[..n_rej];
-                    crate::traits::fill_uniform01(rng, ubuf);
-                    for &uu in ubuf.iter() {
-                        let j = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        tile[j] = self.parent.quantile(self.f_lo + uu * self.mass);
-                    }
-                }
-                for x in tile.iter_mut() {
-                    *x = x.clamp(a, b);
+            let mut kept = 0;
+            while kept < out.len() {
+                let refill = kept;
+                self.parent.sample_batch_mono(rng, &mut out[refill..]);
+                // Branch-free compaction: every draw is written to the
+                // next free slot, which only an accepted draw claims.
+                for j in refill..out.len() {
+                    let x = out[j];
+                    out[kept] = x;
+                    kept += usize::from(self.accepts(x));
                 }
             }
         } else {
             crate::traits::fill_uniform01(rng, out);
             for slot in out.iter_mut() {
-                *slot = self
-                    .parent
-                    .quantile(self.f_lo + *slot * self.mass)
-                    .clamp(a, b);
+                *slot = self.invert(*slot);
             }
         }
     }
@@ -433,11 +426,10 @@ mod tests {
     }
 
     #[test]
-    fn high_mass_batch_repair_matches_cdf() {
+    fn high_mass_rejection_matches_cdf() {
         // N(0,1) on [−2, 2]: mass ≈ 0.9545, so ≈ 4.5% of parent draws are
-        // rejects and the predicated-compaction + inversion-repair path
-        // runs in every tile. Sizes cross tile boundaries (64) and leave
-        // partial tails.
+        // rejects and most batches need a refill round. Sizes cross the
+        // uniform-block boundary (64) and leave partial tails.
         let t = Truncated::new(Normal::new(0.0, 1.0).unwrap(), -2.0, 2.0).unwrap();
         assert!(t.parent_mass() >= REJECTION_MIN_MASS);
         let mut rng = Xoshiro256pp::new(41);

@@ -16,10 +16,9 @@
 //! durations come from the task stream (batched in blocks of 8 in the
 //! batched kernel); the fail-stop time, checkpoint attempt durations and
 //! success coins come from the fault stream, drawn scalar in the *same
-//! order in both kernels*. Batch on/off therefore changes which kernel
-//! drains the task stream but not a single fault draw, which is what
-//! makes `--batch` bit-transparent under fault injection for
-//! draw-order-preserving laws.
+//! order in both kernels*. The two kernels differ only in how they
+//! drain the task stream, and every batch kernel is draw-order
+//! preserving, so their outcomes are bit-identical.
 //!
 //! # Failure semantics
 //!
@@ -231,8 +230,7 @@ impl<X: TaskDuration, C: Sample, I: FaultInjector> FaultyWorkflowSim<X, C, I> {
     /// Batched-sampling variant of [`FaultyWorkflowSim::run_once`]:
     /// task durations come from block draws through `scratch`; all
     /// fault-stream draws stay scalar and in the same order as the
-    /// scalar kernel, so for draw-order-preserving laws the outcome is
-    /// bit-identical.
+    /// scalar kernel, so the outcome is bit-identical.
     pub fn run_once_batched<P: WorkflowPolicy + ?Sized>(
         &self,
         policy: &P,

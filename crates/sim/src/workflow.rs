@@ -66,10 +66,7 @@ impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
         // it is drawn up front (as `run_oracle` always has). This fixes
         // its stream position regardless of how many tasks run, which is
         // what lets `run_once_batched` pre-draw task blocks and stay
-        // bit-identical to this scalar path for draw-order-preserving
-        // laws. (Draw-order re-lock, PR 3: trials consume `(C, X_1,
-        // X_2, …)` instead of `(X_1, …, X_k, C)` — same distribution,
-        // different bits; MC golden values were re-locked accordingly.)
+        // bit-identical to this scalar path.
         let sched = Schedule::fault_free(self.reservation, self.ckpt.sample(rng));
         single_shot(policy, sched, || self.task.sample(rng)).outcome
     }
@@ -151,15 +148,12 @@ impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
     /// [`BatchScratch`]) through [`Sample::sample_batch_mono`], replacing
     /// one virtual sampler call per draw with a monomorphized kernel per
     /// block (and unlocking the specialized batch kernels — ziggurat
-    /// fills, truncated mask-repair — where the laws provide them).
+    /// fills, truncated rejection — where the laws provide them).
     ///
-    /// For laws whose batch kernels are draw-order preserving (the
-    /// defaults) the outcome is bit-identical to [`WorkflowSim::run_once`]
-    /// on the same stream: both consume `(C, X_1, X_2, …)` in order, and
-    /// block over-draws are discarded along with the trial's private
-    /// stream. For specialized kernels the outcome is statistically —
-    /// not bitwise — equivalent; thread-count invariance holds either
-    /// way because nothing here depends on scheduling.
+    /// Every batch kernel is draw-order preserving, so the outcome is
+    /// bit-identical to [`WorkflowSim::run_once`] on the same stream:
+    /// both consume `(C, X_1, X_2, …)` in order, and block over-draws are
+    /// discarded along with the trial's private stream.
     pub fn run_once_batched<P: WorkflowPolicy + ?Sized, R: RngCore + ?Sized>(
         &self,
         policy: &P,
@@ -238,31 +232,37 @@ mod tests {
 
     #[test]
     fn batched_kernel_bit_identical_for_draw_order_preserving_laws() {
-        // Gamma uses the default (scalar-loop) batch kernel and Uniform's
-        // override is bit-identical to its scalar path, so batched and
-        // scalar trials on the same stream must agree bitwise — block
-        // over-draws land past everything the scalar path consumes.
+        // Every batch kernel preserves draw order — Gamma's default
+        // scalar loop, Uniform's buffered uniforms, the truncated-Normal
+        // rejection fill — so batched and scalar trials on the same
+        // stream must agree bitwise: block over-draws land past
+        // everything the scalar path consumes.
         use resq_dist::{Gamma, Uniform};
-        let sim = WorkflowSim {
+        fn check<X: TaskDuration, C: Sample>(sim: &WorkflowSim<X, C>) {
+            let policy = ThresholdWorkflowPolicy { threshold: 20.26 };
+            let mut scratch = BatchScratch::new();
+            for i in 0..500u64 {
+                let mut a = Xoshiro256pp::for_stream(5, i);
+                let mut b = Xoshiro256pp::for_stream(5, i);
+                let scalar = sim.run_once(&policy, &mut a);
+                let batched = sim.run_once_batched(&policy, &mut b, &mut scratch);
+                assert_eq!(scalar, batched, "trial {i}");
+            }
+        }
+        check(&WorkflowSim {
             reservation: 29.0,
             task: Gamma::new(9.0, 1.0 / 3.0).unwrap(),
             ckpt: Uniform::new(4.0, 6.0).unwrap(),
-        };
-        let policy = ThresholdWorkflowPolicy { threshold: 20.26 };
-        let mut scratch = BatchScratch::new();
-        for i in 0..500u64 {
-            let mut a = Xoshiro256pp::for_stream(5, i);
-            let mut b = Xoshiro256pp::for_stream(5, i);
-            let scalar = sim.run_once(&policy, &mut a);
-            let batched = sim.run_once_batched(&policy, &mut b, &mut scratch);
-            assert_eq!(scalar, batched, "trial {i}");
-        }
+        });
+        check(&sim_fig8());
     }
 
     #[test]
     fn batched_kernel_statistically_matches_scalar_for_truncated_normal() {
-        // Truncated<Normal> batches by rejection (different bits, same
-        // law): means must agree within combined Monte-Carlo error.
+        // Truncated<Normal> batches by rejection from the parent in stream
+        // order, so the batched Monte-Carlo summary equals the scalar one
+        // bit for bit — which in particular puts the means within combined
+        // Monte-Carlo error.
         use crate::monte_carlo::run_trials_batched;
         use resq_obs::NullSink;
         let sim = sim_fig8();
@@ -283,6 +283,8 @@ mod tests {
             scalar.mean,
             batched.mean
         );
+        assert_eq!(scalar.mean.to_bits(), batched.mean.to_bits());
+        assert_eq!(scalar.std_dev.to_bits(), batched.std_dev.to_bits());
     }
 
     #[test]

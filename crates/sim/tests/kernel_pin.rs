@@ -1,13 +1,13 @@
 //! Bit-level pin of the single-shot §4 trial kernels.
 //!
-//! Hashes the bits of every outcome field of a fixed range of seeded
-//! trials for {`WorkflowSim`, `FaultyWorkflowSim`} × {`run_once`,
-//! `run_once_batched`} over four law pairs, and — for the fault-injected
+//! Runs a fixed range of seeded trials through both kernels of
+//! `WorkflowSim` and `FaultyWorkflowSim` (`run_once` and
+//! `run_once_batched`) over four law pairs, and — for the fault-injected
 //! simulator — every retry policy with fail-stop errors on and off, each
-//! under a threshold and a static policy. The goldens were recorded
-//! before the trial loop was shared between the simulators; any change
-//! to a draw order, a clamp, the retry schedule or an outcome field
-//! shows up here as a diff.
+//! under a threshold and a static policy. The two kernels must agree bit
+//! for bit on every trial; one hash of every outcome field is pinned per
+//! law pair and simulator. Any change to a draw order, a clamp, the
+//! retry schedule or an outcome field shows up here as a diff.
 //!
 //! Deliberately a SINGLE `#[test]`: it also checks the process-global
 //! `ckpt_{attempts,failures}_total` counter deltas, which a second test
@@ -82,10 +82,9 @@ fn retries() -> [RetryPolicy; 3] {
     ]
 }
 
-/// Hashes `run_once` (`batched = false`) or `run_once_batched` trials of
-/// the plain simulator; returns the hash and checks that the fault
-/// counters did not move.
-fn plain<X: TaskDuration, C: Sample>(task: X, ckpt: C, batched: bool) -> u64 {
+/// Hashes the plain simulator's trials, checking that both kernels
+/// agree on each and that the fault counters did not move.
+fn plain<X: TaskDuration, C: Sample>(task: X, ckpt: C) -> u64 {
     let sim = WorkflowSim {
         reservation: RESERVATION,
         task,
@@ -96,12 +95,13 @@ fn plain<X: TaskDuration, C: Sample>(task: X, ckpt: C, batched: bool) -> u64 {
     let mut scratch = BatchScratch::new();
     for policy in policies() {
         for i in 0..TRIALS {
-            let mut rng = Xoshiro256pp::for_stream(SEED, i);
-            let o = if batched {
-                sim.run_once_batched(policy.as_ref(), &mut rng, &mut scratch)
-            } else {
-                sim.run_once(policy.as_ref(), &mut rng)
-            };
+            let o = sim.run_once(policy.as_ref(), &mut Xoshiro256pp::for_stream(SEED, i));
+            let batched = sim.run_once_batched(
+                policy.as_ref(),
+                &mut Xoshiro256pp::for_stream(SEED, i),
+                &mut scratch,
+            );
+            assert_eq!(o, batched, "plain kernels disagree on trial {i}");
             h.outcome(&o);
         }
     }
@@ -114,9 +114,10 @@ fn plain<X: TaskDuration, C: Sample>(task: X, ckpt: C, batched: bool) -> u64 {
 }
 
 /// Hashes fault-injected trials over every retry policy, fail-stop on
-/// and off, and both policies; checks that the counter deltas equal the
-/// per-trial attempt and failure counts.
-fn faulty<X: TaskDuration + Clone, C: Sample + Clone>(task: X, ckpt: C, batched: bool) -> u64 {
+/// and off, and both policies; checks that both kernels agree on each
+/// trial and that the counter deltas equal the per-trial attempt and
+/// failure counts.
+fn faulty<X: TaskDuration + Clone, C: Sample + Clone>(task: X, ckpt: C) -> u64 {
     let mut h = Fnv::new();
     let mut scratch = BatchScratch::new();
     for retry in retries() {
@@ -136,14 +137,19 @@ fn faulty<X: TaskDuration + Clone, C: Sample + Clone>(task: X, ckpt: C, batched:
                 let before = (CKPT_ATTEMPTS_TOTAL.get(), CKPT_FAILURES_TOTAL.get());
                 let (mut attempts, mut failures) = (0u64, 0u64);
                 for i in 0..TRIALS {
-                    let mut rng = Xoshiro256pp::for_stream(SEED, i);
-                    let o = if batched {
-                        sim.run_once_batched(policy.as_ref(), &mut rng, &mut scratch)
-                    } else {
-                        sim.run_once(policy.as_ref(), &mut rng)
-                    };
-                    attempts += u64::from(o.ckpt_attempts);
-                    failures += u64::from(o.ckpt_failures);
+                    let o = sim.run_once(policy.as_ref(), &mut Xoshiro256pp::for_stream(SEED, i));
+                    let batched = sim.run_once_batched(
+                        policy.as_ref(),
+                        &mut Xoshiro256pp::for_stream(SEED, i),
+                        &mut scratch,
+                    );
+                    assert_eq!(
+                        o, batched,
+                        "faulty kernels disagree on trial {i} ({retry:?})"
+                    );
+                    // Both kernels booked the trial's counts.
+                    attempts += 2 * u64::from(o.ckpt_attempts);
+                    failures += 2 * u64::from(o.ckpt_failures);
                     h.faulty(&o);
                 }
                 let after = (CKPT_ATTEMPTS_TOTAL.get(), CKPT_FAILURES_TOTAL.get());
@@ -158,15 +164,9 @@ fn faulty<X: TaskDuration + Clone, C: Sample + Clone>(task: X, ckpt: C, batched:
     h.0
 }
 
-/// Both simulators through both kernels on one law pair, in the order
-/// plain scalar, plain batched, faulty scalar, faulty batched.
-fn hashes<X: TaskDuration + Clone, C: Sample + Clone>(task: X, ckpt: C) -> [u64; 4] {
-    [
-        plain(task.clone(), ckpt.clone(), false),
-        plain(task.clone(), ckpt.clone(), true),
-        faulty(task.clone(), ckpt.clone(), false),
-        faulty(task, ckpt, true),
-    ]
+/// Both simulators on one law pair: plain, then faulty.
+fn hashes<X: TaskDuration + Clone, C: Sample + Clone>(task: X, ckpt: C) -> [u64; 2] {
+    [plain(task.clone(), ckpt.clone()), faulty(task, ckpt)]
 }
 
 #[test]
@@ -195,17 +195,14 @@ fn single_shot_kernels_reproduce_pinned_outcome_bits() {
             ),
         ),
     ];
-    let kernels = [
-        "WorkflowSim::run_once",
-        "WorkflowSim::run_once_batched",
-        "FaultyWorkflowSim::run_once",
-        "FaultyWorkflowSim::run_once_batched",
-    ];
+    let simulators = ["WorkflowSim", "FaultyWorkflowSim"];
     let mut drift = Vec::new();
     for ((laws, hashes), want) in got.iter().zip(&GOLDEN) {
-        for ((kernel, h), w) in kernels.iter().zip(hashes).zip(want) {
+        for ((simulator, h), w) in simulators.iter().zip(hashes).zip(want) {
             if h != w {
-                drift.push(format!("{kernel} on {laws}: {h:#018x} vs golden {w:#018x}"));
+                drift.push(format!(
+                    "{simulator} on {laws}: {h:#018x} vs golden {w:#018x}"
+                ));
             }
         }
     }
@@ -216,31 +213,10 @@ fn single_shot_kernels_reproduce_pinned_outcome_bits() {
     );
 }
 
-/// Per law pair: plain scalar, plain batched, faulty scalar, faulty
-/// batched.
-const GOLDEN: [[u64; 4]; 4] = [
-    [
-        0xc1a65d7f9ead32f7,
-        0xdb95286af5121abc,
-        0x0b03cdbd097d8b18,
-        0x7c286d75a2030b73,
-    ],
-    [
-        0x934e4018adb48379,
-        0x2f68335b54cd1a3e,
-        0xcdc802dbcaf61b43,
-        0xcdc802dbcaf61b43,
-    ],
-    [
-        0x6af3bf866e5535d7,
-        0x6af3bf866e5535d7,
-        0x973fca0cca82d131,
-        0x973fca0cca82d131,
-    ],
-    [
-        0x180df36586cde178,
-        0x180df36586cde178,
-        0xdcf35c1518522222,
-        0xdcf35c1518522222,
-    ],
+/// Per law pair: plain, faulty.
+const GOLDEN: [[u64; 2]; 4] = [
+    [0xdb95286af5121abc, 0x142a6be77dcea75e],
+    [0x2f68335b54cd1a3e, 0x59534f25ad74ab01],
+    [0x6af3bf866e5535d7, 0x973fca0cca82d131],
+    [0x180df36586cde178, 0xdcf35c1518522222],
 ];

@@ -174,15 +174,34 @@ mod tests {
 
     #[test]
     fn cusum_quiet_on_in_control_stream() {
-        let mut det = CusumDetector::for_model(&reference());
-        let mut rng = Xoshiro256pp::new(1);
+        // In control, the alarm still fires eventually: the run length
+        // is roughly geometric with mean ARL0. Siegmund's approximation
+        // gives the one-sided ARL0 = (e^{2kb} − 2kb − 1) / (2k²) with
+        // b = h + 1.166 (≈ 938 at the defaults k = 0.5, h = 5), and the
+        // two one-sided statistics halve it (≈ 469). Over 200 streams
+        // the mean run length has a standard error of ≈ ARL0/√200 ≈ 33,
+        // so it must lie within ±5 standard errors of the theory.
+        let (k, h) = (0.5, 5.0);
+        let b: f64 = h + 1.166;
+        let arl0 = ((2.0 * k * b).exp() - 2.0 * k * b - 1.0) / (2.0 * k * k) / 2.0;
         let law = reference();
-        for _ in 0..2000 {
-            if det.observe(law.sample(&mut rng)) {
-                panic!("false alarm after {} observations", det.observations());
-            }
-        }
-        assert_eq!(det.direction(), 0);
+        let streams = 200u64;
+        let cap = 100_000u64;
+        let total: u64 = (0..streams)
+            .map(|i| {
+                let mut det = CusumDetector::for_model(&law);
+                let mut rng = Xoshiro256pp::for_stream(1, i);
+                (1..=cap)
+                    .find(|_| det.observe(law.sample(&mut rng)))
+                    .unwrap_or(cap)
+            })
+            .sum();
+        let mean = total as f64 / streams as f64;
+        let band = 5.0 * arl0 / (streams as f64).sqrt();
+        assert!(
+            (mean - arl0).abs() < band,
+            "mean in-control run length {mean:.1} outside {arl0:.1} ± {band:.1}"
+        );
     }
 
     #[test]

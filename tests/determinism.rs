@@ -237,69 +237,22 @@ fn batched_event_log_bit_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn batch_toggle_is_bit_transparent_for_order_preserving_laws() {
-    // For laws whose batch kernels preserve draw order (Gamma task via
-    // the default kernel, Uniform checkpoint via buffered uniforms),
-    // `--batch` must be invisible in the results: the batched runner
-    // over-draws into scratch, but every draw the scalar path makes
-    // sits at the same stream position, so outcomes agree bitwise.
-    // (Truncated-Normal laws take the rejection kernel and only agree
-    // statistically — covered by the workflow crate's own tests.)
-    use resq::sim::run_trials_observed;
-
-    let s = WorkflowSim {
-        reservation: 29.0,
-        task: Gamma::new(9.0, 1.0 / 3.0).unwrap(),
-        ckpt: Uniform::new(4.0, 6.0).unwrap(),
-    };
-    let policy = ThresholdWorkflowPolicy { threshold: 20.26 };
-    let cfg = MonteCarloConfig {
-        trials: 20_000,
-        seed: 99,
-        threads: 2,
-    };
-    use resq::obs::MemorySink;
-    let scalar_sink = MemorySink::new();
-    let scalar = run_trials_observed(cfg, &scalar_sink, 1_000, |_, rng| {
-        s.run_once(&policy, rng).work_saved
-    });
-    let batched_sink = MemorySink::new();
-    let batched = run_trials_batched(
-        cfg,
-        &batched_sink,
-        1_000,
-        BatchScratch::new,
-        |_, rng, scratch| s.run_once_batched(&policy, rng, scratch).work_saved,
-    );
-    assert_eq!(scalar.mean.to_bits(), batched.mean.to_bits());
-    assert_eq!(scalar.std_dev.to_bits(), batched.std_dev.to_bits());
-    assert_eq!(scalar.min.to_bits(), batched.min.to_bits());
-    assert_eq!(scalar.max.to_bits(), batched.max.to_bits());
-    assert_eq!(
-        scalar_sink.lines(),
-        batched_sink.lines(),
-        "batch on/off changed the event log for order-preserving laws"
-    );
-}
-
-#[test]
-fn batch_toggle_is_bit_transparent_for_ziggurat_laws() {
-    // New with the throughput engine: the ziggurat Normal / LogNormal
-    // batch kernels consume exactly the words their scalar counterparts
-    // would (one u64 per layer probe, plus wedge/tail words), so for
-    // these laws too `--batch` must be invisible in the results — not
-    // just statistically equivalent, as the polar-pair kernels were.
-    // Checked across thread counts while we are at it.
-    use resq::dist::LogNormal;
+/// Runs `s` through the scalar runner (`run_once`) and the batched runner
+/// (`run_once_batched`) and asserts that the choice between them — the
+/// batch toggle — changes no bit of the summary or the event log, at
+/// every thread count.
+///
+/// Every batch kernel preserves draw order, so the batched runner
+/// over-draws into scratch but every draw the scalar path makes sits at
+/// the same stream position.
+fn assert_batch_toggle_is_bit_transparent<X, C>(laws: &str, s: &WorkflowSim<X, C>)
+where
+    X: resq::TaskDuration + Sync,
+    C: resq::dist::Sample + Sync,
+{
     use resq::obs::MemorySink;
     use resq::sim::run_trials_observed;
 
-    let s = WorkflowSim {
-        reservation: 29.0,
-        task: LogNormal::new(1.0, 0.35).unwrap(),
-        ckpt: Normal::new(5.0, 0.4).unwrap(),
-    };
     let policy = ThresholdWorkflowPolicy { threshold: 20.26 };
     let cfg = MonteCarloConfig {
         trials: 20_000,
@@ -326,7 +279,7 @@ fn batch_toggle_is_bit_transparent_for_ziggurat_laws() {
         assert_eq!(
             scalar.mean.to_bits(),
             batched.mean.to_bits(),
-            "batch toggle changed the ziggurat-law mean at {threads} threads"
+            "batched mean differs for {laws} at {threads} threads"
         );
         assert_eq!(scalar.std_dev.to_bits(), batched.std_dev.to_bits());
         assert_eq!(scalar.min.to_bits(), batched.min.to_bits());
@@ -334,9 +287,40 @@ fn batch_toggle_is_bit_transparent_for_ziggurat_laws() {
         assert_eq!(
             scalar_sink.lines(),
             batched_sink.lines(),
-            "batch on/off changed the event log for ziggurat laws at {threads} threads"
+            "batched event log differs for {laws} at {threads} threads"
         );
     }
+}
+
+#[test]
+fn batch_toggle_is_bit_transparent_for_order_preserving_laws() {
+    // Gamma's default loop, Uniform's buffered uniforms and — since the
+    // high-mass truncated kernel samples by rejection in stream order —
+    // the paper's truncated-Normal laws.
+    assert_batch_toggle_is_bit_transparent(
+        "gamma tasks / uniform ckpt",
+        &WorkflowSim {
+            reservation: 29.0,
+            task: Gamma::new(9.0, 1.0 / 3.0).unwrap(),
+            ckpt: Uniform::new(4.0, 6.0).unwrap(),
+        },
+    );
+    assert_batch_toggle_is_bit_transparent("the paper's truncated-normal laws", &sim());
+}
+
+#[test]
+fn batch_toggle_is_bit_transparent_for_ziggurat_laws() {
+    // The ziggurat Normal / LogNormal batch kernels consume exactly the
+    // words their scalar counterparts would (one u64 per layer probe,
+    // plus wedge/tail words).
+    assert_batch_toggle_is_bit_transparent(
+        "lognormal tasks / normal ckpt",
+        &WorkflowSim {
+            reservation: 29.0,
+            task: resq::dist::LogNormal::new(1.0, 0.35).unwrap(),
+            ckpt: Normal::new(5.0, 0.4).unwrap(),
+        },
+    );
 }
 
 #[test]
@@ -452,8 +436,7 @@ fn batched_span_structure_is_thread_count_invariant() {
     }
 }
 
-/// Fault-injected workflow fixture on order-preserving laws (Gamma task,
-/// Uniform checkpoint), so the `--batch` toggle must be bit-transparent.
+/// Fault-injected workflow fixture (Gamma task, Uniform checkpoint).
 fn faulty_sim() -> resq::sim::FaultyWorkflowSim<Gamma, Uniform, resq::sim::ReliabilityInjector> {
     resq::sim::FaultyWorkflowSim {
         reservation: 30.0,
@@ -475,8 +458,9 @@ fn faulty_sim() -> resq::sim::FaultyWorkflowSim<Gamma, Uniform, resq::sim::Relia
 fn fault_injected_runs_bit_identical_across_threads_and_batch() {
     // The fault injector draws from a dedicated sub-stream split off the
     // trial stream at entry, so fault-injected runs inherit the full
-    // determinism contract: thread count and the batch toggle must not
-    // change a single bit of the summary or the event log.
+    // determinism contract: neither the thread count nor the choice of
+    // scalar or batched kernel may change a single bit of the summary
+    // or the event log.
     use resq::obs::MemorySink;
     use resq::sim::run_trials_observed;
 
@@ -532,14 +516,14 @@ fn fault_injected_runs_bit_identical_across_threads_and_batch() {
         assert_eq!(
             base_summary.mean.to_bits(),
             summary.mean.to_bits(),
-            "batch toggle changed the faulty summary at {threads} threads"
+            "batched kernel changed the faulty summary at {threads} threads"
         );
         assert_eq!(base_summary.std_dev.to_bits(), summary.std_dev.to_bits());
         assert_eq!(base_summary.min.to_bits(), summary.min.to_bits());
         assert_eq!(base_summary.max.to_bits(), summary.max.to_bits());
         assert_eq!(
             base_log, log,
-            "batch toggle changed the faulty event log at {threads} threads"
+            "batched kernel changed the faulty event log at {threads} threads"
         );
     }
 }

@@ -160,7 +160,8 @@ proptest! {
     /// Draw-order-preserving batch kernels are bit-identical to scalar
     /// draws, for any buffer split — covering the default loop kernel
     /// (Gamma), the buffered-uniform kernels (Uniform, Exponential) and
-    /// the truncated inversion regime (low-mass Truncated).
+    /// both truncated regimes (inversion, and rejection with ~10%
+    /// rejects).
     #[test]
     fn split_batch_equals_scalar_for_order_preserving_laws(
         seed in 0u64..1000,
@@ -186,6 +187,11 @@ proptest! {
         assert_split_batch_matches_scalar(
             "truncated normal (inversion regime)",
             &Truncated::new(Normal::new(0.0, 1.0).unwrap(), 2.0, 3.0).unwrap(),
+            seed, n, k,
+        );
+        assert_split_batch_matches_scalar(
+            "truncated normal (rejection regime)",
+            &Truncated::new(Normal::new(0.0, 1.0).unwrap(), -1.65, 1.65).unwrap(),
             seed, n, k,
         );
     }

@@ -1,21 +1,12 @@
 //! Kolmogorov–Smirnov goodness-of-fit tier for every continuous sampler
-//! in `resq-dist`, covering BOTH draw paths against the law's analytic
-//! CDF at fixed seeds:
+//! in `resq-dist`: the scalar path (`Sample::sample` in a loop) against
+//! the law's analytic CDF at fixed seeds, tails included.
 //!
-//! * the scalar path (`Sample::sample` in a loop), and
-//! * the batch path (`Sample::sample_batch_mono` filling a whole
-//!   buffer), driven both through a trait-object generator
-//!   (`R = dyn RngCore`, as `dyn`-holding callers reach it) and with a
-//!   concrete generator (the Monte-Carlo hot entry since the ziggurat
-//!   throughput engine) —
-//!
-//! including the kernels that change draw order (the mask-repair
-//! Truncated rejection kernel), which are only *statistically*
-//! equivalent to the scalar path and therefore need a distributional
-//! test, not a bitwise one. The ziggurat Normal / LogNormal batch
-//! kernels are draw-order preserving (bitwise tests live in
-//! `tests/determinism.rs` and in `resq-dist`); here they are KS-checked
-//! as distributions in their own right, tails included.
+//! The batch path (`Sample::sample_batch_mono`) needs no KS leg of its
+//! own: every batch kernel is bit-identical to repeated scalar draws,
+//! which `crates/dist/tests/batch_contract.rs` checks for every sampler.
+//! Here batch fills of awkward lengths are only checked to stay inside
+//! the support.
 //!
 //! Seeds are fixed, so every p-value below is a deterministic number and
 //! the thresholds are not flaky: a failure means a sampler actually
@@ -23,7 +14,6 @@
 //! high-resolution tier (200 000 variates, tight p-value floors) runs
 //! only when `RESQ_SLOW_TESTS=1` — CI runs it as a separate job.
 
-use rand::RngCore;
 use resq::dist::{
     ks_test, Beta, Continuous, Exponential, Gamma, LogNormal, Mixture, Normal, Pareto, Sample,
     Triangular, Truncated, Uniform, Weibull, Xoshiro256pp,
@@ -34,12 +24,8 @@ fn slow_enabled() -> bool {
     std::env::var("RESQ_SLOW_TESTS").map(|v| v == "1").unwrap_or(false)
 }
 
-/// KS-checks `law` on both draw paths with `n` variates per path.
-///
-/// The scalar, dyn batch, and monomorphized samples use different seeds on
-/// purpose: the paths are independent draws from the same law, and
-/// reusing a seed would make a check vacuous for draw-order-preserving
-/// kernels (identical bits trivially share a KS statistic).
+/// KS-checks `law`'s scalar path with `n` variates, and checks that
+/// batch fills stay inside the support.
 fn check_gof<D: Continuous + Sample>(name: &str, law: &D, seed: u64, n: usize, p_floor: f64) {
     let mut rng = Xoshiro256pp::new(seed);
     let scalar = law.sample_vec(&mut rng, n);
@@ -51,36 +37,9 @@ fn check_gof<D: Continuous + Sample>(name: &str, law: &D, seed: u64, n: usize, p
         out.p_value
     );
 
-    let mut rng = Xoshiro256pp::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let dyn_rng: &mut dyn RngCore = &mut rng;
-    let mut batch = vec![0.0f64; n];
-    law.sample_batch_mono(dyn_rng, &mut batch);
-    let out = ks_test(&batch, law);
-    assert!(
-        out.p_value > p_floor,
-        "{name}: dyn batch path rejected by KS (D = {:.5}, p = {:.3e}, n = {n})",
-        out.statistic,
-        out.p_value
-    );
-
-    // Monomorphized batch entry with a concrete generator — the
-    // Monte-Carlo hot path (ziggurat Normal / LogNormal fills, the
-    // mask-repair Truncated kernel) compiled without virtual dispatch.
-    let mut rng = Xoshiro256pp::new(seed ^ 0x5851_f42d_4c95_7f2d);
-    let mut mono = vec![0.0f64; n];
-    law.sample_batch_mono(&mut rng, &mut mono);
-    let out = ks_test(&mono, law);
-    assert!(
-        out.p_value > p_floor,
-        "{name}: monomorphized batch path rejected by KS (D = {:.5}, p = {:.3e}, n = {n})",
-        out.statistic,
-        out.p_value
-    );
-
     // Batch fills of awkward lengths (odd, sub-block, just past a
-    // refill boundary) must hit the same law — exercises the ziggurat
-    // fill tail, the mask-repair tile remainder, and the uniform-block
-    // tail.
+    // refill boundary) — exercises the ziggurat fill tail, the
+    // truncated rejection refill, and the uniform-block tail.
     for (i, &len) in [1usize, 7, 63, 65].iter().enumerate() {
         let mut rng = Xoshiro256pp::new(seed.wrapping_add(100 + i as u64));
         let mut out_buf = vec![0.0f64; len];
@@ -112,8 +71,9 @@ fn run_roster(n: usize, p_floor: f64) {
         n,
         p_floor,
     );
-    // The paper's N_[0,∞) task and checkpoint laws: mass ≈ 1, so the
-    // batch kernel takes the rejection-from-parent-batch branch.
+    // The paper's N_[0,∞) task and checkpoint laws: mass ≈ 1, so both
+    // paths sample by rejection from the parent — which almost never
+    // rejects at this mass.
     check_gof(
         "truncated-normal (rejection regime, task law)",
         &Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap(),
@@ -128,8 +88,17 @@ fn run_roster(n: usize, p_floor: f64) {
         n,
         p_floor,
     );
-    // A deep tail slice (mass ≈ 0.021 < 0.9): the batch kernel must
-    // switch to buffered quantile inversion, never rejection.
+    // N(0,1) on [−2, 2] (mass ≈ 0.954): ~4.5% of parent draws are
+    // rejected, so the rejection loop actually runs.
+    check_gof(
+        "truncated-normal (rejection regime, ~4.5% rejects)",
+        &Truncated::new(Normal::new(0.0, 1.0).unwrap(), -2.0, 2.0).unwrap(),
+        26,
+        n,
+        p_floor,
+    );
+    // A deep tail slice (mass ≈ 0.021 < 0.9): sampling must switch to
+    // quantile inversion, never rejection.
     check_gof(
         "truncated-normal (inversion regime, tail slice)",
         &Truncated::new(Normal::new(0.0, 1.0).unwrap(), 2.0, 3.0).unwrap(),
