@@ -81,9 +81,7 @@ use resq::core::policy::ThresholdWorkflowPolicy;
 use resq::dist::{Normal, Truncated, Uniform};
 use resq::sim::stats::quantile;
 use resq::sim::{run_trials_batched, run_trials_observed, BatchScratch, MonteCarloConfig, WorkflowSim};
-use resq::{
-    AnswerSource, DynamicStrategy, LatticeSpec, LawFamily, Preemptible, SolveCache, StaticStrategy,
-};
+use resq::{DynamicStrategy, LatticeSpec, LawFamily, Preemptible, SolveCache, StaticStrategy};
 use resq_dist::Poisson;
 use resq_numerics::{adaptive_simpson, brent_root};
 use resq_obs::span::{self, SpanRegistry};
@@ -327,20 +325,8 @@ fn serve_decide_entry(smoke: bool) -> Entry {
         spec = spec.with_points(5);
     }
     let lattice = resq::core::lattice::build(&spec).expect("serve_decide: lattice build");
-    let axes = lattice.axes();
-    let mut cache = SolveCache::new();
-    let query = (0..16)
-        .map(|k| {
-            let f = (k as f64 + 0.5) / 16.0;
-            let coords: Vec<f64> = axes.iter().map(|a| a.lo + f * (a.hi - a.lo)).collect();
-            lattice.query_for_coords(&coords, 29.0)
-        })
-        .find(|q| {
-            lattice
-                .query(q, &mut cache)
-                .map(|a| a.source == AnswerSource::Lattice)
-                .unwrap_or(false)
-        })
+    let query = serve::served_queries(&lattice)
+        .next()
         .expect("serve_decide: no served lattice query to drive");
     let body = serve::render_request(&query, Some(10.0));
     let connections = 2usize;
@@ -440,21 +426,9 @@ fn collect(smoke: bool) -> Vec<Entry> {
             spec = spec.with_points(5);
         }
         let lattice = resq::core::lattice::build(&spec).expect("lattice build");
-        let mut cache = SolveCache::new();
-        let axes = lattice.axes();
-        let queries: Vec<_> = (0..16)
-            .map(|k| {
-                let f = (k as f64 + 0.5) / 16.0;
-                let coords: Vec<f64> =
-                    axes.iter().map(|a| a.lo + f * (a.hi - a.lo)).collect();
-                lattice.query_for_coords(&coords, 29.0)
-            })
-            .filter(|q| {
-                lattice.query(q, &mut cache).expect("probe query").source
-                    == AnswerSource::Lattice
-            })
-            .collect();
+        let queries: Vec<_> = resq_cli::serve::served_queries(&lattice).collect();
         assert!(!queries.is_empty(), "no served lattice queries to time");
+        let mut cache = SolveCache::new();
         let mut i = 0usize;
         time_entry("solve/lattice_lookup", scaled(20_000, smoke), 1, move || {
             let q = &queries[i % queries.len()];

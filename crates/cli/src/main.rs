@@ -444,6 +444,19 @@ fn bench_command(args: &Args) -> Result<(), ArgError> {
     }
 }
 
+/// The load harnesses' `--proto` flag (default framed, see
+/// [`LOAD_PROTOS`]).
+fn load_proto(args: &Args) -> Result<LoadProto, ArgError> {
+    match args.get("proto") {
+        None | Some("framed") => Ok(LoadProto::Framed),
+        Some("http") => Ok(LoadProto::Http),
+        Some(other) => Err(ArgError(format!(
+            "flag `--proto` expects one of {}, got `{other}`",
+            LOAD_PROTOS.join("|")
+        ))),
+    }
+}
+
 /// `resq bench serve`: closed-loop load harness for the decision
 /// daemon. Without `--addr`, builds a small exponential lattice, stands
 /// the daemon up in-process on an ephemeral loopback port, hammers it
@@ -453,17 +466,7 @@ fn bench_serve(args: &Args) -> Result<(), ArgError> {
     let connections = args.u64_or("connections", 8)?.max(1) as usize;
     let requests = args.u64_or("requests", 200)?.max(1) as usize;
     let batch_size = args.u64_or("batch-size", 1)?.max(1) as usize;
-    let proto = match args.get("proto") {
-        None => LoadProto::Framed,
-        Some("framed") => LoadProto::Framed,
-        Some("http") => LoadProto::Http,
-        Some(other) => {
-            return Err(ArgError(format!(
-                "flag `--proto` expects one of {}, got `{other}`",
-                LOAD_PROTOS.join("|")
-            )))
-        }
-    };
+    let proto = load_proto(args)?;
     let min_throughput = match args.get("min-throughput") {
         Some(_) => Some(args.require_f64("min-throughput")?),
         None => None,
@@ -474,20 +477,8 @@ fn bench_serve(args: &Args) -> Result<(), ArgError> {
     let spec = LatticeSpec::defaults(LawFamily::Exponential).with_points(5);
     let lattice = resq::core::lattice::build(&spec)
         .map_err(|e| ArgError(format!("cannot build the bench lattice: {e}")))?;
-    let axes = lattice.axes();
-    let mut cache = SolveCache::new();
-    let query = (0..16)
-        .map(|k| {
-            let f = (k as f64 + 0.5) / 16.0;
-            let coords: Vec<f64> = axes.iter().map(|a| a.lo + f * (a.hi - a.lo)).collect();
-            lattice.query_for_coords(&coords, 29.0)
-        })
-        .find(|q| {
-            lattice
-                .query(q, &mut cache)
-                .map(|a| a.source == AnswerSource::Lattice)
-                .unwrap_or(false)
-        })
+    let query = serve::served_queries(&lattice)
+        .next()
         .ok_or_else(|| ArgError("no served lattice query to drive the load with".into()))?;
     let body = serve::render_request(&query, Some(10.0));
     let retries = args.u64_or("retries", 0)? as usize;
@@ -573,16 +564,7 @@ fn bench_chaos(args: &Args) -> Result<(), ArgError> {
     let connections = args.u64_or("connections", 8)?.max(1) as usize;
     let requests = args.u64_or("requests", 50)?.max(1) as usize;
     let batch_size = args.u64_or("batch-size", 1)?.max(1) as usize;
-    let proto = match args.get("proto") {
-        None | Some("framed") => LoadProto::Framed,
-        Some("http") => LoadProto::Http,
-        Some(other) => {
-            return Err(ArgError(format!(
-                "flag `--proto` expects one of {}, got `{other}`",
-                LOAD_PROTOS.join("|")
-            )))
-        }
-    };
+    let proto = load_proto(args)?;
     let spec = args
         .get("chaos-spec")
         .map(String::from)
@@ -598,20 +580,8 @@ fn bench_chaos(args: &Args) -> Result<(), ArgError> {
     let lattice_spec = LatticeSpec::defaults(LawFamily::Exponential).with_points(5);
     let lattice = resq::core::lattice::build(&lattice_spec)
         .map_err(|e| ArgError(format!("cannot build the chaos lattice: {e}")))?;
-    let axes = lattice.axes();
-    let mut cache = SolveCache::new();
-    let query = (0..16)
-        .map(|k| {
-            let f = (k as f64 + 0.5) / 16.0;
-            let coords: Vec<f64> = axes.iter().map(|a| a.lo + f * (a.hi - a.lo)).collect();
-            lattice.query_for_coords(&coords, 29.0)
-        })
-        .find(|q| {
-            lattice
-                .query(q, &mut cache)
-                .map(|a| a.source == AnswerSource::Lattice)
-                .unwrap_or(false)
-        })
+    let query = serve::served_queries(&lattice)
+        .next()
         .ok_or_else(|| ArgError("no served lattice query to drive the chaos load with".into()))?;
     let body = serve::render_request(&query, Some(10.0));
     // Every correct response byte, precomputed on a clean service over
@@ -1216,7 +1186,7 @@ fn plan_dynamic(args: &Args) -> Result<(), ArgError> {
 /// fault-injected one when any fault flag is given.
 enum SimKernel {
     Plain(WorkflowSim<DynLaw, DynLaw>),
-    Faulty(FaultyWorkflowSim<DynLaw, DynLaw, ReliabilityInjector>),
+    Faulty(FaultyWorkflowSim<DynLaw, DynLaw>),
 }
 
 impl SimKernel {

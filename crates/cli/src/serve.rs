@@ -726,6 +726,28 @@ pub fn frame_handler(service: Arc<DecisionService>) -> FrameHandler {
 // Closed-loop load harness (`resq bench serve`, perf_baseline).
 // ---------------------------------------------------------------------
 
+/// The queries the load harnesses drive: 16 points on the diagonal of
+/// `lattice`'s parameter box at `R = 29`, in diagonal order, keeping
+/// those the lattice answers itself rather than by exact fallback.
+///
+/// Lazy, so a caller that needs only the first served query probes no
+/// further than it.
+pub fn served_queries(lattice: &PolicyLattice) -> impl Iterator<Item = PolicyQuery> + '_ {
+    let axes = lattice.axes();
+    let mut cache = SolveCache::new();
+    (0..16)
+        .map(move |k| {
+            let f = (k as f64 + 0.5) / 16.0;
+            let coords: Vec<f64> = axes.iter().map(|a| a.lo + f * (a.hi - a.lo)).collect();
+            lattice.query_for_coords(&coords, 29.0)
+        })
+        .filter(move |q| {
+            lattice
+                .query(q, &mut cache)
+                .is_ok_and(|a| a.source == AnswerSource::Lattice)
+        })
+}
+
 /// Which wire protocol [`run_load`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadProto {

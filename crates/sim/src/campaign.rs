@@ -3,15 +3,18 @@
 //! fixed-length reservations, each (after the first) starting with a
 //! recovery of length `r`.
 //!
-//! Within each reservation the workflow policy runs as in
-//! [`crate::workflow`]; after a *successful* checkpoint the §4.4 rule
-//! decides whether to keep computing in the leftover time (taking
-//! further checkpoints) or to release the reservation. Work that is
-//! checkpointed is durable; work since the last successful checkpoint is
-//! lost when the reservation expires.
+//! Within each reservation the workflow policy runs on the loop of
+//! [`crate::workflow`] (`crate::trial`): a chain of single-shot
+//! *stretches* from the end of the recovery, each ending at a successful
+//! checkpoint or the deadline. After each successful checkpoint the §4.4
+//! rule decides whether to start another stretch in the leftover time or
+//! to release the reservation. Work that is checkpointed is durable;
+//! work since the last successful checkpoint is lost when the
+//! reservation expires.
 
+use crate::trial::{single_shot, Schedule};
 use rand::RngCore;
-use resq_core::policy::{Action, WorkflowPolicy};
+use resq_core::policy::WorkflowPolicy;
 use resq_core::reservation::CampaignModel;
 use resq_core::workflow::task_law::TaskDuration;
 use resq_dist::Sample;
@@ -48,16 +51,16 @@ pub struct CampaignOutcome {
 
 /// Campaign simulator: a workflow policy executed across reservations.
 #[derive(Debug, Clone)]
-pub struct CampaignSimulator<X, C> {
+pub struct CampaignSimulator<X, C, RV> {
     /// Task-duration law.
     pub task: X,
     /// Checkpoint-duration law.
     pub ckpt: C,
     /// Recovery-duration law (often [`resq_dist::Constant`]).
-    pub recovery: C,
+    pub recovery: RV,
 }
 
-impl<X: TaskDuration, C: Sample> CampaignSimulator<X, C> {
+impl<X: TaskDuration, C: Sample, RV: Sample> CampaignSimulator<X, C, RV> {
     /// Runs one full campaign under `policy`.
     ///
     /// The policy is consulted with per-reservation counters
@@ -90,50 +93,30 @@ impl<X: TaskDuration, C: Sample> CampaignSimulator<X, C> {
                 out.lost_reservations += 1;
                 continue;
             }
-            // Work durable *within this reservation* (successful
-            // checkpoints); in-flight work since the last checkpoint.
+            // Work durable *within this reservation*: one single-shot
+            // stretch per successful checkpoint, until a stretch runs into
+            // the deadline (its in-flight work lost, the whole reservation
+            // used) or the reservation is released.
             let mut durable_here = 0.0f64;
-            let mut inflight = 0.0f64;
-            let mut tasks_here = 0u64;
-            let mut released = false;
-            loop {
-                if policy.decide(tasks_here, inflight) == Action::Checkpoint {
-                    let c = self.ckpt.sample(rng).max(0.0);
-                    if elapsed + c <= m.reservation {
-                        elapsed += c;
-                        durable_here += inflight;
-                        out.checkpoints += 1;
-                        inflight = 0.0;
-                        tasks_here = 0;
-                        let time_left = m.reservation - elapsed;
-                        let done =
-                            out.work_done + durable_here >= m.total_work;
-                        if done || !m.should_continue_after_checkpoint(time_left) {
-                            released = true;
-                            break;
-                        }
-                        // Continue computing in the leftover time (§4.4).
-                        continue;
-                    } else {
-                        // Checkpoint ran past the deadline: in-flight lost.
-                        elapsed = m.reservation;
-                        break;
-                    }
+            let used = loop {
+                let sched = Schedule::drawn(&self.ckpt, m.reservation, false);
+                let stretch = single_shot(policy, sched, elapsed, rng, |rng| self.task.sample(rng));
+                if !stretch.outcome.checkpoint_succeeded {
+                    break m.reservation;
                 }
-                let x = self.task.sample(rng).max(0.0);
-                if elapsed + x > m.reservation {
-                    elapsed = m.reservation;
-                    break;
+                elapsed = stretch.outcome.time_used;
+                durable_here += stretch.outcome.work_saved;
+                out.checkpoints += 1;
+                let done = out.work_done + durable_here >= m.total_work;
+                if done || !m.should_continue_after_checkpoint(m.reservation - elapsed) {
+                    break elapsed;
                 }
-                elapsed += x;
-                inflight += x;
-                tasks_here += 1;
-            }
+                // Continue computing in the leftover time (§4.4).
+            };
             out.work_done += durable_here;
             if durable_here == 0.0 {
                 out.lost_reservations += 1;
             }
-            let used = if released { elapsed } else { m.reservation };
             out.cost += m.cost_of(used);
             out.time_used += used;
         }
@@ -163,7 +146,7 @@ mod tests {
         }
     }
 
-    fn simulator() -> CampaignSimulator<TN, TN> {
+    fn simulator() -> CampaignSimulator<TN, TN, TN> {
         CampaignSimulator {
             task: tn(3.0, 0.5),
             ckpt: tn(5.0, 0.4),
@@ -272,9 +255,8 @@ mod tests {
         let sim = CampaignSimulator {
             task: tn(3.0, 0.5),
             ckpt: tn(5.0, 0.4),
-            recovery: Truncated::above(Normal::new(5.0, 1e-9).unwrap(), 0.0).unwrap(),
+            recovery: Constant::new(5.0).unwrap(),
         };
-        let _ = Constant::new(5.0).unwrap(); // (Constant works too; same API)
         let policy = ThresholdWorkflowPolicy { threshold: 15.0 };
         let cfg = base_config(60.0, BillingModel::PerUse, ContinuationRule::Drop);
         let mut rng = Xoshiro256pp::new(8);

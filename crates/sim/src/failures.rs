@@ -26,7 +26,18 @@
 //!   related-work section contrasts with. [`young_daly_period`] provides
 //!   the classical period and [`PeriodicCheckpointPolicy`] the matching
 //!   policy, so the two worlds can be compared in one simulator.
+//!
+//! The simulator runs the plain simulator's loop (`crate::trial`): a
+//! reservation is a chain of single-shot *stretches*, each from the
+//! current clock to the horizon `min(R, next failure)`, ending at a
+//! successful checkpoint, a fail-stop error or the deadline. Recovery and
+//! resumption happen between stretches. As in every §4 simulator, a task
+//! boundary exactly on `R` still consults the policy, and a task or
+//! checkpoint ending exactly on `R` fits. With failures off, the first
+//! stretch is [`crate::WorkflowSim`]'s trial on the same task and
+//! checkpoint durations.
 
+use crate::trial::{single_shot, Schedule};
 use rand::RngCore;
 use resq_core::policy::{Action, WorkflowPolicy};
 use resq_core::CoreError;
@@ -101,8 +112,9 @@ pub struct FailureOutcome {
 /// The policy is consulted at task boundaries with
 /// `(tasks since last checkpoint, work since last checkpoint)`; on
 /// `Checkpoint` the work-in-flight becomes durable if the checkpoint
-/// finishes before both the next failure and the deadline. After a
-/// failure, a recovery delay is paid before computing resumes.
+/// finishes no later than both the next failure and the deadline. After
+/// a failure, a recovery delay is paid before computing resumes; a
+/// recovery ending at or after `R` ends the reservation.
 #[derive(Debug, Clone)]
 pub struct FailureWorkflowSim<X, C, RV> {
     /// Reservation length `R`.
@@ -147,7 +159,9 @@ impl<X: TaskDuration, C: Sample, RV: Sample> FailureWorkflowSim<X, C, RV> {
         }
     }
 
-    /// Runs one reservation under `policy`.
+    /// Runs one reservation under `policy`: single-shot stretches of
+    /// work back to back, each ending at a checkpoint, a fail-stop error
+    /// or the deadline.
     pub fn run_once<P: WorkflowPolicy + ?Sized>(
         &self,
         policy: &P,
@@ -156,75 +170,36 @@ impl<X: TaskDuration, C: Sample, RV: Sample> FailureWorkflowSim<X, C, RV> {
         let r = self.reservation;
         let mut out = FailureOutcome::default();
         let mut t = 0.0f64; // wall clock within the reservation
-        let mut inflight = 0.0f64; // work since last successful checkpoint
-        let mut tasks_since = 0u64;
         let mut next_fail = self.next_failure(0.0, rng);
-
         loop {
-            if t >= r {
-                out.work_lost += inflight;
-                return out;
-            }
-            if policy.decide(tasks_since, inflight) == Action::Checkpoint {
-                let c = self.ckpt.sample(rng).max(0.0);
-                let end = t + c;
-                if end > r || end > next_fail {
-                    // Deadline or failure interrupts the checkpoint.
-                    out.failed_checkpoints += 1;
-                    if end > next_fail && next_fail < r {
-                        // Failure: lose in-flight work, recover, go on.
-                        out.failures += 1;
-                        out.work_lost += inflight;
-                        inflight = 0.0;
-                        tasks_since = 0;
-                        let (resume, nf, extra) = self.recover(next_fail, r, rng);
-                        out.failures += extra;
-                        t = resume;
-                        next_fail = nf;
-                        continue;
-                    }
-                    // Deadline: reservation over, in-flight lost.
-                    out.work_lost += inflight;
-                    return out;
-                }
-                // Checkpoint succeeded.
-                t = end;
+            let sched = Schedule::drawn(&self.ckpt, r.min(next_fail), next_fail < r);
+            let stretch = single_shot(policy, sched, t, rng, |rng| self.task.sample(rng));
+            out.tasks_completed += stretch.outcome.tasks_completed;
+            out.failed_checkpoints += u64::from(stretch.ckpt_failures);
+            if stretch.outcome.checkpoint_succeeded {
                 out.checkpoints += 1;
-                out.work_saved += inflight;
-                inflight = 0.0;
-                tasks_since = 0;
-                // After a successful end-of-reservation checkpoint the §4
-                // policies stop; but a *periodic* policy keeps computing.
-                // We keep consulting the policy; to terminate, §4 policies
-                // return Checkpoint with zero in-flight work — break then.
+                out.work_saved += stretch.outcome.work_saved;
+                // A policy that would checkpoint again with nothing in
+                // flight only spins, so the reservation stops there (a
+                // zero period does); any other keeps computing.
                 if policy.decide(0, 0.0) == Action::Checkpoint {
                     return out;
                 }
+                t = stretch.outcome.time_used;
                 continue;
             }
-            // Run one task.
-            let x = self.task.sample(rng).max(0.0);
-            let end = t + x;
-            if end > next_fail && next_fail < r {
-                // Failure mid-task.
-                out.failures += 1;
-                out.work_lost += inflight;
-                inflight = 0.0;
-                tasks_since = 0;
-                let (resume, nf, extra) = self.recover(next_fail, r, rng);
-                out.failures += extra;
-                t = resume;
-                next_fail = nf;
-                continue;
+            out.work_lost += stretch.outcome.work_at_checkpoint;
+            if !stretch.killed_by_failstop {
+                return out; // the deadline
             }
-            if end > r {
-                out.work_lost += inflight;
+            out.failures += 1;
+            let (resume, nf, extra) = self.recover(next_fail, r, rng);
+            out.failures += extra;
+            if resume >= r {
                 return out;
             }
-            t = end;
-            inflight += x;
-            tasks_since += 1;
-            out.tasks_completed += 1;
+            t = resume;
+            next_fail = nf;
         }
     }
 }
@@ -292,6 +267,41 @@ mod tests {
             a.mean,
             b.mean
         );
+    }
+
+    #[test]
+    fn zero_failure_rate_matches_plain_simulator_on_the_deadline() {
+        // 1 s tasks bring the clock exactly onto R = 29, where threshold
+        // 29 checkpoints: a 0 s write still fits and saves all 29 s, a
+        // 1 s write is attempted and cut short. Without failures the
+        // failure simulator must report what the plain one does.
+        let policy = ThresholdWorkflowPolicy { threshold: 29.0 };
+        for (c, saved) in [(0.0, 29.0), (1.0, 0.0)] {
+            let task = Constant::new(1.0).unwrap();
+            let ckpt = Constant::new(c).unwrap();
+            let fsim = FailureWorkflowSim {
+                reservation: 29.0,
+                task,
+                ckpt,
+                recovery: ckpt,
+                failure_rate: 0.0,
+            };
+            let psim = WorkflowSim {
+                reservation: 29.0,
+                task,
+                ckpt,
+            };
+            let f = fsim.run_once(&policy, &mut Xoshiro256pp::new(1));
+            let p = psim.run_once(&policy, &mut Xoshiro256pp::new(1));
+            assert_eq!(p.work_saved, saved, "C = {c}");
+            assert_eq!(f.work_saved, p.work_saved, "C = {c}");
+            assert_eq!(f.work_lost, p.work_at_checkpoint - p.work_saved, "C = {c}");
+            assert_eq!(
+                f.failed_checkpoints,
+                u64::from(p.checkpoint_attempted && !p.checkpoint_succeeded),
+                "C = {c}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Deterministic fault injection: unreliable checkpoint writes and
 //! fail-stop errors for the §3/§4 runners.
 //!
-//! A [`FaultInjector`] decides, from the trial's own RNG stream, whether
-//! each checkpoint write attempt fails and when (if ever) a fail-stop
-//! error kills the reservation. Everything is seed-driven — no wall
-//! clock, no thread identity — so fault-injected runs obey the same
-//! bit-determinism contract as the fault-free engine (enforced by
+//! A [`ReliabilityInjector`] decides, from the trial's own RNG stream,
+//! whether each checkpoint write attempt fails and when (if ever) a
+//! fail-stop error kills the reservation. Everything is seed-driven —
+//! no wall clock, no thread identity — so fault-injected runs obey the
+//! same bit-determinism contract as the fault-free engine (enforced by
 //! `tests/determinism.rs`).
 //!
 //! # Determinism contract
@@ -28,7 +28,8 @@
 //! * A fail-stop error or the reservation end striking mid-write kills
 //!   the attempt and the trial; work not covered by a completed
 //!   checkpoint is lost (single-shot semantics, as in
-//!   [`crate::workflow::WorkflowSim`]; for recovery-and-continue
+//!   [`crate::workflow::WorkflowSim`], whose trial loop this simulator
+//!   runs with the injector as its fault model; for recovery-and-continue
 //!   semantics see [`crate::failures`]).
 //! * [`resq_core::RetryPolicy::GiveUpAndWorkOn`] runs at least one more
 //!   task after a failed attempt before the policy is consulted again,
@@ -55,21 +56,9 @@ fn u01(rng: &mut dyn RngCore) -> f64 {
 }
 
 /// Injects checkpoint-write failures and fail-stop errors into a trial,
-/// drawing every coin from the trial's RNG stream.
-pub trait FaultInjector {
-    /// Whether a checkpoint write attempt of duration `duration` fails.
-    /// Must consume exactly one RNG word per call.
-    fn attempt_fails(&self, duration: f64, rng: &mut dyn RngCore) -> bool;
-
-    /// The absolute time of the next fail-stop error strictly after
-    /// `after`, or `f64::INFINITY` if the configuration injects none
-    /// (in which case no RNG words may be consumed).
-    fn next_failstop(&self, after: f64, rng: &mut dyn RngCore) -> f64;
-}
-
-/// The standard injector: per-attempt write failures driven by a
-/// [`CheckpointReliability`] model plus an optional Poisson fail-stop
-/// process of the given rate.
+/// drawing every coin from the trial's RNG stream: per-attempt write
+/// failures driven by a [`CheckpointReliability`] model plus an optional
+/// Poisson fail-stop process of the given rate.
 #[derive(Debug, Clone)]
 pub struct ReliabilityInjector {
     reliability: CheckpointReliability,
@@ -105,17 +94,20 @@ impl ReliabilityInjector {
     pub fn reliability(&self) -> &CheckpointReliability {
         &self.reliability
     }
-}
 
-impl FaultInjector for ReliabilityInjector {
-    fn attempt_fails(&self, duration: f64, rng: &mut dyn RngCore) -> bool {
+    /// Whether a checkpoint write attempt of duration `duration` fails.
+    /// Consumes exactly one RNG word per call.
+    pub fn attempt_fails(&self, duration: f64, rng: &mut dyn RngCore) -> bool {
         let p = self.reliability.success_given_duration(duration);
         // One word always, so the stream layout does not depend on the
         // reliability model.
         u01(rng) >= p
     }
 
-    fn next_failstop(&self, after: f64, rng: &mut dyn RngCore) -> f64 {
+    /// The absolute time of the next fail-stop error strictly after
+    /// `after`, or `f64::INFINITY` if the configuration injects none
+    /// (in which case no RNG words are consumed).
+    pub fn next_failstop(&self, after: f64, rng: &mut dyn RngCore) -> f64 {
         match &self.failstop {
             Some(law) => after + law.sample(rng),
             None => f64::INFINITY,
@@ -124,15 +116,16 @@ impl FaultInjector for ReliabilityInjector {
 }
 
 /// The injector's fault model on a trial's fault stream: per attempt,
-/// the duration `C.max(0)` and then the success coin.
-struct InjectedFaults<'a, C, I> {
+/// the duration `C.max(0)` and then the success coin. It keeps to its
+/// own stream and ignores the one the trial lends it.
+struct InjectedFaults<'a, C> {
     ckpt: &'a C,
-    injector: &'a I,
+    injector: &'a ReliabilityInjector,
     rng: Xoshiro256pp,
 }
 
-impl<C: Sample, I: FaultInjector> Faults for InjectedFaults<'_, C, I> {
-    fn attempt(&mut self) -> (f64, bool) {
+impl<C: Sample> Faults for InjectedFaults<'_, C> {
+    fn attempt<R: RngCore + ?Sized>(&mut self, _rng: &mut R) -> (f64, bool) {
         let c = self.ckpt.sample(&mut self.rng).max(0.0);
         (c, self.injector.attempt_fails(c, &mut self.rng))
     }
@@ -145,13 +138,13 @@ impl<C: Sample, I: FaultInjector> Faults for InjectedFaults<'_, C, I> {
 
 /// Splits the fault stream off `rng` and draws the fail-stop time on it
 /// first; the horizon is `R` or that earlier fail-stop time.
-fn injected<'a, C: Sample, I: FaultInjector>(
+fn injected<'a, C: Sample>(
     reservation: f64,
     ckpt: &'a C,
-    injector: &'a I,
+    injector: &'a ReliabilityInjector,
     retry: RetryPolicy,
     rng: &mut dyn RngCore,
-) -> Schedule<InjectedFaults<'a, C, I>> {
+) -> Schedule<InjectedFaults<'a, C>> {
     let mut rng = Xoshiro256pp::new(rng.next_u64());
     let t_kill = injector.next_failstop(0.0, &mut rng);
     Schedule::new(
@@ -202,7 +195,7 @@ impl FaultyOutcome {
 /// starts a *retry schedule* governed by a [`RetryPolicy`], with write
 /// failures and fail-stop errors drawn from the injector.
 #[derive(Debug, Clone)]
-pub struct FaultyWorkflowSim<X, C, I> {
+pub struct FaultyWorkflowSim<X, C> {
     /// Reservation length `R`.
     pub reservation: f64,
     /// Task-duration law `D_X`.
@@ -210,12 +203,12 @@ pub struct FaultyWorkflowSim<X, C, I> {
     /// Checkpoint-duration law `D_C` (per attempt).
     pub ckpt: C,
     /// The fault source.
-    pub injector: I,
+    pub injector: ReliabilityInjector,
     /// What to do after a failed write.
     pub retry: RetryPolicy,
 }
 
-impl<X: TaskDuration, C: Sample, I: FaultInjector> FaultyWorkflowSim<X, C, I> {
+impl<X: TaskDuration, C: Sample> FaultyWorkflowSim<X, C> {
     /// Runs one trial under `policy` (scalar task sampling).
     pub fn run_once<P: WorkflowPolicy + ?Sized>(
         &self,
@@ -224,7 +217,9 @@ impl<X: TaskDuration, C: Sample, I: FaultInjector> FaultyWorkflowSim<X, C, I> {
     ) -> FaultyOutcome {
         let mut task_rng = Xoshiro256pp::new(rng.next_u64());
         let sched = self.schedule(rng);
-        single_shot(policy, sched, || self.task.sample(&mut task_rng))
+        single_shot(policy, sched, 0.0, &mut task_rng, |rng| {
+            self.task.sample(rng)
+        })
     }
 
     /// Batched-sampling variant of [`FaultyWorkflowSim::run_once`]:
@@ -240,11 +235,13 @@ impl<X: TaskDuration, C: Sample, I: FaultInjector> FaultyWorkflowSim<X, C, I> {
         scratch.reset();
         let mut task_rng = Xoshiro256pp::new(rng.next_u64());
         let sched = self.schedule(rng);
-        single_shot(policy, sched, || scratch.next_draw(&self.task, &mut task_rng))
+        single_shot(policy, sched, 0.0, &mut task_rng, |rng| {
+            scratch.next_draw(&self.task, rng)
+        })
     }
 
     /// The trial's fault model, split off `rng` after the task stream.
-    fn schedule(&self, rng: &mut dyn RngCore) -> Schedule<InjectedFaults<'_, C, I>> {
+    fn schedule(&self, rng: &mut dyn RngCore) -> Schedule<InjectedFaults<'_, C>> {
         injected(self.reservation, &self.ckpt, &self.injector, self.retry, rng)
     }
 }
@@ -274,18 +271,18 @@ pub struct FaultyPreemptibleOutcome {
 /// the lead window `X`), which is exactly the event whose probability
 /// `resq_core::RetryPreemptible::success_within` computes.
 #[derive(Debug, Clone)]
-pub struct RetryPreemptibleSim<C, I> {
+pub struct RetryPreemptibleSim<C> {
     /// Reservation length `R`.
     pub reservation: f64,
     /// Checkpoint-duration law `D_C` (per attempt).
     pub ckpt: C,
     /// The fault source.
-    pub injector: I,
+    pub injector: ReliabilityInjector,
     /// What to do after a failed write.
     pub retry: RetryPolicy,
 }
 
-impl<C: Sample, I: FaultInjector> RetryPreemptibleSim<C, I> {
+impl<C: Sample> RetryPreemptibleSim<C> {
     /// Runs one trial with the given lead time.
     ///
     /// The same sub-stream discipline and retry schedule as the workflow
@@ -305,7 +302,7 @@ impl<C: Sample, I: FaultInjector> RetryPreemptibleSim<C, I> {
         let saved_at = if start >= sched.horizon {
             None
         } else {
-            match sched.run(start) {
+            match sched.run(start, rng) {
                 ScheduleEnd::Saved(end) => Some(end),
                 _ => None,
             }
@@ -346,7 +343,7 @@ mod tests {
         p: f64,
         retry: RetryPolicy,
         failstop: f64,
-    ) -> FaultyWorkflowSim<Gamma, Uniform, ReliabilityInjector> {
+    ) -> FaultyWorkflowSim<Gamma, Uniform> {
         FaultyWorkflowSim {
             reservation: 30.0,
             task: Gamma::new(9.0, 1.0 / 3.0).unwrap(),

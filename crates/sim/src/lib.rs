@@ -29,6 +29,11 @@
 //! * [`workload`] — convergence-driven iterative jobs (the paper's
 //!   "unknown number of tasks, whose number depends on the convergence
 //!   rate").
+//!
+//! Every §4 simulator runs one trial loop (the private `trial` module):
+//! [`workflow`] and [`faults`] run it once per trial, while [`campaign`]
+//! and [`failures`] chain it as stretches of work and decide recovery
+//! and continuation between stretches.
 
 pub mod campaign;
 pub mod failures;
@@ -45,13 +50,13 @@ pub use failures::{
     young_daly_period, FailureOutcome, FailureWorkflowSim, PeriodicCheckpointPolicy,
 };
 pub use faults::{
-    FaultInjector, FaultyOutcome, FaultyPreemptibleOutcome, FaultyWorkflowSim,
-    ReliabilityInjector, RetryPreemptibleSim,
+    FaultyOutcome, FaultyPreemptibleOutcome, FaultyWorkflowSim, ReliabilityInjector,
+    RetryPreemptibleSim,
 };
 pub use monte_carlo::{
     run_trials, run_trials_batched, run_trials_observed, run_trials_with, MonteCarloConfig, CHUNK,
 };
-pub use preemptible::{simulate_preemptible, PreemptibleOutcome, PreemptibleSim};
+pub use preemptible::{PreemptibleOutcome, PreemptibleSim};
 pub use stats::{Histogram, Summary, Welford};
 pub use workflow::{BatchScratch, WorkflowOutcome, WorkflowSim};
 pub use workload::{ConvergenceModel, IterativeJob};

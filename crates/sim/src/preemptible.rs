@@ -75,31 +75,6 @@ impl<C: Sample> PreemptibleSim<C> {
     }
 }
 
-/// Convenience wrapper: one §3 trial with an explicit lead time.
-pub fn simulate_preemptible<C: Sample>(
-    reservation: f64,
-    ckpt: &C,
-    lead_time: f64,
-    rng: &mut dyn RngCore,
-) -> PreemptibleOutcome {
-    let sim = PreemptibleSim {
-        reservation,
-        ckpt: CkptRef(ckpt),
-    };
-    let policy = resq_core::policy::FixedLeadPolicy::new("ad-hoc", lead_time);
-    sim.run_once(&policy, rng)
-}
-
-/// Borrowing adaptor so [`simulate_preemptible`] does not need to clone
-/// the law.
-struct CkptRef<'a, C: Sample>(&'a C);
-
-impl<C: Sample> Sample for CkptRef<'_, C> {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.0.sample(rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,13 +138,14 @@ mod tests {
         let sim = fig1a_sim();
         let model = Preemptible::new(Uniform::new(1.0, 7.5).unwrap(), 10.0).unwrap();
         for &x in &[2.0, 4.0, 5.5, 6.5, 7.5] {
+            let policy = FixedLeadPolicy::new("ad-hoc", x);
             let s = run_trials(
                 MonteCarloConfig {
                     trials: 400_000,
                     seed: 42,
                     threads: 0,
                 },
-                |_, rng| simulate_preemptible(10.0, &sim.ckpt, x, rng).work_saved,
+                |_, rng| sim.run_once(&policy, rng).work_saved,
             );
             let analytic = model.expected_work(x);
             assert!(

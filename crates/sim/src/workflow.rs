@@ -7,8 +7,8 @@
 //! completes — the reservation expires mid-task and everything is lost
 //! (unless a checkpoint already succeeded, which ends the trial in this
 //! single-shot simulator; for §4.4 continuation see [`crate::campaign`]).
-//! The trial loop itself is shared with the fault-injected simulator
-//! (see `crate::trial`).
+//! The trial loop itself is the one every §4 simulator runs (see
+//! `crate::trial`).
 //!
 //! [`Action::Checkpoint`]: resq_core::policy::Action::Checkpoint
 
@@ -68,7 +68,7 @@ impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
         // what lets `run_once_batched` pre-draw task blocks and stay
         // bit-identical to this scalar path.
         let sched = Schedule::fault_free(self.reservation, self.ckpt.sample(rng));
-        single_shot(policy, sched, || self.task.sample(rng)).outcome
+        single_shot(policy, sched, 0.0, rng, |rng| self.task.sample(rng)).outcome
     }
 }
 
@@ -162,7 +162,10 @@ impl<X: TaskDuration, C: Sample> WorkflowSim<X, C> {
     ) -> WorkflowOutcome {
         scratch.reset();
         let sched = Schedule::fault_free(self.reservation, scratch.draw_ckpt(&self.ckpt, rng));
-        single_shot(policy, sched, || scratch.next_draw(&self.task, rng)).outcome
+        single_shot(policy, sched, 0.0, rng, |rng| {
+            scratch.next_draw(&self.task, rng)
+        })
+        .outcome
     }
 }
 

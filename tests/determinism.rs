@@ -437,7 +437,7 @@ fn batched_span_structure_is_thread_count_invariant() {
 }
 
 /// Fault-injected workflow fixture (Gamma task, Uniform checkpoint).
-fn faulty_sim() -> resq::sim::FaultyWorkflowSim<Gamma, Uniform, resq::sim::ReliabilityInjector> {
+fn faulty_sim() -> resq::sim::FaultyWorkflowSim<Gamma, Uniform> {
     resq::sim::FaultyWorkflowSim {
         reservation: 30.0,
         task: Gamma::new(9.0, 1.0 / 3.0).unwrap(),
