@@ -331,7 +331,6 @@ impl PolicyAnswer {
     pub fn static_plan(&self) -> StaticPlan {
         StaticPlan {
             y_opt: self.n_opt as f64,
-            relaxed_value: self.expected_work,
             n_opt: self.n_opt,
             expected_work: self.expected_work,
         }

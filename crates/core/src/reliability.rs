@@ -714,7 +714,6 @@ impl<T: IidSum, C: Continuous> RetryStaticStrategy<T, C> {
         }
         Ok(StaticPlan {
             y_opt: e.x,
-            relaxed_value: self.expected_work_relaxed_checked(e.x)?,
             n_opt,
             expected_work,
         })

@@ -188,7 +188,6 @@ impl<C: Continuous> ConvolutionStatic<C> {
         }
         StaticPlan {
             y_opt: best_n as f64,
-            relaxed_value: best_v,
             n_opt: best_n,
             expected_work: best_v,
         }

@@ -133,10 +133,12 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
     /// — beyond a guard band 1000× the fast path's worst-case error —
     /// is accepted as "continue wins" without an exact evaluation.
     /// Every *deciding* value (the crossing's bracket endpoints, the
-    /// `w = 0` seed, the final scan point) is evaluated through the
-    /// exact convergence-checked integrand, and Brent refinement runs on
-    /// the plain exact diff over the identical bracket — so the returned
-    /// `W_int` is bit-identical to an all-exact scan.
+    /// final scan point) is evaluated once, through the exact
+    /// convergence-checked integrand. The `w = 0` seed is evaluated only
+    /// when it ends a bracket. Brent refinement starts from the
+    /// bracket's exact end values and runs on the plain exact diff
+    /// inside it — so the returned `W_int` is bit-identical to an
+    /// all-exact scan, and no `w` is integrated twice.
     pub fn threshold_with(&self, cache: &mut SolveCache) -> Result<Option<f64>, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
         let fit = cache.fit_lattice(&self.ckpt, self.r);
@@ -165,9 +167,10 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
         const POINTS: usize = 96;
         let step = self.r / POINTS as f64;
         let mut prev_w = 0.0;
-        // Exact diff at the previous scan point; `None` when the fast
-        // path certified it negative and no exact value was needed.
-        let mut prev_d: Option<f64> = Some(exact_diff(0.0)?);
+        // Exact diff at the previous scan point; `None` until a bracket
+        // needs it: the fast path certified the point negative, or it is
+        // the `w = 0` seed.
+        let mut prev_d: Option<f64> = None;
         for i in 1..=POINTS {
             let w = step * i as f64;
             let clearly_negative = self
@@ -188,7 +191,7 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
                 };
                 if pd < 0.0 {
                     let diff = |w: f64| self.expect_checkpoint_now(w) - self.expect_one_more(w);
-                    let root = resq_numerics::brent_root(diff, prev_w, w, 1e-9);
+                    let root = resq_numerics::brent_root_from(diff, (prev_w, pd), (w, d), 1e-9);
                     return Ok(Some(root.unwrap_or(w)));
                 }
             }
@@ -212,7 +215,11 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resq_dist::{Gamma, Normal, Poisson, Truncated};
+    use rand::RngCore;
+    use resq_dist::{Distribution, Exponential, Gamma, LogNormal, Normal, Poisson, Sample};
+    use resq_dist::{Truncated, Uniform};
+    use resq_numerics::{GaussLegendre, LatticeCache};
+    use std::cell::RefCell;
 
     fn ckpt(mu_c: f64, sigma_c: f64) -> Truncated<Normal> {
         Truncated::above(Normal::new(mu_c, sigma_c).unwrap(), 0.0).unwrap()
@@ -328,6 +335,16 @@ mod tests {
         }
     }
 
+    /// One task law of each other family `/decide` serves: Uniform,
+    /// Exponential and LogNormal.
+    fn decide_laws() -> (Uniform, Exponential, LogNormal) {
+        (
+            Uniform::new(2.0, 5.0).unwrap(),
+            Exponential::new(0.3).unwrap(),
+            LogNormal::new(1.0, 0.3).unwrap(),
+        )
+    }
+
     #[test]
     fn fast_scan_threshold_is_bit_identical_to_exact_scan() {
         // W_int feeds results/ artifacts and MC threshold policies: the
@@ -348,12 +365,135 @@ mod tests {
             po.threshold().unwrap().map(f64::to_bits),
             reference_threshold(&po).map(f64::to_bits)
         );
+        // The other task laws `/decide` serves.
+        let (un, ex, ln) = decide_laws();
+        let un = DynamicStrategy::new(un, ckpt(3.0, 0.24), 29.0).unwrap();
+        let ex = DynamicStrategy::new(ex, ckpt(2.9, 0.232), 29.0).unwrap();
+        let ln = DynamicStrategy::new(ln, ckpt(5.0, 0.4), 29.0).unwrap();
+        assert_eq!(
+            un.threshold().unwrap().map(f64::to_bits),
+            reference_threshold(&un).map(f64::to_bits)
+        );
+        assert_eq!(
+            ex.threshold().unwrap().map(f64::to_bits),
+            reference_threshold(&ex).map(f64::to_bits)
+        );
+        assert_eq!(
+            ln.threshold().unwrap().map(f64::to_bits),
+            reference_threshold(&ln).map(f64::to_bits)
+        );
         // And a shared cache across repeat solves changes nothing.
         let mut cache = SolveCache::new();
         let a = tn.threshold_with(&mut cache).unwrap();
         let b = tn.threshold_with(&mut cache).unwrap();
         assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
         assert_eq!(a.map(f64::to_bits), reference_threshold(&tn).map(f64::to_bits));
+    }
+
+    /// A task law that delegates every method to `inner` and records each
+    /// `w` at which an exact `E[W_{+1}]` integral is evaluated.
+    struct Counting<X> {
+        inner: X,
+        exact_ws: RefCell<Vec<f64>>,
+    }
+
+    impl<X> Counting<X> {
+        fn new(inner: X) -> Self {
+            Self {
+                inner,
+                exact_ws: RefCell::new(Vec::new()),
+            }
+        }
+    }
+
+    impl<X: Distribution> Distribution for Counting<X> {
+        fn mean(&self) -> f64 {
+            self.inner.mean()
+        }
+        fn variance(&self) -> f64 {
+            self.inner.variance()
+        }
+        fn std_dev(&self) -> f64 {
+            self.inner.std_dev()
+        }
+    }
+
+    impl<X: Sample> Sample for Counting<X> {
+        fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+            self.inner.sample(rng)
+        }
+        fn sample_vec(&self, rng: &mut dyn RngCore, n: usize) -> Vec<f64> {
+            self.inner.sample_vec(rng, n)
+        }
+        fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+            self.inner.sample_batch_mono(rng, out)
+        }
+    }
+
+    impl<X: TaskDuration> TaskDuration for Counting<X> {
+        fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64 {
+            self.exact_ws.borrow_mut().push(w);
+            self.inner.expected_one_more(w, r, ckpt_cdf)
+        }
+        fn expected_one_more_checked(
+            &self,
+            w: f64,
+            r: f64,
+            ckpt_cdf: &dyn Fn(f64) -> f64,
+        ) -> Result<f64, CoreError> {
+            self.exact_ws.borrow_mut().push(w);
+            self.inner.expected_one_more_checked(w, r, ckpt_cdf)
+        }
+        fn expected_one_more_fast(
+            &self,
+            w: f64,
+            r: f64,
+            fit: &LatticeCache,
+            gl: &GaussLegendre,
+            feature: f64,
+        ) -> Option<f64> {
+            self.inner.expected_one_more_fast(w, r, fit, gl, feature)
+        }
+        fn fast_kernel_feature(&self) -> Option<f64> {
+            self.inner.fast_kernel_feature()
+        }
+    }
+
+    /// Runs `threshold` on a counting wrapper of `task`; returns the
+    /// threshold and every `w` an exact integral ran at.
+    fn counted_threshold<X: TaskDuration>(
+        task: X,
+        ckpt: Truncated<Normal>,
+        r: f64,
+    ) -> (Option<f64>, Vec<f64>) {
+        let d = DynamicStrategy::new(Counting::new(task), ckpt, r).unwrap();
+        let w_int = d.threshold().unwrap();
+        let ws = d.task().exact_ws.borrow().clone();
+        (w_int, ws)
+    }
+
+    #[test]
+    fn threshold_integrates_each_deciding_w_once() {
+        let (un, ex, ln) = decide_laws();
+        let cases = [
+            ("fig8", counted_threshold(trunc_normal_task(3.0, 0.5), ckpt(5.0, 0.4), 29.0)),
+            ("fig9", counted_threshold(Gamma::new(1.0, 0.5).unwrap(), ckpt(2.0, 0.4), 10.0)),
+            ("fig10", counted_threshold(Poisson::new(3.0).unwrap(), ckpt(5.0, 0.4), 29.0)),
+            ("uniform", counted_threshold(un, ckpt(3.0, 0.24), 29.0)),
+            ("exponential", counted_threshold(ex, ckpt(2.9, 0.232), 29.0)),
+            ("lognormal", counted_threshold(ln, ckpt(5.0, 0.4), 29.0)),
+        ];
+        for (name, (w_int, ws)) in &cases {
+            assert!(w_int.is_some(), "{name}: no threshold");
+            let mut bits: Vec<u64> = ws.iter().map(|w| w.to_bits()).collect();
+            bits.sort_unstable();
+            bits.dedup();
+            assert_eq!(bits.len(), ws.len(), "{name}: a w was integrated twice: {ws:?}");
+        }
+        // Fig. 8's first scan point is fast-certified negative, so the
+        // widest and costliest integral, the w = 0 seed, never runs.
+        let (_, fig8_ws) = &cases[0].1;
+        assert!(!fig8_ws.contains(&0.0), "fig8 integrated the w = 0 seed: {fig8_ws:?}");
     }
 
     #[test]

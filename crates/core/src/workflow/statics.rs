@@ -24,8 +24,6 @@ use resq_numerics::{
 pub struct StaticPlan {
     /// Maximizer of the continuous relaxation.
     pub y_opt: f64,
-    /// Value of the relaxation at `y_opt`.
-    pub relaxed_value: f64,
     /// The integer plan: checkpoint at the end of task `n_opt`.
     pub n_opt: u64,
     /// Expected saved work `E(n_opt)`.
@@ -248,12 +246,12 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
     /// The search runs on the fast objective — cached fit-probability
     /// lattice, hoisted sum-density kernels, fixed-order Gauss–Legendre
     /// (continuous families) or a precomputed fit row plus the pmf
-    /// recurrence batch (discrete families). The reported `n_opt`,
-    /// `expected_work` and `relaxed_value` are then re-evaluated through
-    /// the exact, convergence-checked reference path at the located
-    /// optimum: the fast objective only steers the search, never the
-    /// answer, and quadrature non-convergence on the reported values
-    /// surfaces as [`CoreError::Numerics`].
+    /// recurrence batch (discrete families). The reported `n_opt` and
+    /// `expected_work` are then settled through the exact,
+    /// convergence-checked reference path around the located optimum:
+    /// the fast objective only steers the search, never the answer, and
+    /// quadrature non-convergence on the reported values surfaces as
+    /// [`CoreError::Numerics`].
     pub fn optimize_with(&self, cache: &mut SolveCache) -> Result<StaticPlan, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_STATIC);
         // Beyond R/E[X] (plus slack for variance) the sum exceeds R a.s.
@@ -322,7 +320,6 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
         }
         Ok(StaticPlan {
             y_opt: e.x,
-            relaxed_value: self.expected_work_relaxed_checked(e.x)?,
             n_opt,
             expected_work,
         })

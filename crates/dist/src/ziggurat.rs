@@ -82,9 +82,12 @@ fn density_inv(y: f64) -> f64 {
 }
 
 fn build_tables() -> Tables {
-    // V = R·f(R) + √(2π)·Φ̄(R): rectangle part plus exact tail mass.
+    // V = R·f(R) + √(2π)·Φ̄(R): rectangle part plus exact tail mass, with
+    // Φ̄(R) = erfc(R/√2)/2 from the reference evaluation, so the table (and
+    // every Normal draw) does not move with the fast `erfc` kernel.
     let f_r = density(R_TAIL);
-    let v = R_TAIL * f_r + resq_specfun::SQRT_2PI * resq_specfun::norm_sf(R_TAIL);
+    let tail = 0.5 * resq_specfun::erfc_reference(R_TAIL / resq_specfun::SQRT_2);
+    let v = R_TAIL * f_r + resq_specfun::SQRT_2PI * tail;
     let mut x = [0.0f64; N_LAYERS + 1];
     let mut f = [0.0f64; N_LAYERS + 1];
     x[0] = v / f_r; // virtual base width: P(tail branch | i = 0) = 1 − R/x[0]
@@ -191,6 +194,15 @@ mod tests {
         );
         assert_eq!(t.x[N_LAYERS], 0.0);
         assert_eq!(t.f[N_LAYERS], 1.0);
+    }
+
+    #[test]
+    fn table_area_is_pinned_to_its_bits() {
+        // V fixes every layer edge, so its bits fix every Normal draw:
+        // the Fig. 8 goldens and the Monte-Carlo references depend on
+        // this value, computed through `erfc_reference`.
+        let v = tables().v;
+        assert_eq!(v.to_bits(), 0x3f74_3016_a5a4_3735, "V = {v:e}");
     }
 
     #[test]

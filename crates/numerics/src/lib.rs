@@ -43,7 +43,7 @@ pub use quad::{
     gauss_legendre_checked_from, integrate_to_inf, GaussLegendre, QuadResult, GL_CHECK_SEGMENTS,
     GL_MAX_SEGMENTS,
 };
-pub use roots::{bisect, brent_root, newton_safeguarded};
+pub use roots::{bisect, brent_root, brent_root_from, newton_safeguarded};
 pub use sum::NeumaierSum;
 
 /// Generates `n` evenly spaced points covering `[a, b]` inclusive.

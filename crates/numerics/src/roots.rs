@@ -1,4 +1,5 @@
-//! Scalar root finding: [`bisect`], [`brent_root`] and
+//! Scalar root finding: [`bisect`], [`brent_root`] (and
+//! [`brent_root_from`], for a bracket with known end values) and
 //! [`newton_safeguarded`].
 //!
 //! Used for the first-order conditions of §3 (`dE[W(X)]/dX = 0` for
@@ -57,16 +58,27 @@ pub fn bisect<F: FnMut(f64) -> f64>(
 /// on `[a, b]`; requires a sign change. `tol` is the absolute x-tolerance.
 ///
 /// The workhorse root finder: superlinear on smooth functions, never worse
-/// than bisection.
+/// than bisection. Evaluates both ends, then runs [`brent_root_from`].
 pub fn brent_root<F: FnMut(f64) -> f64>(
     mut f: F,
     a: f64,
     b: f64,
     tol: f64,
 ) -> Result<f64, NumericsError> {
-    let (mut a, mut b) = (a, b);
-    let mut fa = f(a);
-    let mut fb = f(b);
+    let (fa, fb) = (f(a), f(b));
+    brent_root_from(f, (a, fa), (b, fb), tol)
+}
+
+/// [`brent_root`] on a bracket whose end values are already known,
+/// `fa = f(a)` and `fb = f(b)`: a caller that evaluated both ends while
+/// bracketing (a sign-change scan) hands them over instead of paying
+/// for them twice.
+pub fn brent_root_from<F: FnMut(f64) -> f64>(
+    mut f: F,
+    (mut a, mut fa): (f64, f64),
+    (mut b, mut fb): (f64, f64),
+    tol: f64,
+) -> Result<f64, NumericsError> {
     if fa == 0.0 {
         return Ok(a);
     }
@@ -252,6 +264,29 @@ mod tests {
         // Nearly flat away from the root: Brent still converges.
         let r = brent_root(|x: f64| (x - 3.0).tanh(), 0.0, 10.0, 1e-13).unwrap();
         assert!((r - 3.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn brent_from_known_ends_skips_them_and_matches_brent() {
+        let f = |x: f64| x.cos() - x;
+        let mut probes = Vec::new();
+        let r = brent_root_from(
+            |x| {
+                probes.push(x);
+                f(x)
+            },
+            (0.0, f(0.0)),
+            (1.0, f(1.0)),
+            1e-14,
+        )
+        .unwrap();
+        assert!(!probes.contains(&0.0) && !probes.contains(&1.0), "{probes:?}");
+        let both_ends = brent_root(f, 0.0, 1.0, 1e-14).unwrap();
+        assert_eq!(r.to_bits(), both_ends.to_bits());
+        assert_eq!(
+            brent_root_from(f, (-1.0, 2.0), (1.0, 2.0), 1e-12),
+            Err(NumericsError::NoBracket)
+        );
     }
 
     #[test]

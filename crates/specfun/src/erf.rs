@@ -1,17 +1,57 @@
 //! Error function family: [`erf`], [`erfc`], [`erfcx`] and the inverses
 //! [`inv_erf`], [`inv_erfc`].
 //!
-//! Implemented through the regularized incomplete gamma identities
-//! `erf(x) = P(1/2, x²)` and `erfc(x) = Q(1/2, x²)` (for `x ≥ 0`), which
-//! reuse the series/continued-fraction machinery of [`crate::incgamma`].
-//! Both converge in a handful of iterations over the whole double range
-//! and deliver ~1e-14 relative accuracy including deep in the right tail.
-//! The inverses go through Acklam's Normal-quantile approximation refined
-//! by a Halley step.
+//! Every `erfc` value for `x ≥ 1e-8` comes from one fast kernel
+//! (`erfc_positive`): a 12-term Taylor series about the nearest node
+//! `x_k = k/128`, whose node values are tabulated once from
+//! [`erfc_reference`]. [`erf`] (for `x² ≥ 1.5`), [`erfcx`] (for
+//! `x² < 1.5`) and, through [`erfc`], `norm_cdf`/`norm_sf` reach the
+//! same kernel, so every Normal, LogNormal and truncated-Normal CDF
+//! shares it.
+//!
+//! [`erfc_reference`] is the slow reference the kernel is checked
+//! against: the regularized incomplete gamma identity
+//! `erfc(x) = Q(1/2, x²)` (for `x ≥ 0`), evaluated through the
+//! series/continued-fraction machinery of [`crate::incgamma`]. The small-`x`
+//! branch of [`erf`] and the large-`x` branch of [`erfcx`] use that
+//! machinery directly. The inverses go through Acklam's Normal-quantile
+//! approximation refined by a Halley step.
 
 use crate::incgamma::{gamma_p_raw, gamma_q_cf_factor};
+use std::sync::OnceLock;
 
 const SQRT_PI: f64 = 1.772_453_850_905_516;
+
+/// `2/√π`, the magnitude of `erfc'(0)`.
+const TWO_OVER_SQRT_PI: f64 = 2.0 / SQRT_PI;
+
+/// Kernel nodes per unit of `x`: `x_k = k/128`, so every `|x − x_k|`
+/// the kernel sees is at most `1/256` and `x_k²` is exact in `f64`.
+const NODES_PER_UNIT: f64 = 128.0;
+
+/// Node count: `x_k` for `k < NODES` covers `[0, 27)`, the whole range
+/// where `erfc` is not 0 in `f64`.
+const NODES: usize = 27 * 128;
+
+/// Taylor terms per kernel evaluation (even: the loop takes two a step).
+const TERMS: usize = 12;
+
+/// `1/k!` for `k ≤ TERMS`: the Taylor coefficients' factorials.
+const INV_FACT: [f64; TERMS + 1] = [
+    1.0,
+    1.0,
+    1.0 / 2.0,
+    1.0 / 6.0,
+    1.0 / 24.0,
+    1.0 / 120.0,
+    1.0 / 720.0,
+    1.0 / 5_040.0,
+    1.0 / 40_320.0,
+    1.0 / 362_880.0,
+    1.0 / 3_628_800.0,
+    1.0 / 39_916_800.0,
+    1.0 / 479_001_600.0,
+];
 
 /// The error function `erf(x) = 2/√π ∫_0^x e^{−t²} dt`.
 ///
@@ -23,7 +63,7 @@ pub fn erf(x: f64) -> f64 {
     let ax = x.abs();
     if ax < 1e-8 {
         // Leading series term, avoids the 0/0 in the gamma form at x = 0.
-        return x * (2.0 / SQRT_PI);
+        return x * TWO_OVER_SQRT_PI;
     }
     let v = if ax * ax < 1.5 {
         gamma_p_raw(0.5, ax * ax)
@@ -37,8 +77,80 @@ pub fn erf(x: f64) -> f64 {
     }
 }
 
-/// `erfc(x)` for `x ≥ 1e-8` positive, with full tail accuracy.
+/// The kernel's node table: `[erfc_reference(x_k), (2/√π)·e^{−x_k²}]` for
+/// `x_k = k/128`, `k < NODES` (55 KB, built once on first use).
+fn nodes() -> &'static [[f64; 2]] {
+    static NODES_TABLE: OnceLock<Box<[[f64; 2]]>> = OnceLock::new();
+    NODES_TABLE.get_or_init(|| {
+        (0..NODES)
+            .map(|k| {
+                let xk = k as f64 / NODES_PER_UNIT;
+                [erfc_reference(xk), TWO_OVER_SQRT_PI * (-(xk * xk)).exp()]
+            })
+            .collect()
+    })
+}
+
+/// `erfc(x)` for `x ≥ 1e-8`: the fast kernel.
+///
+/// With `x_k` the nearest node and `t = x_k − x` (exact, `|t| ≤ 1/256`),
+///
+/// ```text
+/// erfc(x_k − t) = erfc(x_k) + (2/√π)·e^{−x_k²} · Σ_{n≥0} H_n(x_k)·t^{n+1}/(n+1)!
+/// ```
+///
+/// from `erfc^{(n+1)}(x) = −(2/√π)(−1)^n H_n(x) e^{−x²}` and the Hermite
+/// recurrence `H_{n+1} = 2x H_n − 2n H_{n−1}`, truncated after 12 terms
+/// (the first omitted term is below `1e-18` relative for `|t| ≤ 1/256`). The
+/// node values come from [`erfc_reference`] and `exp`; there are no
+/// fitted constants. Past the last node (`x ≥ 26.996`, where the values
+/// are subnormal) the same series runs from `x = 3455/128` with
+/// `|t| < 1/128`, and `x ≥ 27` underflows to 0 as in the reference.
+///
+/// **Error budget** against [`erfc_reference`], checked over
+/// `[−6, 27)` by the tests: relative error at most `24·(1 + 2x²)·ε`,
+/// plus a few units of the smallest subnormal where the value is
+/// subnormal. The `2x²` is the condition number of `erfc` at `x`:
+/// rounding `x²` inside the reference alone moves it by that much. At
+/// every node the kernel returns the reference value itself.
+#[inline]
 fn erfc_positive(x: f64) -> f64 {
+    if x >= 27.0 {
+        return 0.0;
+    }
+    // Nearest node; `x·128` is exact and `x ≥ 1e-8`, so the cast truncates
+    // a non-negative value.
+    let k = ((x * NODES_PER_UNIT + 0.5) as usize).min(NODES - 1);
+    let [erfc_k, dens_k] = nodes()[k];
+    let xk = k as f64 / NODES_PER_UNIT;
+    // Exact by Sterbenz's lemma (x and x_k are within a factor 2 for
+    // k ≥ 1, and t = −x for k = 0).
+    let t = xk - x;
+    // Σ_{n<12} H_n(x_k)·t^{n+1}/(n+1)!, two terms a step: with a = 2x_k
+    // the pair (H_n, H_{n+1}) advances to (H_{n+2}, H_{n+3}) by
+    //   H_{n+2} = a·H_{n+1} − 2(n+1)·H_n,
+    //   H_{n+3} = (a² − 2(n+2))·H_{n+1} − 2(n+1)·a·H_n,
+    // which halves the serial chain of the one-step recurrence.
+    let a = 2.0 * xk;
+    let t2 = t * t;
+    let (mut h0, mut h1) = (1.0, a);
+    let (mut p0, mut p1) = (t, t2);
+    let (mut s0, mut s1) = (0.0, 0.0);
+    for n in (0..TERMS).step_by(2) {
+        s0 += h0 * p0 * INV_FACT[n + 1];
+        s1 += h1 * p1 * INV_FACT[n + 2];
+        let m = (2 * (n + 1)) as f64;
+        (h0, h1) = (a * h1 - m * h0, (a * a - (m + 2.0)) * h1 - m * a * h0);
+        p0 *= t2;
+        p1 *= t2;
+    }
+    erfc_k + dens_k * (s0 + s1)
+}
+
+/// The slow reference for `erfc(x)`, `x ≥ 1e-8`: the series
+/// `1 − P(1/2, x²)` for `x² < 1.5`, the Lentz continued fraction for
+/// `Q(1/2, x²)` up to `x < 27`, then 0.
+fn erfc_positive_reference(x: f64) -> f64 {
     let z = x * x;
     if z < 1.5 {
         1.0 - gamma_p_raw(0.5, z)
@@ -51,24 +163,48 @@ fn erfc_positive(x: f64) -> f64 {
     }
 }
 
+/// `erfc(x)` with the positive branch `positive` (used for `x ≥ 1e-8`):
+/// the special values and the reflection both [`erfc`] and
+/// [`erfc_reference`] share.
+#[inline(always)]
+fn erfc_from(x: f64, positive: impl Fn(f64) -> f64) -> f64 {
+    if x.is_nan() {
+        return f64::NAN;
+    }
+    let ax = x.abs();
+    let v = if ax < 1e-8 {
+        1.0 - ax * TWO_OVER_SQRT_PI
+    } else {
+        positive(ax)
+    };
+    if x >= 0.0 {
+        v
+    } else {
+        // erfc(x) = 2 − erfc(−x); no cancellation since erfc(−x) ∈ (0, 1].
+        2.0 - v
+    }
+}
+
 /// The complementary error function `erfc(x) = 1 − erf(x)`.
 ///
 /// Keeps full relative accuracy for large positive `x` until the result
 /// underflows (near `x ≈ 26.6`). `erfc(-inf) = 2`, `erfc(+inf) = 0`.
+/// Evaluated by the fast Taylor kernel described in the module docs:
+/// within `24·(1 + 2x²)·ε` relative of [`erfc_reference`].
 pub fn erfc(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    if x >= 0.0 {
-        if x < 1e-8 {
-            1.0 - x * (2.0 / SQRT_PI)
-        } else {
-            erfc_positive(x)
-        }
-    } else {
-        // erfc(x) = 2 − erfc(−x); no cancellation since erfc(−x) ∈ (0, 1].
-        2.0 - erfc(-x)
-    }
+    erfc_from(x, erfc_positive)
+}
+
+/// The slow reference evaluation of [`erfc`]: `Q(1/2, x²)` through the
+/// incomplete-gamma series (`x² < 1.5`) and Lentz continued fraction
+/// (up to `x < 27`, 0 beyond). Its cost grows with the continued
+/// fraction's length, which peaks for `x` between 1.3 and 2.
+///
+/// Same special values as [`erfc`]. It exists to check the fast kernel
+/// against and to build the kernel's node table; the ziggurat sampler's
+/// table area also uses it, so Normal draws never depend on the kernel.
+pub fn erfc_reference(x: f64) -> f64 {
+    erfc_from(x, erfc_positive_reference)
 }
 
 /// The scaled complementary error function `erfcx(x) = e^{x²} erfc(x)`.
@@ -198,6 +334,18 @@ mod tests {
         let a = erf(1.224744871);
         let b = erf(1.224744872);
         assert!((a - b).abs() < 1e-9, "discontinuity {}", (a - b).abs());
+        // The erfc kernel switches nodes at every (k + ½)/128: the two
+        // expansions must agree there to within the budget (the true step
+        // between adjacent floats is ~2x² ulps, inside the allowance).
+        for k in 0..NODES - 1 {
+            let mid = (k as f64 + 0.5) / NODES_PER_UNIT;
+            let below = f64::from_bits(mid.to_bits() - 1);
+            let (a, b) = (erfc(below), erfc(mid));
+            assert!(
+                (a - b).abs() <= allowance(mid, b),
+                "jump at x = {mid}: {a:e} vs {b:e}"
+            );
+        }
     }
 
     #[test]
@@ -270,5 +418,104 @@ mod tests {
         assert!(inv_erf(1.5).is_nan());
         assert!(inv_erfc(-0.1).is_nan());
         assert_eq!(inv_erfc(1.0), 0.0);
+    }
+
+    /// The `24` of the kernel's error budget `24·(1 + 2x²)·ε`.
+    const ERFC_BUDGET: f64 = 24.0;
+
+    /// Eight units of the smallest positive subnormal (the literal
+    /// `5e-324` rounds to it): the absolute slack allowed where the
+    /// reference itself is subnormal (x ≳ 26.55) and relative error has
+    /// no meaning.
+    const SUBNORMAL_SLACK: f64 = 8.0 * 5e-324;
+
+    /// The kernel's allowance at `x` around a reference value `r`.
+    fn allowance(x: f64, r: f64) -> f64 {
+        ERFC_BUDGET * (1.0 + 2.0 * x * x) * f64::EPSILON * r.abs() + SUBNORMAL_SLACK
+    }
+
+    fn slow_tests() -> bool {
+        std::env::var("RESQ_SLOW_TESTS")
+            .map(|v| v == "1")
+            .unwrap_or(false)
+    }
+
+    /// Sweeps `n` points of a golden-ratio sequence over `[−6, 27)`
+    /// against the reference; returns the largest error as a multiple of
+    /// the allowance.
+    fn budget_sweep(n: u64) -> f64 {
+        const PHI_FRAC: f64 = 0.618_033_988_749_894_9;
+        let mut worst: f64 = 0.0;
+        for i in 0..n {
+            let u = (0.5 + i as f64 * PHI_FRAC).fract();
+            let x = -6.0 + 33.0 * u;
+            let (got, want) = (erfc(x), erfc_reference(x));
+            let ratio = (got - want).abs() / allowance(x, want);
+            assert!(
+                ratio <= 1.0,
+                "erfc({x:e}) = {got:e}, reference {want:e}: {ratio} x the budget"
+            );
+            worst = worst.max(ratio);
+        }
+        worst
+    }
+
+    #[test]
+    fn erfc_kernel_meets_budget_against_reference() {
+        // 10⁵ points in the default tier, 10⁷ under RESQ_SLOW_TESTS.
+        let n = if slow_tests() { 10_000_000 } else { 100_000 };
+        let worst = budget_sweep(n);
+        eprintln!("erfc kernel: worst error {worst:.3} x budget over {n} points");
+    }
+
+    #[test]
+    fn erfc_kernel_is_the_reference_at_every_node() {
+        // At a node the Taylor offset is exactly 0, so the kernel returns
+        // the tabulated reference value itself.
+        for k in 1..NODES {
+            let xk = k as f64 / NODES_PER_UNIT;
+            assert_eq!(
+                erfc(xk).to_bits(),
+                erfc_reference(xk).to_bits(),
+                "x_k = {xk}"
+            );
+            assert_eq!(
+                erfc(-xk).to_bits(),
+                erfc_reference(-xk).to_bits(),
+                "x_k = -{xk}"
+            );
+        }
+    }
+
+    #[test]
+    fn erfc_special_values() {
+        for f in [erfc, erfc_reference] {
+            assert!(f(f64::NAN).is_nan());
+            assert_eq!(f(f64::INFINITY), 0.0);
+            assert_eq!(f(f64::NEG_INFINITY), 2.0);
+            assert_eq!(f(0.0), 1.0);
+            assert_eq!(f(-0.0), 1.0);
+            // The x < 1e-8 branch: leading series term, on both sides.
+            assert_eq!(f(1e-9), 1.0 - 1e-9 * TWO_OVER_SQRT_PI);
+            assert_eq!(f(-1e-9), 2.0 - (1.0 - 1e-9 * TWO_OVER_SQRT_PI));
+            // Underflow to 0 at x = 27; subnormal but positive just below.
+            assert_eq!(f(27.0), 0.0);
+            assert_eq!(f(40.0), 0.0);
+            assert_eq!(f(-27.0), 2.0);
+            let tail = f(26.99);
+            assert!(
+                tail > 0.0 && tail < f64::MIN_POSITIVE,
+                "erfc(26.99) = {tail:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn erfc_reflection_sums_to_two() {
+        for i in 0..4000 {
+            let x = 0.007 * i as f64;
+            let s = erfc(x) + erfc(-x);
+            assert!((s - 2.0).abs() <= 2.0 * f64::EPSILON, "x = {x}: {s}");
+        }
     }
 }

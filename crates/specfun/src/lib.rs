@@ -15,7 +15,8 @@
 //! with double-precision accuracy:
 //!
 //! * [`erf()`], [`erfc`], [`erfcx`], [`inv_erf`], [`inv_erfc`] — error
-//!   function family (fdlibm-style rational approximations).
+//!   function family (a tabulated Taylor kernel under `erfc`, checked
+//!   against the incomplete-gamma evaluation [`erfc_reference`]).
 //! * [`norm_cdf`], [`norm_pdf`], [`norm_quantile`] — standard Normal
 //!   helpers (`Φ`, `φ`, `Φ⁻¹`).
 //! * [`ln_gamma`], [`gamma()`], [`digamma`], [`trigamma`] — Gamma function
@@ -41,7 +42,7 @@ pub mod normal;
 pub mod poly;
 
 pub use beta::{inc_beta, inv_inc_beta, ln_beta};
-pub use erf::{erf, erfc, erfcx, inv_erf, inv_erfc};
+pub use erf::{erf, erfc, erfc_reference, erfcx, inv_erf, inv_erfc};
 pub use factorial::{factorial, ln_factorial};
 pub use gamma::{digamma, gamma, ln_gamma, trigamma};
 pub use incgamma::{gamma_p, gamma_q, inv_gamma_p};
