@@ -419,7 +419,7 @@ pub fn exp_general_instance(trials: u64) -> FigureResult {
 
     // Simulate the generalized one-step rule via precomputed per-stage
     // thresholds (O(1) per decision inside the Monte-Carlo loop).
-    let thresholds = chain.one_step_thresholds();
+    let thresholds = chain.one_step_thresholds().unwrap();
     let c_law = ckpt(5.0, 0.4);
     let run_one_step = |rng: &mut resq_dist::Xoshiro256pp| -> f64 {
         let mut w = 0.0;

@@ -34,8 +34,8 @@
 
 use crate::policy::Action;
 use crate::workflow::dynamic::DynamicStrategy;
+use crate::workflow::fit::CheckpointFit;
 use crate::workflow::task_law::TaskDuration;
-use resq_dist::Continuous;
 
 /// Lifecycle of a controlled reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub enum ControllerState {
 
 /// Online §4.3 controller for one reservation.
 #[derive(Debug, Clone)]
-pub struct ReservationController<X: TaskDuration, C: Continuous> {
+pub struct ReservationController<X: TaskDuration, C: CheckpointFit> {
     strategy: DynamicStrategy<X, C>,
     work: f64,
     tasks: u64,
@@ -60,7 +60,7 @@ pub struct ReservationController<X: TaskDuration, C: Continuous> {
     saved: f64,
 }
 
-impl<X: TaskDuration, C: Continuous> ReservationController<X, C> {
+impl<X: TaskDuration, C: CheckpointFit> ReservationController<X, C> {
     /// Wraps a dynamic strategy; the controller starts at zero work.
     pub fn new(strategy: DynamicStrategy<X, C>) -> Self {
         Self {

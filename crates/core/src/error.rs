@@ -28,6 +28,15 @@ pub enum CoreError {
         /// Lower support bound found.
         lo: f64,
     },
+    /// The planner's reservation is longer than the range on which the
+    /// checkpoint model answers fit probabilities (a retry model's own
+    /// `R`, beyond which its success profile is clamped).
+    ReservationBeyondFitHorizon {
+        /// The planner's reservation length.
+        r: f64,
+        /// The checkpoint model's horizon.
+        horizon: f64,
+    },
     /// Task durations must have non-negative support (or negligible
     /// negative mass for the plain-Normal model of §4.2.1).
     InvalidTaskLaw(&'static str),
@@ -69,6 +78,10 @@ impl std::fmt::Display for CoreError {
             Self::NegativeCheckpointSupport { lo } => {
                 write!(f, "checkpoint durations must be >= 0, support starts at {lo}")
             }
+            Self::ReservationBeyondFitHorizon { r, horizon } => write!(
+                f,
+                "reservation R = {r} exceeds the checkpoint model's horizon {horizon}"
+            ),
             Self::InvalidTaskLaw(msg) => write!(f, "invalid task-duration law: {msg}"),
             Self::Dist(e) => write!(f, "{e}"),
             Self::InvalidParameter { name, value } => {

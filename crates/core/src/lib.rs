@@ -58,8 +58,8 @@ pub use policy::{
 };
 pub use preemptible::{CheckpointPlan, Preemptible};
 pub use reliability::{
-    exponential_retry_success, uniform_retry_success, CheckpointReliability, RetryDynamicStrategy,
-    RetryPolicy, RetryPreemptible, RetryStaticStrategy,
+    exponential_retry_success, uniform_retry_success, CheckpointReliability, RetryPolicy,
+    RetryPreemptible,
 };
 pub use reservation::{BillingModel, CampaignModel, ContinuationRule};
 pub use risk::RiskProfile;
@@ -67,6 +67,7 @@ pub use solve_cache::SolveCache;
 pub use workflow::convolution::ConvolutionStatic;
 pub use workflow::deterministic::{DeterministicPlan, DeterministicWorkflow};
 pub use workflow::dynamic::DynamicStrategy;
+pub use workflow::fit::CheckpointFit;
 pub use workflow::heterogeneous::{DpSolution, HeterogeneousDynamic, Stage};
 pub use workflow::statics::{StaticPlan, StaticStrategy};
 pub use workflow::sum_law::IidSum;

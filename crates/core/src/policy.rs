@@ -14,8 +14,8 @@
 //! worst-case-provisioning workflow baseline.
 
 use crate::workflow::dynamic::DynamicStrategy;
+use crate::workflow::fit::CheckpointFit;
 use crate::workflow::task_law::TaskDuration;
-use resq_dist::Continuous;
 
 /// Decision returned by a [`WorkflowPolicy`] at a task boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,11 +100,11 @@ impl WorkflowPolicy for StaticWorkflowPolicy {
 /// The comparator is evaluated exactly (two expectations per decision);
 /// for hot Monte-Carlo loops use [`ThresholdWorkflowPolicy`] with the
 /// precomputed `W_int`, which is equivalent for IID tasks.
-pub struct DynamicWorkflowPolicy<X: TaskDuration, C: Continuous> {
+pub struct DynamicWorkflowPolicy<X: TaskDuration, C: CheckpointFit> {
     strategy: DynamicStrategy<X, C>,
 }
 
-impl<X: TaskDuration, C: Continuous> DynamicWorkflowPolicy<X, C> {
+impl<X: TaskDuration, C: CheckpointFit> DynamicWorkflowPolicy<X, C> {
     /// Wraps a dynamic strategy.
     pub fn new(strategy: DynamicStrategy<X, C>) -> Self {
         Self { strategy }
@@ -129,7 +129,7 @@ impl<X: TaskDuration, C: Continuous> DynamicWorkflowPolicy<X, C> {
     }
 }
 
-impl<X: TaskDuration, C: Continuous> WorkflowPolicy for DynamicWorkflowPolicy<X, C> {
+impl<X: TaskDuration, C: CheckpointFit> WorkflowPolicy for DynamicWorkflowPolicy<X, C> {
     fn decide(&self, _tasks_done: u64, work_done: f64) -> Action {
         if self.strategy.should_checkpoint(work_done) {
             Action::Checkpoint

@@ -23,26 +23,35 @@
 //! ```
 //!
 //! with `δ` the backoff delay and `G_j` the (defective) law of the start
-//! time of attempt `j + 1` after `j` failures. For the per-attempt
+//! time of attempt `j + 1` after `j` failures. [`RetryPreemptible`]
+//! evaluates `S` in one of three ways: exactly as `F` for reliable
+//! writes, exactly as `p·F` for a single Bernoulli attempt, and otherwise
+//! by running the recursion numerically on a lattice over `[0, R]` (see
+//! `docs/KNOWN_ISSUES.md` for its tolerance). For the per-attempt
 //! Bernoulli model `Q = p·F`, so `A_j(X) = p(1−p)^{j−1} F^{(j)}(X −
 //! (j−1)δ)` — an Irwin–Hall CDF for Uniform attempts
 //! ([`uniform_retry_success`]) and an Erlang CDF for Exponential attempts
-//! ([`exponential_retry_success`]). [`RetryPreemptible`] uses those exact
-//! reductions where available and otherwise evaluates the recursion
-//! numerically on a lattice (see `docs/KNOWN_ISSUES.md` for the regimes
-//! where the closed form is abandoned).
+//! ([`exponential_retry_success`]). Those closed forms are the references
+//! the lattice is tested against; the model itself never calls them.
 //!
-//! [`RetryStaticStrategy`] and [`RetryDynamicStrategy`] are the §4
-//! strategies with `P(C ≤ c)` replaced by `S(c)` throughout, so the
-//! static count `n_opt` and the dynamic threshold `W_int` both budget
-//! slack for failed attempts.
+//! The retry-aware §4 plans are the paper's planners over a retry model:
+//! [`RetryPreemptible`] is a [`CheckpointFit`] whose fit probability is
+//! `S(c)`, so `StaticStrategy::new(tasks, model, r)` and
+//! `DynamicStrategy::new(task, model, r)` replace `P(C ≤ c)` by `S(c)`
+//! throughout, and the static count `n_opt` and the dynamic threshold
+//! `W_int` both budget slack for failed attempts. The model tabulates `S`
+//! only up to its own `R`, so the planners reject a longer reservation
+//! ([`CoreError::ReservationBeyondFitHorizon`]).
+//!
+//! "Re-deciding after a failed attempt" is the dynamic comparison applied
+//! at the unchanged work level `w`: under [`RetryPolicy::GiveUpAndWorkOn`]
+//! the simulator runs at least one more task after a failure and then
+//! consults `DynamicStrategy::should_checkpoint` again.
 
 use crate::error::CoreError;
-use crate::workflow::statics::StaticPlan;
-use crate::workflow::sum_law::IidSum;
-use crate::workflow::task_law::TaskDuration;
+use crate::workflow::fit::CheckpointFit;
 use resq_dist::Continuous;
-use resq_numerics::{grid_max, round_to_better_integer, GridSpec, NeumaierSum};
+use resq_numerics::{grid_max, GridSpec, NeumaierSum};
 use resq_specfun::{gamma_p, ln_factorial};
 
 /// How a single checkpoint write attempt can fail.
@@ -186,7 +195,7 @@ const MAX_LATTICE_ATTEMPTS: u32 = 64;
 const LATTICE_CELLS: usize = 1024;
 
 /// Numeric evaluation of the first-success recursion on a uniform
-/// lattice over `[0, t_max]` — the fallback when no closed form applies.
+/// lattice over `[0, t_max]` — used whenever `S` is not `F` or `p·F`.
 #[derive(Debug, Clone)]
 struct SuccessLattice {
     h: f64,
@@ -500,6 +509,27 @@ impl<C: Continuous> RetryPreemptible<C> {
     }
 }
 
+/// The retry schedule as a §4 checkpoint: it fits in `c` seconds with
+/// probability `S(c)`. Support and shoulder are the single write's, and
+/// `S` is defined up to the model's own `R`.
+impl<C: Continuous> CheckpointFit for RetryPreemptible<C> {
+    fn fit_probability(&self, c: f64) -> f64 {
+        self.success_within(c)
+    }
+
+    fn write_support(&self) -> (f64, f64) {
+        self.ckpt.write_support()
+    }
+
+    fn fit_shoulder(&self) -> f64 {
+        self.ckpt.fit_shoulder()
+    }
+
+    fn fit_horizon(&self) -> f64 {
+        self.r
+    }
+}
+
 /// Irwin–Hall CDF: `P(U₁ + … + U_j ≤ z)` for iid `U(0, 1)` terms.
 ///
 /// Direct alternating-sum evaluation; accurate for the small `j` of any
@@ -578,241 +608,6 @@ pub fn exponential_retry_success(rate: f64, p: f64, attempts: u32, delay: f64, x
         }
     }
     s.value().clamp(0.0, 1.0)
-}
-
-/// The §4.2 static strategy with unreliable checkpoints: choose the task
-/// count `n` before execution, maximizing
-/// `E(n) = E[S_n · 1{the retry schedule succeeds within R − S_n}]`, i.e.
-/// the fit probability `P(C ≤ R − x)` of [`crate::StaticStrategy`]
-/// replaced by the retry-aware `S(R − x)`.
-#[derive(Debug, Clone)]
-pub struct RetryStaticStrategy<T: IidSum, C: Continuous> {
-    tasks: T,
-    model: RetryPreemptible<C>,
-}
-
-impl<T: IidSum, C: Continuous> RetryStaticStrategy<T, C> {
-    /// Builds the strategy; validation as [`crate::StaticStrategy::new`]
-    /// plus the reliability/retry parameters.
-    pub fn new(
-        tasks: T,
-        ckpt: C,
-        r: f64,
-        reliability: CheckpointReliability,
-        retry: RetryPolicy,
-    ) -> Result<Self, CoreError> {
-        let m = tasks.task_mean();
-        if !(m > 0.0) || !m.is_finite() {
-            return Err(CoreError::InvalidTaskLaw(
-                "task mean must be positive and finite",
-            ));
-        }
-        let model = RetryPreemptible::new(ckpt, r, reliability, retry)?;
-        Ok(Self { tasks, model })
-    }
-
-    /// The underlying retry-aware preemptible model (for its `S(x)`).
-    pub fn model(&self) -> &RetryPreemptible<C> {
-        &self.model
-    }
-
-    /// The continuous relaxation of `E(n)` with the retry-aware success
-    /// probability. Returns 0 for `y ≤ 0`.
-    pub fn expected_work_relaxed(&self, y: f64) -> f64 {
-        if !(y > 0.0) {
-            return 0.0;
-        }
-        let r = self.model.r;
-        if self.tasks.is_discrete() {
-            let mut acc = NeumaierSum::new();
-            let jmax = r.floor() as u64;
-            for j in 1..=jmax {
-                let jf = j as f64;
-                let p = self.model.success_within(r - jf);
-                if p > 0.0 {
-                    acc.add(jf * p * self.tasks.sum_density(y, jf));
-                }
-            }
-            acc.value()
-        } else {
-            let (lo, hi) = self.tasks.sum_bounds(y);
-            let hi = hi.min(r);
-            if hi <= lo {
-                return 0.0;
-            }
-            resq_numerics::adaptive_simpson(
-                |x| x * self.model.success_within(r - x) * self.tasks.sum_density(y, x),
-                lo,
-                hi,
-                1e-11,
-            )
-            .value
-        }
-    }
-
-    /// `E(n)` for an integer task count.
-    pub fn expected_work(&self, n: u64) -> f64 {
-        self.expected_work_relaxed(n as f64)
-    }
-
-    /// [`RetryStaticStrategy::expected_work_relaxed`] through the
-    /// convergence-checked integrator: identical value when quadrature
-    /// converges, [`CoreError::Numerics`] when it does not. The discrete
-    /// branch is a finite sum and cannot fail.
-    pub fn expected_work_relaxed_checked(&self, y: f64) -> Result<f64, CoreError> {
-        if !(y > 0.0) {
-            return Ok(0.0);
-        }
-        if self.tasks.is_discrete() {
-            return Ok(self.expected_work_relaxed(y));
-        }
-        let r = self.model.r;
-        let (lo, hi) = self.tasks.sum_bounds(y);
-        let hi = hi.min(r);
-        if hi <= lo {
-            return Ok(0.0);
-        }
-        let q = resq_numerics::adaptive_simpson_checked(
-            |x| x * self.model.success_within(r - x) * self.tasks.sum_density(y, x),
-            lo,
-            hi,
-            1e-11,
-        )?;
-        Ok(q.value)
-    }
-
-    /// Maximizes the relaxation over `y` and settles `n_opt` as the
-    /// better of `⌊y_opt⌋` / `⌈y_opt⌉`, exactly as
-    /// [`crate::StaticStrategy::optimize`]. No extra memoization is
-    /// needed: `S` is already served from the precomputed profile. The
-    /// reported values go through the convergence-checked integrator, so
-    /// quadrature non-convergence surfaces as [`CoreError::Numerics`].
-    pub fn optimize(&self) -> Result<StaticPlan, CoreError> {
-        let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_STATIC);
-        let y_max = (self.model.r / self.tasks.task_mean()) * 2.0 + 10.0;
-        let spec = GridSpec {
-            points: 256,
-            xtol: 1e-8,
-        };
-        let e = grid_max(|y| self.expected_work_relaxed(y), 1e-3, y_max, spec);
-        let n_hi = (y_max.ceil() as u64).max(2);
-        let mut quad_err: Option<CoreError> = None;
-        let (n_opt, expected_work) = round_to_better_integer(
-            |n| match self.expected_work_relaxed_checked(n as f64) {
-                Ok(v) => v,
-                Err(err) => {
-                    quad_err.get_or_insert(err);
-                    f64::NAN
-                }
-            },
-            e.x,
-            1,
-            n_hi,
-        );
-        if let Some(err) = quad_err {
-            return Err(err);
-        }
-        Ok(StaticPlan {
-            y_opt: e.x,
-            n_opt,
-            expected_work,
-        })
-    }
-}
-
-/// The §4.3 dynamic strategy with unreliable checkpoints: at every task
-/// boundary compare checkpointing now (`w·S(R − w)`) against running one
-/// more task, with the retry-aware `S` in both branches.
-///
-/// "Re-deciding after a failed attempt" is this same comparison applied
-/// at the unchanged work level `w`: under
-/// [`RetryPolicy::GiveUpAndWorkOn`] the simulator runs at least one more
-/// task after a failure and then consults
-/// [`RetryDynamicStrategy::should_checkpoint`] again.
-#[derive(Debug, Clone)]
-pub struct RetryDynamicStrategy<X: TaskDuration, C: Continuous> {
-    task: X,
-    model: RetryPreemptible<C>,
-}
-
-impl<X: TaskDuration, C: Continuous> RetryDynamicStrategy<X, C> {
-    /// Builds the strategy; validates the task mean and delegates the
-    /// rest to [`RetryPreemptible::new`].
-    pub fn new(
-        task: X,
-        ckpt: C,
-        r: f64,
-        reliability: CheckpointReliability,
-        retry: RetryPolicy,
-    ) -> Result<Self, CoreError> {
-        let m = task.mean();
-        if !(m > 0.0) || !m.is_finite() {
-            return Err(CoreError::InvalidTaskLaw(
-                "task mean must be positive and finite",
-            ));
-        }
-        let model = RetryPreemptible::new(ckpt, r, reliability, retry)?;
-        Ok(Self { task, model })
-    }
-
-    /// The underlying retry-aware preemptible model (for its `S(x)`).
-    pub fn model(&self) -> &RetryPreemptible<C> {
-        &self.model
-    }
-
-    /// `E[W_C](w) = w · S(R − w)`: expected saved work when starting the
-    /// retry schedule right now with `w` work done.
-    pub fn expect_checkpoint_now(&self, w: f64) -> f64 {
-        if w <= 0.0 {
-            return 0.0;
-        }
-        w * self.model.success_within(self.model.r - w)
-    }
-
-    /// `E[W_{+1}](w)`: expected saved work when running exactly one more
-    /// task before checkpointing.
-    pub fn expect_one_more(&self, w: f64) -> f64 {
-        self.task
-            .expected_one_more(w.max(0.0), self.model.r, &|c| self.model.success_within(c))
-    }
-
-    /// The decision rule: checkpoint iff `E[W_C] ≥ E[W_{+1}]`.
-    pub fn should_checkpoint(&self, w: f64) -> bool {
-        self.expect_checkpoint_now(w) >= self.expect_one_more(w)
-    }
-
-    /// The retry-aware work threshold `W_int`, computed exactly as
-    /// [`crate::DynamicStrategy::threshold`] but with `S` in both
-    /// branches. `Ok(None)` if checkpointing never wins before `R`;
-    /// [`CoreError::Numerics`] when the `E[W_{+1}]` quadrature fails to
-    /// converge at a scan point.
-    pub fn threshold(&self) -> Result<Option<f64>, CoreError> {
-        let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
-        let r = self.model.r;
-        let success = |c: f64| self.model.success_within(c);
-        let exact_diff = |w: f64| -> Result<f64, CoreError> {
-            let one_more = self.task.expected_one_more_checked(w.max(0.0), r, &success)?;
-            Ok(self.expect_checkpoint_now(w) - one_more)
-        };
-        const POINTS: usize = 96;
-        let step = r / POINTS as f64;
-        let mut prev_w = 0.0;
-        let mut prev_d = exact_diff(0.0)?;
-        for i in 1..=POINTS {
-            let w = step * i as f64;
-            let d = exact_diff(w)?;
-            if prev_d < 0.0 && d >= 0.0 {
-                // Brent refinement on the plain diff over the identical
-                // bracket — bit-identical to the pre-checked behavior.
-                let diff = |w: f64| self.expect_checkpoint_now(w) - self.expect_one_more(w);
-                let root = resq_numerics::brent_root(diff, prev_w, w, 1e-9);
-                return Ok(Some(root.unwrap_or(w)));
-            }
-            prev_w = w;
-            prev_d = d;
-        }
-        Ok(if prev_d >= 0.0 { Some(0.0) } else { None })
-    }
 }
 
 #[cfg(test)]
@@ -1041,14 +836,14 @@ mod tests {
     fn retry_static_with_reliable_matches_paper_static() {
         let tasks = Gamma::new(2.0, 0.5).unwrap();
         let paper = StaticStrategy::new(tasks, ckpt(), 12.0).unwrap();
-        let aware = RetryStaticStrategy::new(
-            tasks,
+        let model = RetryPreemptible::new(
             ckpt(),
             12.0,
             CheckpointReliability::Reliable,
             RetryPolicy::Immediate { max_attempts: 3 },
         )
         .unwrap();
+        let aware = StaticStrategy::new(tasks, model, 12.0).unwrap();
         let a = paper.optimize().unwrap();
         let b = aware.optimize().unwrap();
         assert_eq!(a.n_opt, b.n_opt);
@@ -1059,16 +854,17 @@ mod tests {
     fn retry_static_unreliable_checkpoints_cost_work() {
         let tasks = Gamma::new(2.0, 0.5).unwrap();
         let mk = |rel| {
-            RetryStaticStrategy::new(
-                tasks,
+            let model = RetryPreemptible::new(
                 ckpt(),
                 12.0,
                 rel,
                 RetryPolicy::Immediate { max_attempts: 3 },
             )
-            .unwrap()
-            .optimize()
-            .unwrap()
+            .unwrap();
+            StaticStrategy::new(tasks, model, 12.0)
+                .unwrap()
+                .optimize()
+                .unwrap()
         };
         let reliable = mk(CheckpointReliability::Reliable);
         let flaky = mk(CheckpointReliability::PerAttempt { p: 0.6 });
@@ -1080,14 +876,14 @@ mod tests {
     fn retry_dynamic_with_reliable_matches_paper_dynamic() {
         let task = Normal::new(1.0, 0.2).unwrap();
         let paper = DynamicStrategy::new(task, ckpt(), 10.0).unwrap();
-        let aware = RetryDynamicStrategy::new(
-            task,
+        let model = RetryPreemptible::new(
             ckpt(),
             10.0,
             CheckpointReliability::Reliable,
             RetryPolicy::Immediate { max_attempts: 3 },
         )
         .unwrap();
+        let aware = DynamicStrategy::new(task, model, 10.0).unwrap();
         match (paper.threshold().unwrap(), aware.threshold().unwrap()) {
             (Some(a), Some(b)) => assert!((a - b).abs() < 1e-6, "{a} vs {b}"),
             (a, b) => panic!("threshold mismatch: {a:?} vs {b:?}"),
@@ -1097,19 +893,49 @@ mod tests {
     #[test]
     fn retry_dynamic_flaky_checkpoints_raise_the_threshold_inputs() {
         let task = Normal::new(1.0, 0.2).unwrap();
-        let aware = RetryDynamicStrategy::new(
-            task,
+        let model = RetryPreemptible::new(
             ckpt(),
             10.0,
             CheckpointReliability::PerAttempt { p: 0.5 },
             RetryPolicy::Immediate { max_attempts: 2 },
         )
         .unwrap();
+        let aware = DynamicStrategy::new(task, model, 10.0).unwrap();
         // The now-branch is scaled down by S ≤ 1 everywhere.
         for w in [2.0, 5.0, 8.0] {
             assert!(aware.expect_checkpoint_now(w) <= w);
         }
         // A threshold still exists for this comfortable configuration.
         assert!(aware.threshold().unwrap().is_some());
+    }
+
+    #[test]
+    fn planners_reject_a_reservation_beyond_the_retry_model() {
+        // The model tabulates S on [0, 10] only: a planner over 12 s
+        // would read a clamped S(c) for c in (10, 12].
+        let model = RetryPreemptible::new(
+            ckpt(),
+            10.0,
+            CheckpointReliability::PerAttempt { p: 0.8 },
+            RetryPolicy::Immediate { max_attempts: 3 },
+        )
+        .unwrap();
+        let beyond = CoreError::ReservationBeyondFitHorizon {
+            r: 12.0,
+            horizon: 10.0,
+        };
+        let task = Normal::new(1.0, 0.2).unwrap();
+        assert_eq!(
+            DynamicStrategy::new(task, model.clone(), 12.0).err(),
+            Some(beyond.clone())
+        );
+        let tasks = Gamma::new(2.0, 0.5).unwrap();
+        assert_eq!(
+            StaticStrategy::new(tasks, model.clone(), 12.0).err(),
+            Some(beyond)
+        );
+        // Up to the model's own R, both planners accept it.
+        assert!(DynamicStrategy::new(task, model.clone(), 10.0).is_ok());
+        assert!(StaticStrategy::new(tasks, model, 8.0).is_ok());
     }
 }

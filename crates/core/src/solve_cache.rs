@@ -1,13 +1,14 @@
 //! Planner-level kernel cache for the §4 solver fast path.
 //!
 //! The static search (§4.2) and the dynamic threshold bracketing (§4.3)
-//! evaluate the same checkpoint-fit probability `c ↦ P(C ≤ c)` at
-//! hundreds of quadrature nodes per candidate, and bench sweeps repeat
-//! that across whole `(R, μ_C, σ_C)` grids. [`SolveCache`] owns the
-//! shared pieces:
+//! evaluate the same checkpoint fit probability
+//! ([`CheckpointFit::fit_probability`]: a law's `P(C ≤ c)` or a retry
+//! model's `S(c)`) at hundreds of quadrature nodes per candidate, and
+//! bench sweeps repeat that across whole `(R, μ_C, σ_C)` grids.
+//! [`SolveCache`] owns the shared pieces:
 //!
 //! * a [`resq_numerics::KernelCache`] of fit-probability lattices keyed
-//!   by a fingerprint of the checkpoint law and `R` — reused across all
+//!   by a fingerprint of the checkpoint and `R` — reused across all
 //!   `n` probed by one `optimize`, across `threshold`'s bracketing, and
 //!   *across* solves when one cache is threaded through a sweep
 //!   (`optimize_with` / `threshold_with`);
@@ -20,7 +21,7 @@
 //! through the exact reference path (see `StaticStrategy::optimize`), so
 //! sharing a cache across a sweep cannot change any reported artifact.
 
-use resq_dist::Continuous;
+use crate::workflow::fit::CheckpointFit;
 use resq_numerics::{GaussLegendre, KernelCache, LatticeCache};
 use std::sync::Arc;
 
@@ -35,17 +36,17 @@ pub(crate) const FIT_LATTICE_CELLS: usize = 4096;
 /// integrator's forced-refinement floor, on a much cheaper integrand.
 pub(crate) const FAST_GL_ORDER: usize = 20;
 
-/// Number of distinct `(checkpoint law, R)` lattices kept alive; grid
+/// Number of distinct `(checkpoint, R)` lattices kept alive; grid
 /// sweeps vary one law parameter at a time, so a handful suffices.
 const KERNEL_CAPACITY: usize = 32;
 
 /// Shared solver state for the §4 fast path: a keyed store of
-/// checkpoint-CDF lattices plus the fixed-order quadrature rule.
+/// fit-probability lattices plus the fixed-order quadrature rule.
 ///
 /// `StaticStrategy::optimize` and `DynamicStrategy::threshold` build a
 /// fresh one per call; sweeps that solve many nearby instances pass one
 /// cache through `optimize_with` / `threshold_with` so consecutive
-/// points with the same checkpoint law and reservation reuse the lattice
+/// points with the same checkpoint and reservation reuse the lattice
 /// (watch `solver_cache_hits_total` climb).
 #[derive(Debug)]
 pub struct SolveCache {
@@ -83,18 +84,13 @@ impl SolveCache {
         &self.gl
     }
 
-    /// The fit-probability lattice `c ↦ P(C ≤ c)` tabulated over
-    /// `[0, r]`, served from the cache when an equal fingerprint was
-    /// seen before.
-    pub(crate) fn fit_lattice<C: Continuous>(&mut self, ckpt: &C, r: f64) -> Arc<LatticeCache> {
+    /// The fit-probability lattice `c ↦` [`CheckpointFit::fit_probability`]
+    /// tabulated over `[0, r]`, served from the cache when an equal
+    /// fingerprint was seen before.
+    pub(crate) fn fit_lattice<C: CheckpointFit>(&mut self, ckpt: &C, r: f64) -> Arc<LatticeCache> {
         let key = fit_key(ckpt, r);
         self.kernels.get_or_build(&key, || {
-            LatticeCache::build(
-                |c| if c <= 0.0 { 0.0 } else { ckpt.cdf(c) },
-                0.0,
-                r,
-                FIT_LATTICE_CELLS,
-            )
+            LatticeCache::build(|c| ckpt.fit_probability(c), 0.0, r, FIT_LATTICE_CELLS)
         })
     }
 }
@@ -119,20 +115,21 @@ pub(crate) fn segments_for_window(window: f64, feature: f64) -> usize {
     }
 }
 
-/// Fingerprint of `(checkpoint law, R)`. The `Continuous` trait exposes
-/// no parameters, so the law is identified by the exact bit patterns of
-/// its support bounds and its CDF at five fixed probe points inside
-/// `(0, r)` — two laws only share a lattice when all eight words match
-/// bit-for-bit. Probing costs five CDF evaluations per lookup, noise
-/// against the 4097-evaluation lattice build it saves.
-fn fit_key<C: Continuous>(ckpt: &C, r: f64) -> Vec<u64> {
-    let (lo, hi) = ckpt.support();
+/// Fingerprint of `(checkpoint, R)`. [`CheckpointFit`] exposes no
+/// parameters, so the checkpoint is identified by the exact bit patterns
+/// of one write's support bounds and its fit probability at five fixed
+/// probe points inside `(0, r)` — two checkpoints only share a lattice
+/// when all eight words match bit-for-bit. Probing costs five
+/// evaluations per lookup, noise against the 4097-evaluation lattice
+/// build it saves.
+fn fit_key<C: CheckpointFit>(ckpt: &C, r: f64) -> Vec<u64> {
+    let (lo, hi) = ckpt.write_support();
     let mut key = Vec::with_capacity(8);
     key.push(r.to_bits());
     key.push(lo.to_bits());
     key.push(hi.to_bits());
     for k in 1..=5u32 {
-        key.push(ckpt.cdf(r * k as f64 / 6.0).to_bits());
+        key.push(ckpt.fit_probability(r * k as f64 / 6.0).to_bits());
     }
     key
 }
@@ -140,7 +137,7 @@ fn fit_key<C: Continuous>(ckpt: &C, r: f64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resq_dist::{Normal, Truncated};
+    use resq_dist::{Continuous, Normal, Truncated};
 
     fn ckpt(mu: f64, sigma: f64) -> Truncated<Normal> {
         Truncated::above(Normal::new(mu, sigma).unwrap(), 0.0).unwrap()

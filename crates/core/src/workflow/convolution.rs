@@ -14,6 +14,7 @@
 //! and reservation-scale `n`, planning still takes milliseconds.
 
 use crate::error::CoreError;
+use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
 use crate::workflow::statics::StaticPlan;
 use resq_dist::Continuous;
 use resq_numerics::NeumaierSum;
@@ -45,13 +46,7 @@ impl<C: Continuous> ConvolutionStatic<C> {
         r: f64,
         grid: usize,
     ) -> Result<Self, CoreError> {
-        if !(r > 0.0) || !r.is_finite() {
-            return Err(CoreError::InvalidReservation { r });
-        }
-        let (clo, _) = ckpt.support();
-        if clo < -1e-9 {
-            return Err(CoreError::NegativeCheckpointSupport { lo: clo });
-        }
+        validate_checkpoint(&ckpt, r)?;
         let (tlo, _) = task.support();
         if tlo < -1e-9 {
             return Err(CoreError::InvalidTaskLaw(
@@ -78,15 +73,7 @@ impl<C: Continuous> ConvolutionStatic<C> {
             return Err(CoreError::InvalidTaskLaw("task mean must be positive"));
         }
         let fit_prob = (0..=m)
-            .map(|j| {
-                let x = j as f64 * h;
-                let c = r - x;
-                if c <= 0.0 {
-                    0.0
-                } else {
-                    ckpt.cdf(c)
-                }
-            })
+            .map(|j| ckpt.fit_probability(r - j as f64 * h))
             .collect();
         Ok(Self {
             ckpt,

@@ -11,13 +11,17 @@
 //! Checkpoint iff `E[W_C] ≥ E[W_{+1}]`. For IID tasks the comparison only
 //! depends on `w`, so the rule is a fixed work threshold `W_int` — the
 //! crossing of the two curves the paper plots in Figures 8–10.
+//!
+//! The checkpoint enters only through its fit probability
+//! ([`CheckpointFit`]): a law's `P(C ≤ c)`, or a retry model's success
+//! profile `S(c)` for the retry-aware rule.
 
 use crate::error::CoreError;
 use crate::solve_cache::SolveCache;
+use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
 use crate::workflow::task_law::TaskDuration;
-use resq_dist::Continuous;
 
-/// §4.3 model: IID task law, checkpoint law (support in `[0, ∞)`),
+/// §4.3 model: IID task law, checkpoint (support in `[0, ∞)`),
 /// reservation `R`.
 ///
 /// ```
@@ -36,13 +40,13 @@ use resq_dist::Continuous;
 /// # Ok::<(), resq_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct DynamicStrategy<X: TaskDuration, C: Continuous> {
+pub struct DynamicStrategy<X: TaskDuration, C: CheckpointFit> {
     task: X,
     ckpt: C,
     r: f64,
 }
 
-impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
+impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
     /// Builds the model; the inputs must pass [`DynamicStrategy::validate`].
     pub fn new(task: X, ckpt: C, r: f64) -> Result<Self, CoreError> {
         Self::validate(&task, &ckpt, r)?;
@@ -50,15 +54,10 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
     }
 
     /// The checks [`DynamicStrategy::new`] applies: `R` positive finite,
-    /// checkpoint support in `[0, ∞)`, positive mean task duration.
+    /// checkpoint support in `[0, ∞)`, `R` within the checkpoint model's
+    /// horizon, positive mean task duration.
     pub fn validate(task: &X, ckpt: &C, r: f64) -> Result<(), CoreError> {
-        if !(r > 0.0) || !r.is_finite() {
-            return Err(CoreError::InvalidReservation { r });
-        }
-        let (lo, _) = ckpt.support();
-        if lo < -1e-9 {
-            return Err(CoreError::NegativeCheckpointSupport { lo });
-        }
+        validate_checkpoint(ckpt, r)?;
         if !(task.mean() > 0.0) {
             return Err(CoreError::InvalidTaskLaw("task mean must be positive"));
         }
@@ -75,19 +74,9 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
         &self.task
     }
 
-    /// The checkpoint law.
+    /// The checkpoint: a law, or a retry model over one.
     pub fn checkpoint_law(&self) -> &C {
         &self.ckpt
-    }
-
-    /// `P(C ≤ c)`.
-    #[inline]
-    fn fit_probability(&self, c: f64) -> f64 {
-        if c <= 0.0 {
-            0.0
-        } else {
-            self.ckpt.cdf(c)
-        }
     }
 
     /// `E[W_C](w) = w · P(C ≤ R − w)`: expected saved work when
@@ -96,14 +85,14 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
         if w <= 0.0 {
             return 0.0;
         }
-        w * self.fit_probability(self.r - w)
+        w * self.ckpt.fit_probability(self.r - w)
     }
 
     /// `E[W_{+1}](w)`: expected saved work when running exactly one more
     /// task before checkpointing.
     pub fn expect_one_more(&self, w: f64) -> f64 {
         self.task
-            .expected_one_more(w.max(0.0), self.r, &|c| self.fit_probability(c))
+            .expected_one_more(w.max(0.0), self.r, &|c| self.ckpt.fit_probability(c))
     }
 
     /// The §4.3 decision rule: checkpoint iff `E[W_C] ≥ E[W_{+1}]`.
@@ -127,18 +116,14 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
 
     /// [`DynamicStrategy::threshold`] reusing `cache` across calls.
     ///
-    /// The 96-point scan classifies most points with the fast
-    /// `E[W_{+1}]` kernel (lattice-served checkpoint CDF + fixed-order
-    /// Gauss–Legendre): a point whose fast diff sits clearly below zero
-    /// — beyond a guard band 1000× the fast path's worst-case error —
-    /// is accepted as "continue wins" without an exact evaluation.
-    /// Every *deciding* value (the crossing's bracket endpoints, the
-    /// final scan point) is evaluated once, through the exact
-    /// convergence-checked integrand. The `w = 0` seed is evaluated only
-    /// when it ends a bracket. Brent refinement starts from the
-    /// bracket's exact end values and runs on the plain exact diff
-    /// inside it — so the returned `W_int` is bit-identical to an
-    /// all-exact scan, and no `w` is integrated twice.
+    /// Runs the `W_int` scan (`scan_threshold`) with a fast
+    /// classifier: the `E[W_{+1}]` kernel over the cached fit lattice
+    /// and fixed-order Gauss–Legendre. A point whose fast diff sits
+    /// clearly below zero — beyond a guard band 1000× the fast path's
+    /// worst-case error — is accepted as "continue wins" without an
+    /// exact evaluation. Every deciding value goes through the exact
+    /// convergence-checked integrand, so the returned `W_int` is
+    /// bit-identical to an all-exact scan.
     pub fn threshold_with(&self, cache: &mut SolveCache) -> Result<Option<f64>, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
         let fit = cache.fit_lattice(&self.ckpt, self.r);
@@ -148,68 +133,89 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
         // tighter — sizes the fast kernel's quadrature panels so its
         // check resolutions sample the feature instead of aliasing it
         // (and uselessly failing over to the exact path at every point).
-        let feature = (self.ckpt.quantile(0.999) - self.ckpt.quantile(0.001))
+        let feature = self
+            .ckpt
+            .fit_shoulder()
             .min(self.task.fast_kernel_feature().unwrap_or(f64::INFINITY));
-        let ckpt_cdf = |c: f64| self.fit_probability(c);
-        let exact_diff = |w: f64| -> Result<f64, CoreError> {
-            let one_more = self
-                .task
-                .expected_one_more_checked(w.max(0.0), self.r, &ckpt_cdf)?;
-            Ok(self.expect_checkpoint_now(w) - one_more)
-        };
         // Fast-path worst case: lattice interpolation (~1e-5-scale on
         // the CDF, amplified by the ~R-unit integrand) plus the 1e-6
         // GL agreement band. The guard is ~1000× that, so a fast diff
         // below −guard certifies the exact diff is negative.
         let guard = 1e-3 * (1.0 + self.r);
-        // Scan for the first sign change from ≤0 to >0 (the curves are
-        // smooth, so a coarse scan plus Brent refinement suffices).
-        const POINTS: usize = 96;
-        let step = self.r / POINTS as f64;
-        let mut prev_w = 0.0;
-        // Exact diff at the previous scan point; `None` until a bracket
-        // needs it: the fast path certified the point negative, or it is
-        // the `w = 0` seed.
-        let mut prev_d: Option<f64> = None;
-        for i in 1..=POINTS {
-            let w = step * i as f64;
-            let clearly_negative = self
-                .task
+        let clearly_negative = |w: f64| {
+            self.task
                 .expected_one_more_fast(w, self.r, &fit, gl, feature)
-                .map(|fast_one| self.expect_checkpoint_now(w) - fast_one < -guard)
-                .unwrap_or(false);
-            if clearly_negative {
-                prev_w = w;
-                prev_d = None;
-                continue;
-            }
-            let d = exact_diff(w)?;
-            if d >= 0.0 {
-                let pd = match prev_d {
-                    Some(v) => v,
-                    None => exact_diff(prev_w)?,
-                };
-                if pd < 0.0 {
-                    let diff = |w: f64| self.expect_checkpoint_now(w) - self.expect_one_more(w);
-                    let root = resq_numerics::brent_root_from(diff, (prev_w, pd), (w, d), 1e-9);
-                    return Ok(Some(root.unwrap_or(w)));
-                }
-            }
-            prev_w = w;
-            prev_d = Some(d);
-        }
-        let last_d = match prev_d {
-            // Fast-certified negative at w = R: continuing still wins.
-            None => return Ok(None),
-            Some(v) => v,
+                .is_some_and(|fast_one| self.expect_checkpoint_now(w) - fast_one < -guard)
         };
-        Ok(if last_d >= 0.0 {
-            // Checkpointing already preferable at w = 0⁺.
-            Some(0.0)
-        } else {
-            None
-        })
+        let ckpt_cdf = |c: f64| self.ckpt.fit_probability(c);
+        let one_more = |w: f64| {
+            self.task
+                .expected_one_more_checked(w.max(0.0), self.r, &ckpt_cdf)
+        };
+        scan_threshold(
+            self.r,
+            |w| Ok(self.expect_checkpoint_now(w) - one_more(w)?),
+            |w| self.expect_checkpoint_now(w) - self.expect_one_more(w),
+            Some(&clearly_negative),
+        )
     }
+}
+
+/// The `W_int` search of every §4.3 threshold: a 96-point scan of
+/// `[0, R]` for the first sign change of the checkpoint-now minus
+/// one-more diff from negative to non-negative, refined by Brent.
+///
+/// `exact` is the convergence-checked diff; it decides every scan point
+/// that the optional fast classifier `clearly_negative` does not
+/// certify negative. The `w = 0` seed is evaluated only when it ends a
+/// bracket. Brent starts from the bracket's exact end values and runs
+/// on `plain`, the same diff without the convergence check, so no `w`
+/// is integrated twice. Without a classifier this is bit-identical to
+/// an eager all-exact scan.
+///
+/// `Ok(None)` when continuing still wins at `w = R`; `Ok(Some(0.0))`
+/// when checkpointing already wins at `w = 0⁺`.
+pub(crate) fn scan_threshold(
+    r: f64,
+    exact: impl Fn(f64) -> Result<f64, CoreError>,
+    plain: impl FnMut(f64) -> f64,
+    clearly_negative: Option<&dyn Fn(f64) -> bool>,
+) -> Result<Option<f64>, CoreError> {
+    const POINTS: usize = 96;
+    let step = r / POINTS as f64;
+    let mut prev_w = 0.0;
+    // Exact diff at the previous scan point; `None` until a bracket
+    // needs it: the classifier certified the point negative, or it is
+    // the `w = 0` seed.
+    let mut prev_d: Option<f64> = None;
+    for i in 1..=POINTS {
+        let w = step * i as f64;
+        if clearly_negative.is_some_and(|negative| negative(w)) {
+            prev_w = w;
+            prev_d = None;
+            continue;
+        }
+        let d = exact(w)?;
+        if d >= 0.0 {
+            let pd = match prev_d {
+                Some(v) => v,
+                None => exact(prev_w)?,
+            };
+            if pd < 0.0 {
+                let root = resq_numerics::brent_root_from(plain, (prev_w, pd), (w, d), 1e-9);
+                return Ok(Some(root.unwrap_or(w)));
+            }
+        }
+        prev_w = w;
+        prev_d = Some(d);
+    }
+    // A last point certified negative or still negative: continuing
+    // wins up to `R`. A non-negative last point without a crossing:
+    // checkpointing is already preferable at `w = 0⁺`.
+    Ok(match prev_d {
+        Some(d) if d >= 0.0 => Some(0.0),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -310,7 +316,7 @@ mod tests {
 
     /// The pre-fast-path reference: an all-exact 96-point scan plus
     /// Brent refinement, written against the public curve accessors.
-    fn reference_threshold<X: TaskDuration, C: Continuous>(
+    fn reference_threshold<X: TaskDuration, C: CheckpointFit>(
         d: &DynamicStrategy<X, C>,
     ) -> Option<f64> {
         let diff = |w: f64| d.expect_checkpoint_now(w) - d.expect_one_more(w);

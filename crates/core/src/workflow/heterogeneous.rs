@@ -18,6 +18,8 @@
 //!   benchmarked.
 
 use crate::error::CoreError;
+use crate::workflow::dynamic::scan_threshold;
+use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
 use crate::workflow::task_law::TaskDuration;
 use resq_dist::Continuous;
 
@@ -49,10 +51,7 @@ impl<X: TaskDuration, C: Continuous> HeterogeneousDynamic<X, C> {
             return Err(CoreError::InvalidTaskLaw("at least one stage required"));
         }
         for s in &stages {
-            let (lo, _) = s.ckpt.support();
-            if lo < -1e-9 {
-                return Err(CoreError::NegativeCheckpointSupport { lo });
-            }
+            validate_checkpoint(&s.ckpt, r)?;
             if !(s.task.mean() > 0.0) {
                 return Err(CoreError::InvalidTaskLaw("task mean must be positive"));
             }
@@ -81,11 +80,9 @@ impl<X: TaskDuration, C: Continuous> HeterogeneousDynamic<X, C> {
     }
 
     fn fit_probability(&self, stage: usize, c: f64) -> f64 {
-        if c <= 0.0 {
-            0.0
-        } else {
-            self.stages[stage.min(self.stages.len() - 1)].ckpt.cdf(c)
-        }
+        self.stages[stage.min(self.stages.len() - 1)]
+            .ckpt
+            .fit_probability(c)
     }
 
     /// `E[W_C]` after completing `tasks_done` tasks with work `w`: uses
@@ -111,6 +108,18 @@ impl<X: TaskDuration, C: Continuous> HeterogeneousDynamic<X, C> {
             .expected_one_more(w.max(0.0), self.r, &|c| self.fit_probability(tasks_done, c))
     }
 
+    /// [`HeterogeneousDynamic::expect_one_more`] with the quadrature's
+    /// convergence test applied.
+    fn expect_one_more_checked(&self, tasks_done: usize, w: f64) -> Result<f64, CoreError> {
+        if tasks_done >= self.stages.len() {
+            return Ok(0.0);
+        }
+        let ckpt_cdf = |c: f64| self.fit_probability(tasks_done, c);
+        self.stages[tasks_done]
+            .task
+            .expected_one_more_checked(w.max(0.0), self.r, &ckpt_cdf)
+    }
+
     /// The paper's one-step rule generalized: checkpoint after task
     /// `tasks_done` iff `E[W_C] ≥ E[W_{+1}]`.
     pub fn should_checkpoint(&self, tasks_done: usize, w: f64) -> bool {
@@ -123,32 +132,19 @@ impl<X: TaskDuration, C: Continuous> HeterogeneousDynamic<X, C> {
     ///
     /// Because the comparison at a stage depends only on `w`, this turns
     /// the expensive quadrature comparator into an O(1)-per-decision
-    /// lookup — essential inside Monte-Carlo loops.
-    pub fn one_step_thresholds(&self) -> Vec<Option<f64>> {
-        const POINTS: usize = 96;
-        let step = self.r / POINTS as f64;
+    /// lookup — essential inside Monte-Carlo loops. Each stage runs the
+    /// `W_int` scan of `DynamicStrategy::threshold` (without its fast
+    /// classifier); [`CoreError::Numerics`] when an `E[W_{+1}]`
+    /// quadrature fails to converge at a deciding scan point.
+    pub fn one_step_thresholds(&self) -> Result<Vec<Option<f64>>, CoreError> {
         (0..=self.stages.len())
             .map(|n| {
-                let diff =
-                    |w: f64| self.expect_checkpoint_now(n, w) - self.expect_one_more(n, w);
-                let mut prev_w = 0.0;
-                let mut prev_d = diff(0.0);
-                for i in 1..=POINTS {
-                    let w = step * i as f64;
-                    let d = diff(w);
-                    if prev_d < 0.0 && d >= 0.0 {
-                        return Some(
-                            resq_numerics::brent_root(diff, prev_w, w, 1e-9).unwrap_or(w),
-                        );
-                    }
-                    prev_w = w;
-                    prev_d = d;
-                }
-                if prev_d >= 0.0 {
-                    Some(0.0)
-                } else {
-                    None
-                }
+                scan_threshold(
+                    self.r,
+                    |w| Ok(self.expect_checkpoint_now(n, w) - self.expect_one_more_checked(n, w)?),
+                    |w| self.expect_checkpoint_now(n, w) - self.expect_one_more(n, w),
+                    None,
+                )
             })
             .collect()
     }
@@ -361,9 +357,10 @@ mod tests {
     #[test]
     fn one_step_thresholds_match_comparator() {
         let chain = iid_chain(12, 29.0);
-        let thresholds = chain.one_step_thresholds();
+        let thresholds = chain.one_step_thresholds().unwrap();
         assert_eq!(thresholds.len(), 13);
-        // IID chain: every non-terminal stage shares the IID W_int.
+        // IID chain: every non-terminal stage shares the IID W_int, to
+        // the bit — both run the one `W_int` scan.
         let iid_w = DynamicStrategy::new(tn(3.0, 0.5), tn(5.0, 0.4), 29.0)
             .unwrap()
             .threshold()
@@ -371,7 +368,7 @@ mod tests {
             .unwrap();
         for (n, t) in thresholds.iter().enumerate().take(12) {
             let t = t.expect("threshold exists");
-            assert!((t - iid_w).abs() < 1e-6, "stage {n}: {t} vs {iid_w}");
+            assert_eq!(t.to_bits(), iid_w.to_bits(), "stage {n}: {t} vs {iid_w}");
             // The threshold separates the comparator's decisions.
             assert!(!chain.should_checkpoint(n, t - 0.3));
             assert!(chain.should_checkpoint(n, t + 0.3));

@@ -4,6 +4,9 @@
 //! `X_i ~ D_X`; a checkpoint (duration `C ~ D_C`, the paper uses
 //! `N_{[0,∞)}(μ_C, σ_C²)`) can only be taken at the end of a task.
 //!
+//! * [`fit`] — what the planners need from a checkpoint
+//!   ([`fit::CheckpointFit`]): the probability that it completes in the
+//!   time left, from a law's CDF or a retry model's success profile.
 //! * [`sum_law`] — the closure-under-summation abstraction ([`sum_law::IidSum`])
 //!   the static strategy needs: Normal, Gamma and Poisson task laws.
 //! * [`statics`] — §4.2: pick the checkpoint-after-`n_opt`-tasks plan
@@ -24,6 +27,7 @@
 pub mod convolution;
 pub mod deterministic;
 pub mod dynamic;
+pub mod fit;
 pub mod heterogeneous;
 pub mod statics;
 pub mod sum_law;

@@ -10,14 +10,22 @@
 //! The paper replaces `n` by a real `y ∈ (0, ∞)`, maximizes the resulting
 //! continuous function (`f`, `g`, `h` for Normal, Gamma, Poisson tasks),
 //! and takes `n_opt` as the better of `⌊y_opt⌋` / `⌈y_opt⌉`.
+//!
+//! The checkpoint enters only through its fit probability
+//! ([`CheckpointFit`]): a law's `P(C ≤ c)`, or a retry model's success
+//! profile `S(c)` for the retry-aware count.
 
 use crate::error::CoreError;
 use crate::solve_cache::{segments_for_window, SolveCache};
+use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
 use crate::workflow::sum_law::IidSum;
-use resq_dist::Continuous;
 use resq_numerics::{
     grid_max, round_to_better_integer, GaussLegendre, GridSpec, LatticeCache, NeumaierSum,
+    QuadResult,
 };
+
+/// Absolute tolerance of the exact `E(y)` quadrature.
+const QUAD_TOL: f64 = 1e-11;
 
 /// The static plan: checkpoint after `n_opt` tasks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +39,7 @@ pub struct StaticPlan {
 }
 
 /// §4.2 model: IID tasks `tasks` (a family closed under summation),
-/// checkpoint law `ckpt` with support in `[0, ∞)`, reservation `R`.
+/// checkpoint `ckpt` with support in `[0, ∞)`, reservation `R`.
 ///
 /// ```
 /// use resq_dist::{Normal, Truncated};
@@ -46,23 +54,17 @@ pub struct StaticPlan {
 /// # Ok::<(), resq_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct StaticStrategy<T: IidSum, C: Continuous> {
+pub struct StaticStrategy<T: IidSum, C: CheckpointFit> {
     tasks: T,
     ckpt: C,
     r: f64,
 }
 
-impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
-    /// Builds the model; `R` must be positive finite and the checkpoint
-    /// law non-negative.
+impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
+    /// Builds the model; `R` must be positive finite and within the
+    /// checkpoint model's horizon, and the checkpoint non-negative.
     pub fn new(tasks: T, ckpt: C, r: f64) -> Result<Self, CoreError> {
-        if !(r > 0.0) || !r.is_finite() {
-            return Err(CoreError::InvalidReservation { r });
-        }
-        let (lo, _) = ckpt.support();
-        if lo < -1e-9 {
-            return Err(CoreError::NegativeCheckpointSupport { lo });
-        }
+        validate_checkpoint(&ckpt, r)?;
         if !(tasks.task_mean() > 0.0) {
             return Err(CoreError::InvalidTaskLaw("task mean must be positive"));
         }
@@ -79,28 +81,18 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
         &self.tasks
     }
 
-    /// The checkpoint law.
+    /// The checkpoint: a law, or a retry model over one.
     pub fn checkpoint_law(&self) -> &C {
         &self.ckpt
     }
 
-    /// `P(C ≤ c)` — the probability a checkpoint fits into `c` seconds.
-    #[inline]
-    fn fit_probability(&self, c: f64) -> f64 {
-        if c <= 0.0 {
-            0.0
-        } else {
-            self.ckpt.cdf(c)
-        }
-    }
-
-    /// The continuous relaxation of `E(n)` — the paper's `f(y)` / `g(y)` /
-    /// `h(y)` depending on the task family.
-    ///
-    /// Returns 0 for `y ≤ 0`.
-    pub fn expected_work_relaxed(&self, y: f64) -> f64 {
+    /// `E(y)` with its error estimate: the finite sum for discrete task
+    /// laws (exact), adaptive Simpson otherwise. The one evaluation
+    /// behind [`StaticStrategy::expected_work_relaxed`] and its checked
+    /// form.
+    fn relaxed(&self, y: f64) -> QuadResult {
         if !(y > 0.0) {
-            return 0.0;
+            return QuadResult::exact(0.0);
         }
         if self.tasks.is_discrete() {
             // h(y) = Σ_{j=0}^{⌊R⌋} j · P(C ≤ R−j) · pmf_{S_y}(j)
@@ -108,27 +100,33 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
             let jmax = self.r.floor() as u64;
             for j in 0..=jmax {
                 let jf = j as f64;
-                let p = self.fit_probability(self.r - jf);
+                let p = self.ckpt.fit_probability(self.r - jf);
                 if p > 0.0 && j > 0 {
                     acc.add(jf * p * self.tasks.sum_density(y, jf));
                 }
             }
-            acc.value()
-        } else {
-            let (lo, hi) = self.tasks.sum_bounds(y);
-            // Work beyond R is never saved (P(C ≤ R−x) = 0 for x ≥ R).
-            let hi = hi.min(self.r);
-            if hi <= lo {
-                return 0.0;
-            }
-            resq_numerics::adaptive_simpson(
-                |x| x * self.fit_probability(self.r - x) * self.tasks.sum_density(y, x),
-                lo,
-                hi,
-                1e-11,
-            )
-            .value
+            return QuadResult::exact(acc.value());
         }
+        let (lo, hi) = self.tasks.sum_bounds(y);
+        // Work beyond R is never saved (P(C ≤ R−x) = 0 for x ≥ R).
+        let hi = hi.min(self.r);
+        if hi <= lo {
+            return QuadResult::exact(0.0);
+        }
+        resq_numerics::adaptive_simpson(
+            |x| x * self.ckpt.fit_probability(self.r - x) * self.tasks.sum_density(y, x),
+            lo,
+            hi,
+            QUAD_TOL,
+        )
+    }
+
+    /// The continuous relaxation of `E(n)` — the paper's `f(y)` / `g(y)` /
+    /// `h(y)` depending on the task family.
+    ///
+    /// Returns 0 for `y ≤ 0`.
+    pub fn expected_work_relaxed(&self, y: f64) -> f64 {
+        self.relaxed(y).value
     }
 
     /// `E(n)` for an integer task count.
@@ -136,30 +134,12 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
         self.expected_work_relaxed(n as f64)
     }
 
-    /// [`StaticStrategy::expected_work_relaxed`] through the
-    /// convergence-checked integrator: identical value when quadrature
-    /// converges (same integrand, same tolerance, same evaluation
-    /// order), a typed [`CoreError::Numerics`] when it does not. The
-    /// discrete branch is a finite sum and cannot fail.
+    /// [`StaticStrategy::expected_work_relaxed`] with the quadrature's
+    /// convergence test applied: the identical value when it converges,
+    /// a typed [`CoreError::Numerics`] when it does not. The discrete
+    /// branch's finite sum fails only if it is non-finite.
     pub fn expected_work_relaxed_checked(&self, y: f64) -> Result<f64, CoreError> {
-        if !(y > 0.0) {
-            return Ok(0.0);
-        }
-        if self.tasks.is_discrete() {
-            return Ok(self.expected_work_relaxed(y));
-        }
-        let (lo, hi) = self.tasks.sum_bounds(y);
-        let hi = hi.min(self.r);
-        if hi <= lo {
-            return Ok(0.0);
-        }
-        let r = resq_numerics::adaptive_simpson_checked(
-            |x| x * self.fit_probability(self.r - x) * self.tasks.sum_density(y, x),
-            lo,
-            hi,
-            1e-11,
-        )?;
-        Ok(r.value)
+        Ok(self.relaxed(y).converged(QUAD_TOL)?.value)
     }
 
     /// Relative agreement demanded of the two Gauss–Legendre resolutions
@@ -168,14 +148,15 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
     /// for more would be wasted work.
     const GL_SEARCH_TOL: f64 = 1e-6;
 
-    /// The search-phase fast objective: the fit probability `P(C ≤ R−x)`
-    /// served from a precomputed lattice, the sum density with per-`y`
-    /// constants hoisted ([`IidSum::sum_density_fn`]), and fixed-order
-    /// Gauss–Legendre quadrature with an a-posteriori two-resolution
-    /// check ([`resq_numerics::gauss_legendre_checked_from`]) in place of
+    /// The search-phase fast objective: the fit probability
+    /// ([`CheckpointFit::fit_probability`]) served from a precomputed
+    /// lattice, the sum density with per-`y` constants hoisted
+    /// ([`IidSum::sum_density_fn`]), and fixed-order Gauss–Legendre
+    /// quadrature with an a-posteriori two-resolution check
+    /// ([`resq_numerics::gauss_legendre_checked_from`]) in place of
     /// adaptive Simpson. The panels are sized so the checkpoint law's CDF
-    /// shoulder (`shoulder`, see [`ckpt_shoulder`](Self::ckpt_shoulder))
-    /// spans at least one segment — without that hint the default
+    /// shoulder (`shoulder`, see [`CheckpointFit::fit_shoulder`]) spans
+    /// at least one segment — without that hint the default
     /// 2/4-segment pair aliases the shoulder whenever the integration
     /// window is clamped at `x = R`, and every such evaluation silently
     /// pays the adaptive fallback. Accuracy is lattice interpolation
@@ -214,23 +195,14 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
             hi,
             segments,
             Self::GL_SEARCH_TOL,
-            1e-11,
+            QUAD_TOL,
         ) {
             Ok(q) => q.value,
             // Search phase only: best-effort is fine on a genuinely hard
             // integrand; the winner is re-evaluated through the checked
             // reference path regardless.
-            Err(_) => resq_numerics::adaptive_simpson(integrand, lo, hi, 1e-11).value,
+            Err(_) => resq_numerics::adaptive_simpson(integrand, lo, hi, QUAD_TOL).value,
         }
-    }
-
-    /// Width of the checkpoint law's central quantile mass — the
-    /// narrowest feature the fast integrand carries once the integration
-    /// window is wider than the task-sum bulk (which the window is built
-    /// from and always resolves). Computed once per search and fed to
-    /// [`segments_for_window`].
-    fn ckpt_shoulder(&self) -> f64 {
-        self.ckpt.quantile(0.999) - self.ckpt.quantile(0.001)
     }
 
     /// Maximizes the relaxation over `y` and settles `n_opt` as the better
@@ -268,7 +240,7 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
             // instead of ⌊R⌋+1 log-space pmf evaluations.
             let jmax = self.r.floor() as u64;
             let fit: Vec<f64> = (0..=jmax)
-                .map(|j| self.fit_probability(self.r - j as f64))
+                .map(|j| self.ckpt.fit_probability(self.r - j as f64))
                 .collect();
             grid_max(
                 |y| {
@@ -291,7 +263,9 @@ impl<T: IidSum, C: Continuous> StaticStrategy<T, C> {
             )
         } else {
             let fit = cache.fit_lattice(&self.ckpt, self.r);
-            let shoulder = self.ckpt_shoulder();
+            // The narrowest feature the fast integrand carries once the
+            // window is wider than the task-sum bulk it is built from.
+            let shoulder = self.ckpt.fit_shoulder();
             grid_max(
                 |y| self.expected_work_relaxed_fast(y, &fit, cache.gl(), shoulder),
                 1e-3,
@@ -427,7 +401,8 @@ mod tests {
         for k in 1..=40 {
             let y = 0.25 * k as f64;
             let exact = s.expected_work_relaxed(y);
-            let fast = s.expected_work_relaxed_fast(y, &fit, cache.gl(), s.ckpt_shoulder());
+            let shoulder = s.checkpoint_law().fit_shoulder();
+            let fast = s.expected_work_relaxed_fast(y, &fit, cache.gl(), shoulder);
             // Budget: lattice interpolation (~1e-5 on the CDF, scaled by
             // the ~20-unit integral) plus the GL agreement tolerance.
             assert!((exact - fast).abs() < 5e-4, "y = {y}: {exact} vs {fast}");

@@ -13,7 +13,7 @@
 //! * for **Poisson** via the paper's finite sum.
 
 use resq_dist::{Continuous, Discrete, Distribution, Poisson, Sample};
-use resq_numerics::{GaussLegendre, LatticeCache, NeumaierSum};
+use resq_numerics::{GaussLegendre, LatticeCache, NeumaierSum, QuadResult};
 
 /// Relative agreement demanded of the two Gauss–Legendre resolutions
 /// before [`TaskDuration::expected_one_more_fast`] trusts them (see
@@ -76,6 +76,65 @@ pub trait TaskDuration: Sample + Distribution {
     }
 }
 
+/// Absolute tolerance of the exact `E[W_{+1}]` quadrature.
+const ONE_MORE_TOL: f64 = 1e-11;
+
+/// The §4.3 integrand `(x + w)·P(C ≤ R−w−x)·f_X(x)` for `budget = R − w`,
+/// with the checkpoint CDF `ckpt_cdf` exact or lattice-served.
+fn one_more_integrand<'a, D: Continuous>(
+    task: &'a D,
+    w: f64,
+    budget: f64,
+    ckpt_cdf: impl Fn(f64) -> f64 + 'a,
+) -> impl Fn(f64) -> f64 + 'a {
+    move |x| {
+        let p = ckpt_cdf(budget - x);
+        if p <= 0.0 {
+            return 0.0;
+        }
+        let v = (x + w) * p * task.pdf(x);
+        // Integrable endpoint singularities (e.g. Gamma pdf with
+        // shape < 1 at x = 0) must not poison the quadrature.
+        if v.is_finite() {
+            v
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The integration window `[lo, hi]` of `E[W_{+1}]`: the task support
+/// clipped to `[0, R − w]`. `None` when it is empty.
+fn one_more_window<D: Continuous>(task: &D, w: f64, r: f64) -> Option<(f64, f64)> {
+    let budget = r - w;
+    if budget <= 0.0 {
+        return None;
+    }
+    let (lo, hi) = task.support();
+    let (lo, hi) = (lo.max(0.0), hi.min(budget));
+    (hi > lo).then_some((lo, hi))
+}
+
+/// `E[W_{+1}]` by adaptive quadrature with its error estimate: the one
+/// evaluation behind [`continuous_expected_one_more`] and its checked
+/// form.
+fn continuous_one_more_quad<D: Continuous>(
+    task: &D,
+    w: f64,
+    r: f64,
+    ckpt_cdf: &dyn Fn(f64) -> f64,
+) -> QuadResult {
+    match one_more_window(task, w, r) {
+        Some((lo, hi)) => resq_numerics::adaptive_simpson(
+            one_more_integrand(task, w, r - w, ckpt_cdf),
+            lo,
+            hi,
+            ONE_MORE_TOL,
+        ),
+        None => QuadResult::exact(0.0),
+    }
+}
+
 /// `E[W_{+1}]` by quadrature against any continuous task density — the
 /// §4.3 integral `∫_0^{R−w} (x + w)·P(C ≤ R−w−x)·f_X(x) dx`.
 pub fn continuous_expected_one_more<D: Continuous>(
@@ -84,76 +143,21 @@ pub fn continuous_expected_one_more<D: Continuous>(
     r: f64,
     ckpt_cdf: &dyn Fn(f64) -> f64,
 ) -> f64 {
-    let budget = r - w;
-    if budget <= 0.0 {
-        return 0.0;
-    }
-    let (lo, hi) = task.support();
-    let lo = lo.max(0.0);
-    let hi = hi.min(budget);
-    if hi <= lo {
-        return 0.0;
-    }
-    resq_numerics::adaptive_simpson(
-        |x| {
-            let p = ckpt_cdf(budget - x);
-            if p <= 0.0 {
-                return 0.0;
-            }
-            let v = (x + w) * p * task.pdf(x);
-            // Integrable endpoint singularities (e.g. Gamma pdf with
-            // shape < 1 at x = 0) must not poison the quadrature.
-            if v.is_finite() {
-                v
-            } else {
-                0.0
-            }
-        },
-        lo,
-        hi,
-        1e-11,
-    )
-    .value
+    continuous_one_more_quad(task, w, r, ckpt_cdf).value
 }
 
-/// [`continuous_expected_one_more`] through the convergence-checked
-/// integrator: same integrand, same tolerance, same evaluation order —
-/// bit-identical value when quadrature converges — but non-convergence
-/// surfaces as a typed error instead of a silently wrong number.
+/// [`continuous_expected_one_more`] with the quadrature's convergence
+/// test applied: the identical value when it converges, a typed error
+/// instead of a silently wrong number when it does not.
 pub fn continuous_expected_one_more_checked<D: Continuous>(
     task: &D,
     w: f64,
     r: f64,
     ckpt_cdf: &dyn Fn(f64) -> f64,
 ) -> Result<f64, resq_numerics::NumericsError> {
-    let budget = r - w;
-    if budget <= 0.0 {
-        return Ok(0.0);
-    }
-    let (lo, hi) = task.support();
-    let lo = lo.max(0.0);
-    let hi = hi.min(budget);
-    if hi <= lo {
-        return Ok(0.0);
-    }
-    let q = resq_numerics::adaptive_simpson_checked(
-        |x| {
-            let p = ckpt_cdf(budget - x);
-            if p <= 0.0 {
-                return 0.0;
-            }
-            let v = (x + w) * p * task.pdf(x);
-            if v.is_finite() {
-                v
-            } else {
-                0.0
-            }
-        },
-        lo,
-        hi,
-        1e-11,
-    )?;
-    Ok(q.value)
+    Ok(continuous_one_more_quad(task, w, r, ckpt_cdf)
+        .converged(ONE_MORE_TOL)?
+        .value)
 }
 
 /// Fast `E[W_{+1}]` for a continuous law: lattice-served checkpoint CDF
@@ -169,29 +173,11 @@ pub fn continuous_expected_one_more_fast<D: Continuous>(
     gl: &GaussLegendre,
     feature: f64,
 ) -> Option<f64> {
-    let budget = r - w;
-    if budget <= 0.0 {
+    let Some((lo, hi)) = one_more_window(task, w, r) else {
         return Some(0.0);
-    }
-    let (lo, hi) = task.support();
-    let lo = lo.max(0.0);
-    let hi = hi.min(budget);
-    if hi <= lo {
-        return Some(0.0);
-    }
-    let segments = crate::solve_cache::segments_for_window(hi - lo, feature);
-    let mut integrand = |x: f64| {
-        let p = fit.eval(budget - x);
-        if p <= 0.0 {
-            return 0.0;
-        }
-        let v = (x + w) * p * task.pdf(x);
-        if v.is_finite() {
-            v
-        } else {
-            0.0
-        }
     };
+    let segments = crate::solve_cache::segments_for_window(hi - lo, feature);
+    let mut integrand = one_more_integrand(task, w, r - w, |c| fit.eval(c));
     let coarse = gl.integrate_composite(&mut integrand, lo, hi, segments);
     let fine = gl.integrate_composite(&mut integrand, lo, hi, 2 * segments);
     let err = (fine - coarse).abs();
@@ -311,20 +297,7 @@ impl TaskDuration for Poisson {
         // The finite sum needs no quadrature — the win is serving the
         // checkpoint CDF from the lattice instead of the full tail
         // computation at every integer point.
-        let budget = r - w;
-        if budget <= 0.0 {
-            return Some(0.0);
-        }
-        let jmax = budget.floor() as u64;
-        let mut acc = NeumaierSum::new();
-        for j in 0..=jmax {
-            let jf = j as f64;
-            let p = fit.eval(budget - jf);
-            if p > 0.0 {
-                acc.add((jf + w) * p * self.pmf(j));
-            }
-        }
-        Some(acc.value())
+        Some(self.expected_one_more(w, r, &|c| fit.eval(c)))
     }
 }
 

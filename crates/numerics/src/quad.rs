@@ -19,6 +19,34 @@ pub struct QuadResult {
     pub evals: usize,
 }
 
+impl QuadResult {
+    /// A value known without quadrature error: an empty interval or a
+    /// finite sum.
+    pub fn exact(value: f64) -> Self {
+        Self {
+            value,
+            error: 0.0,
+            evals: 0,
+        }
+    }
+
+    /// The convergence test of [`adaptive_simpson_checked`] for the
+    /// requested tolerance `tol`: `Err` when the value or the error
+    /// estimate is non-finite, or the error estimate is more than 1000×
+    /// `tol`. The value is never touched, so a caller holding one result
+    /// can report it both as is and checked.
+    pub fn converged(self, tol: f64) -> Result<Self, crate::NumericsError> {
+        let budget = 1000.0 * tol.max(f64::MIN_POSITIVE);
+        if !self.value.is_finite() || !self.error.is_finite() || self.error > budget {
+            return Err(crate::NumericsError::QuadratureTolerance {
+                error: self.error,
+                tol,
+            });
+        }
+        Ok(self)
+    }
+}
+
 const MAX_DEPTH: u32 = 52;
 /// Levels of unconditional refinement before the error criterion may stop
 /// the recursion; with the 16 initial panels this gives a guaranteed
@@ -34,11 +62,7 @@ const MIN_DEPTH: u32 = MAX_DEPTH - 3;
 /// be finite on `[a, b]`; NaN evaluations poison the result (NaN out).
 pub fn adaptive_simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> QuadResult {
     if a == b {
-        return QuadResult {
-            value: 0.0,
-            error: 0.0,
-            evals: 0,
-        };
+        return QuadResult::exact(0.0);
     }
     if a > b {
         let mut r = adaptive_simpson(f, b, a, tol);
@@ -96,15 +120,7 @@ pub fn adaptive_simpson_checked<F: FnMut(f64) -> f64>(
     b: f64,
     tol: f64,
 ) -> Result<QuadResult, crate::NumericsError> {
-    let r = adaptive_simpson(f, a, b, tol);
-    let budget = 1000.0 * tol.max(f64::MIN_POSITIVE);
-    if !r.value.is_finite() || !r.error.is_finite() || r.error > budget {
-        return Err(crate::NumericsError::QuadratureTolerance {
-            error: r.error,
-            tol,
-        });
-    }
-    Ok(r)
+    adaptive_simpson(f, a, b, tol).converged(tol)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -303,11 +319,7 @@ pub fn gauss_legendre_checked_from<F: FnMut(f64) -> f64>(
     fallback_tol: f64,
 ) -> Result<QuadResult, crate::NumericsError> {
     if a == b {
-        return Ok(QuadResult {
-            value: 0.0,
-            error: 0.0,
-            evals: 0,
-        });
+        return Ok(QuadResult::exact(0.0));
     }
     let segments = segments.clamp(GL_CHECK_SEGMENTS, GL_MAX_SEGMENTS);
     let coarse = gl.integrate_composite(&mut f, a, b, segments);

@@ -48,12 +48,12 @@
 //!   above).
 
 pub use resq_core::{
-    Action, AnswerSource, AxisSpec, CampaignModel, CheckpointPlan, CheckpointReliability,
-    ControllerState, ConvolutionStatic, CoreError, DeterministicPlan, DeterministicWorkflow,
-    DpSolution, DynamicStrategy, DynamicWorkflowPolicy, FixedLeadPolicy, HeterogeneousDynamic,
-    LatticeError, LatticePlanner, LatticeSpec, LawFamily, PessimisticWorkflowPolicy, PolicyAnswer,
-    PolicyLattice, PolicyQuery, Preemptible, PreemptiblePolicy, ReservationController,
-    RetryDynamicStrategy, RetryPolicy, RetryPreemptible, RetryStaticStrategy, SolveCache, Stage,
+    Action, AnswerSource, AxisSpec, CampaignModel, CheckpointFit, CheckpointPlan,
+    CheckpointReliability, ControllerState, ConvolutionStatic, CoreError, DeterministicPlan,
+    DeterministicWorkflow, DpSolution, DynamicStrategy, DynamicWorkflowPolicy, FixedLeadPolicy,
+    HeterogeneousDynamic, LatticeError, LatticePlanner, LatticeSpec, LawFamily,
+    PessimisticWorkflowPolicy, PolicyAnswer, PolicyLattice, PolicyQuery, Preemptible,
+    PreemptiblePolicy, ReservationController, RetryPolicy, RetryPreemptible, SolveCache, Stage,
     StaticPlan, StaticStrategy, StaticWorkflowPolicy, TaskDuration, TaskParams, WorkflowPolicy,
 };
 
