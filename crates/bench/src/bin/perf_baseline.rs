@@ -2,80 +2,39 @@
 //! hot paths and writes `BENCH_perf.json` at the repo root so the
 //! number-crunching cost of each PR is visible in review diffs.
 //!
-//! Hot paths covered:
-//!
-//! * adaptive Simpson quadrature of a smooth Gaussian-type integrand;
-//! * Brent root solves and Lambert-W evaluations (the §3/§4.3 kernels);
-//! * the preemptible, static (Poisson and Normal) and dynamic optimizers
-//!   (`solve/*` spans end-to-end, through the kernel-cache +
-//!   Gauss–Legendre fast path);
-//! * policy-lattice lookups (`solve/lattice_lookup`): in-grid queries
-//!   served by interpolation from a prebuilt lattice — the O(µs) path
-//!   whose whole point is being orders of magnitude below `solve/dynamic`
-//!   (the lattice build runs outside the timed region);
-//! * `run_trials_observed` throughput at 1, 2 and N worker threads
-//!   (`mc/*`), and the same workload through the chunk-buffered batched
-//!   sampler path `run_trials_batched` (`mc_batched/*`). In full mode
-//!   `--check` asserts `mc_batched/threads_1` beats `mc/threads_1`;
-//! * the batched single-thread workload again with a live telemetry
-//!   server attached and a 10 Hz `GET /metrics` scraper running
-//!   (`serve_scrape`) — in full mode `--check` asserts scraping costs
-//!   under 5% against `mc_batched/threads_1`;
-//! * the `resq serve` decision daemon end to end (`serve_decide`):
-//!   closed-loop framed load against an in-process daemon answering
-//!   from a prebuilt lattice — in full mode `--check` gates the median
-//!   round-trip at 50 µs on non-degraded hosts.
-//!
-//! Entries whose timing the host cannot honestly support are tagged
-//! `"degraded": true` — a thread-sweep entry asking for more workers
-//! than `available_parallelism`, or `serve_scrape` on a single-core box
-//! where the scraper thread necessarily steals the workload's only CPU.
-//! `--check` skips any speedup/overhead gate that involves a degraded
-//! entry (with a printed notice) instead of failing on numbers the
-//! hardware made meaningless.
-//!
-//! Each hot path runs under the [`resq_obs::span`] machinery (a scoped
-//! [`SpanRegistry`] per entry), so the harness exercises the exact
-//! instrumentation the library runs with and the reported timings
-//! *include* span overhead by construction. The numbers themselves come
-//! from one `Instant` measurement per iteration: `p50/p90/p99` are exact
-//! order-statistic quantiles of the per-iteration durations. (Schema v1
-//! read quantiles back from the span registry's power-of-two latency
-//! histogram — bucket midpoints, which collapsed every ~46 ms
-//! Monte-Carlo iteration into one bucket and made the thread-sweep
-//! quantiles byte-identical. Schema v2 records the real distribution.
-//! Schema v3 adds a per-entry `threads` field and records the host's
-//! `available_parallelism` in provenance, so flat `mc/threads_*` curves
-//! on single-core runners are self-explaining, and adds the solver
-//! fast-path entries. Schema v4 adds the `solve/lattice_lookup` entry
-//! for the precomputed policy-lattice path.)
+//! [`collect`] lists the timed entries: quadrature, root finding and
+//! Lambert W, the §3/§4 planners (`solve/*`), policy-lattice lookups,
+//! the Monte-Carlo thread sweeps on the scalar and batched paths
+//! (`mc/*`, `mc_batched/*`), the batched run under a live `/metrics`
+//! scraper (`serve_scrape`) and the decision daemon end to end
+//! (`serve_decide`). Entries whose timing the host cannot honestly
+//! support are tagged `"degraded": true` — a thread-sweep entry asking
+//! for more workers than `available_parallelism`, or a client and
+//! server sharing a single core. [`GATES`] holds every gate, one row
+//! each.
 //!
 //! ```text
 //! perf_baseline                 full mode: write BENCH_perf.json at the repo root
-//! perf_baseline --smoke         tiny iteration counts (CI): write + self-check
+//! perf_baseline --smoke         tiny iteration counts (CI)
 //! perf_baseline --out <path>    redirect the report
-//! perf_baseline --check <path>  validate an existing report against the schema
-//! perf_baseline --check <path> --baseline <committed>
-//!                               additionally gate `solve/*` entries against the
-//!                               committed baseline: >25% slower fails (full-mode
-//!                               reports only — smoke runs are schema+sanity)
-//! perf_baseline --scaling-smoke
-//!                               report-free multicore probe: batched threads_1
-//!                               vs threads_max must show a ≥1.5x speedup on
-//!                               multi-core hosts (single-core hosts skip)
+//! perf_baseline --check <path> [--baseline <committed>]
+//!                               validate a report against the schema and run the
+//!                               gates on it (and those comparing it with a baseline)
+//! perf_baseline --scaling-smoke report-free multicore probe: time the batched
+//!                               sweep's two ends and run its gate
 //! ```
 //!
 //! Exit codes: `0` every applicable gate ran and passed; `1` a gate or
 //! the schema failed; `2` usage error; `3` passed, but at least one
-//! gate was skipped (degraded entries, single-core host, or mode
-//! mismatch) — the consolidated skip notice lists which. `3` is a pass
-//! for CI purposes, distinguishable from the fully-gated `0`.
+//! gate was skipped (degraded entries, single-core host, or a report
+//! mode the gate does not run on) — the consolidated skip notice lists
+//! which. `3` is a pass for CI purposes, distinguishable from the
+//! fully-gated `0`.
 //!
 //! Timings are wall-clock facts: like manifests, `BENCH_perf.json` is
-//! provenance and is *expected* to differ between machines and runs.
-//! Only its schema is checked in CI; the `--baseline` regression gate is
-//! meaningful when the fresh run and the committed baseline come from
-//! the same machine (the local pre-commit workflow).
+//! provenance and is *expected* to differ between machines and runs, so
+//! `--baseline` is meaningful when the fresh run and the committed
+//! baseline come from the same machine (the local pre-commit workflow).
 
 use resq::core::policy::ThresholdWorkflowPolicy;
 use resq::dist::{Normal, Truncated, Uniform};
@@ -96,54 +55,203 @@ use std::time::Instant;
 /// Schema identifier written into (and required of) every report.
 /// `v7`: every `mc/threads_*` and `mc_batched/threads_*` entry carries a
 /// derived `parallel_efficiency` field — `(threads_1 time / entry time)
-/// / threads`, 1.0 for a perfectly scaling sweep point — and full-mode
-/// `--check` gains the Monte-Carlo throughput gate
-/// ([`MC_BATCHED_T1_LIMIT_NANOS`]) plus the multicore scaling gate
-/// ([`SCALING_SPEEDUP_MIN`], skipped with a notice on single-core
-/// hosts). v6 added `serve_decide`; v5 the `degraded` honesty tag +
-/// `serve_scrape`; v4 `solve/lattice_lookup`; v3 per-entry `threads`
-/// and provenance `available_parallelism`.
+/// / threads`, 1.0 for a perfectly scaling sweep point. v6 added
+/// `serve_decide`; v5 the `degraded` honesty tag + `serve_scrape`; v4
+/// `solve/lattice_lookup`; v3 per-entry `threads` and provenance
+/// `available_parallelism`.
 const SCHEMA: &str = "resq-perf-baseline/v7";
 
-/// Full-mode gate on the decision daemon's lattice-path median
-/// round-trip: `serve_decide` `p50_nanos` must stay at or under 50 µs
-/// on non-degraded hosts (single-core boxes time client + daemon on one
-/// CPU, are tagged degraded, and skip the gate).
-const SERVE_DECIDE_P50_LIMIT_NANOS: f64 = 50_000.0;
+/// Every gate the harness runs, one row each. The Monte-Carlo rows read
+/// the median: on a busy host a few preempted iterations inflate the
+/// mean by 10% and more, and the gates should measure the code, not the
+/// scheduler.
+#[rustfmt::skip]
+const GATES: &[Gate] = {
+    use Limit::*; use Pass::*; use Skip::*; use Stat::*;
+    &[
+        // The batched sampler path must pay for itself on one thread.
+        Gate { name: "batched-vs-scalar", mode: "full", entry: "mc_batched/threads_1", over: None,
+               stat: Mean, pass: Below, limit: Times(1.0, "mc/threads_1"), skip: Degraded },
+        // One iteration is a 40 000-trial fig. 8 run, so 4 ms is 10⁷
+        // trials per second per core.
+        Gate { name: "mc-throughput", mode: "full", entry: "mc_batched/threads_1", over: None,
+               stat: P50, pass: AtMost, limit: Fixed(4_000_000.0), skip: Never },
+        Gate { name: "mc-scaling", mode: "full", entry: "mc_batched/threads_1",
+               over: Some("mc_batched/threads_max"), stat: P50, pass: AtLeast, limit: Fixed(1.7),
+               skip: OneCpu },
+        // A 10 Hz scraper of the interference-free snapshots costs at most 5%.
+        Gate { name: "serve_scrape", mode: "full", entry: "serve_scrape", over: None,
+               stat: Mean, pass: AtMost, limit: Times(1.05, "mc_batched/threads_1"),
+               skip: Degraded },
+        // The lattice path answers in microseconds; the daemon must not
+        // bury that under wire or locking overhead.
+        Gate { name: "serve_decide", mode: "full", entry: "serve_decide", over: None,
+               stat: P50, pass: AtMost, limit: Fixed(50_000.0), skip: Degraded },
+        // 25% absorbs same-machine jitter on the solver entries (under
+        // 10%); real regressions have shown up as 2× and more.
+        Gate { name: "regression", mode: "full", entry: "solve/", over: None,
+               stat: Mean, pass: AtMost, limit: TimesBaseline(1.25), skip: Degraded },
+        // Looser than mc-scaling: shared CI runners throttle and
+        // co-schedule, and a serialized parallel path still shows ≈ 1.0×.
+        Gate { name: "scaling-smoke", mode: "scaling-smoke", entry: "mc_batched/threads_1",
+               over: Some("mc_batched/threads_max"), stat: P50, pass: AtLeast, limit: Fixed(1.5),
+               skip: OneCpu },
+    ]
+};
 
-/// Relative overhead vs `mc_batched/threads_1` at which `serve_scrape`
-/// fails the full-mode gate: a 10 Hz scraper reading interference-free
-/// snapshots must cost under 5%.
-const SCRAPE_OVERHEAD_TOLERANCE: f64 = 0.05;
+/// One gate: a row of [`GATES`].
+struct Gate {
+    name: &'static str,
+    /// The report mode it runs on: `full` (`--check`; smoke iteration
+    /// counts are too small for wall-clock gates) or `scaling-smoke`.
+    mode: &'static str,
+    /// The entry it reads; a name ending in `/` reads each entry under
+    /// that prefix on its own.
+    entry: &'static str,
+    /// With `Some(other)`, the reading is the entry's statistic over
+    /// `other`'s: a speedup.
+    over: Option<&'static str>,
+    stat: Stat,
+    pass: Pass,
+    limit: Limit,
+    skip: Skip,
+}
 
-/// Full-mode gate on single-core Monte-Carlo throughput: one
-/// `mc_batched/threads_1` iteration is a full 40 000-trial fig. 8 run,
-/// so 4 ms per iteration is 10⁷ workflow trials per second per core —
-/// the PR-10 throughput-engine floor (ziggurat Normal kernel,
-/// monomorphized batch paths, bulk-tallied stream derivation).
-const MC_BATCHED_T1_LIMIT_NANOS: f64 = 4_000_000.0;
+/// `nanos_per_iter` or `p50_nanos`.
+#[derive(Clone, Copy, Debug)]
+enum Stat {
+    Mean,
+    P50,
+}
 
-/// Full-mode gate on real multicore scaling: `mc_batched/threads_max`
-/// must run each iteration at least this much faster than
-/// `mc_batched/threads_1` when the host can actually run ≥ 2 workers
-/// (skipped with an honest notice otherwise — a single-core box cannot
-/// measure a speedup, and pretending otherwise is how flat sweeps went
-/// unnoticed before the `degraded` tag existed).
-const SCALING_SPEEDUP_MIN: f64 = 1.7;
+/// How the reading must compare with the limit to pass.
+#[derive(Clone, Copy, Debug)]
+enum Pass {
+    Below,
+    AtMost,
+    AtLeast,
+}
 
-/// `--scaling-smoke` floor: a quick two-entry sweep on a multicore CI
-/// runner must show `mc_batched/threads_max` at least this much faster
-/// than `threads_1`. Looser than [`SCALING_SPEEDUP_MIN`] because shared
-/// runners throttle and co-schedule; still catches a serialized
-/// parallel path, which shows up as ≈ 1.0×.
-const SCALING_SMOKE_MIN: f64 = 1.5;
+/// A fixed limit; a multiple of the same statistic of another entry of
+/// the report; or a multiple of the same entry's statistic in the
+/// baseline, which runs the row only under `--baseline` and skips, not
+/// lists, an entry the baseline lacks.
+#[derive(Clone, Copy)]
+enum Limit {
+    Fixed(f64),
+    Times(f64, &'static str),
+    TimesBaseline(f64),
+}
 
-/// Relative slowdown vs the committed baseline at which a tracked
-/// `solve/*` entry fails the `--baseline` regression gate. 25% is wide
-/// enough to absorb same-machine run-to-run noise on the ≥40-iteration
-/// solver entries (observed jitter is under 10%) while still catching
-/// any real algorithmic regression, which historically shows up as 2×+.
-const SOLVER_REGRESSION_TOLERANCE: f64 = 0.25;
+/// Skip never; when an entry the gate reads, in either report, is
+/// tagged degraded; or on a host with one CPU, which cannot show a
+/// speedup, or when the entry the speedup divides by is degraded.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Skip {
+    Never,
+    Degraded,
+    OneCpu,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Pass,
+    Skip,
+    Fail,
+}
+
+/// A gate's verdict, with the reading against the limit or the reason
+/// it was skipped.
+struct Outcome {
+    gate: &'static str,
+    verdict: Verdict,
+    detail: String,
+}
+
+impl Gate {
+    /// The single entries the row names; `--check` requires them all.
+    fn named(&self) -> impl Iterator<Item = &'static str> {
+        let against = match self.limit {
+            Limit::Times(_, name) => Some(name),
+            _ => None,
+        };
+        let subject = Some(self.entry).filter(|e| !e.ends_with('/'));
+        [subject, self.over, against].into_iter().flatten()
+    }
+
+    /// Evaluates the row: nothing when the invocation does not ask for
+    /// it (a baseline row without `--baseline`), one skip when a
+    /// report's mode or the host rules it out, else one outcome per entry.
+    fn evaluate(&self, report: &Report, baseline: Option<&Report>) -> Vec<Outcome> {
+        let outcome = |verdict, detail| Outcome { gate: self.name, verdict, detail };
+        let reports = match (self.limit, baseline) {
+            (Limit::TimesBaseline(_), None) => return Vec::new(),
+            (Limit::TimesBaseline(_), Some(base)) => vec![report, base],
+            _ => vec![report],
+        };
+        let unfit = reports.iter().find(|r| r.mode != self.mode);
+        let unfit = unfit.map(|r| format!("runs on `{}` reports, not `{}`", self.mode, r.mode));
+        if let Some(reason) = unfit.or_else(|| self.host_skip(report)) {
+            return vec![outcome(Verdict::Skip, reason)];
+        }
+        let prefix = self.entry.ends_with('/');
+        report
+            .entries
+            .iter()
+            .filter(|e| e.name == self.entry || (prefix && e.name.starts_with(self.entry)))
+            .filter_map(|e| self.verdict(e, report, baseline))
+            .map(|(verdict, detail)| outcome(verdict, detail))
+            .collect()
+    }
+
+    /// Why the host keeps the row from running; decided before any
+    /// entry is read, so `--scaling-smoke` times nothing it would skip.
+    fn host_skip(&self, report: &Report) -> Option<String> {
+        let cpus = report.available_parallelism;
+        (self.skip == Skip::OneCpu && cpus < 2)
+            .then(|| format!("available_parallelism = {cpus}, cannot measure a multicore speedup"))
+    }
+
+    /// The verdict on one entry, or `None` when the baseline has no such
+    /// entry yet and there is nothing to regress against.
+    fn verdict(
+        &self,
+        subject: &Entry,
+        report: &Report,
+        baseline: Option<&Report>,
+    ) -> Option<(Verdict, String)> {
+        let find = |name: &str| report.entry(name).expect("check() requires every named entry");
+        let over = self.over.map(find);
+        let (factor, against) = match self.limit {
+            Limit::Fixed(limit) => (limit, None),
+            Limit::Times(factor, name) => (factor, Some(find(name))),
+            Limit::TimesBaseline(factor) => (factor, Some(baseline?.entry(&subject.name)?)),
+        };
+        let watched = match self.skip {
+            Skip::Never => [None; 3],
+            Skip::Degraded => [Some(subject), over, against],
+            Skip::OneCpu => [over, None, None],
+        };
+        if let Some(e) = watched.into_iter().flatten().find(|e| e.degraded) {
+            return Some((Verdict::Skip, format!("`{}` is tagged degraded", e.name)));
+        }
+        let stat = |e: &Entry| match self.stat {
+            Stat::Mean => e.nanos_per_iter,
+            Stat::P50 => e.p50_nanos,
+        };
+        let reading = stat(subject) / over.map_or(1.0, stat);
+        let limit = factor * against.map_or(1.0, stat);
+        let passes = match self.pass {
+            Pass::Below => reading < limit,
+            Pass::AtMost => reading <= limit,
+            Pass::AtLeast => reading >= limit,
+        };
+        let (stat, name, pass) = (self.stat, &subject.name, self.pass);
+        let per = over.map_or(String::new(), |o| format!(" / {}", o.name));
+        let detail = format!("{stat:?} {name}{per} = {reading}, limit {pass:?} {limit}");
+        Some((if passes { Verdict::Pass } else { Verdict::Fail }, detail))
+    }
+}
 
 /// One timed hot path.
 struct Entry {
@@ -154,7 +262,7 @@ struct Entry {
     threads: usize,
     /// The host could not honestly time this entry (more workers
     /// requested than `available_parallelism`, or `serve_scrape` on a
-    /// single core). `--check` skips gates involving degraded entries.
+    /// single core). The gates' skip rules read it.
     degraded: bool,
     total_nanos: u64,
     nanos_per_iter: f64,
@@ -225,14 +333,14 @@ fn scaled(full: u64, smoke: bool) -> u64 {
     }
 }
 
-/// Times one full Monte-Carlo run per iteration, through either the
-/// per-trial scalar path (`batched = false`, the `mc/*` entries) or the
-/// chunk-buffered batched path (`batched = true`, `mc_batched/*`). Both
-/// use the same workload: the fig. 8 truncated-Normal workflow at the
-/// same trial count, seed and thread count, so the two families are
-/// directly comparable per iteration.
-fn mc_entry(name: &str, threads: usize, trials: u64, smoke: bool, batched: bool) -> Entry {
-    let trials = scaled(trials, smoke).max(100);
+/// Times one full 40 000-trial Monte-Carlo run per iteration, through
+/// either the per-trial scalar path (`batched = false`, the `mc/*`
+/// entries) or the chunk-buffered batched path (`batched = true`,
+/// `mc_batched/*`). Both use the same workload: the fig. 8
+/// truncated-Normal workflow at the same trial count, seed and thread
+/// count, so the two families are directly comparable per iteration.
+fn mc_entry(name: &str, threads: usize, smoke: bool, batched: bool) -> Entry {
+    let trials = scaled(40_000, smoke).max(100);
     let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
     let ckpt = Truncated::above(Normal::new(5.0, 0.4).unwrap(), 0.0).unwrap();
     let sim = WorkflowSim {
@@ -269,8 +377,7 @@ fn mc_entry(name: &str, threads: usize, trials: u64, smoke: bool, batched: bool)
 /// issuing `GET /metrics` every 100 ms (10 Hz) for the duration. The
 /// delta against the scraper-free `mc_batched/threads_1` entry is the
 /// whole cost of live exposition; on a single-core host the scraper
-/// steals the workload's CPU, so the entry is tagged degraded and the
-/// overhead gate is skipped.
+/// steals the workload's CPU, so the entry is tagged degraded.
 fn serve_scrape_entry(smoke: bool) -> Entry {
     let server = resq_obs::http::serve(resq_obs::http::ServerConfig::new("127.0.0.1:0"))
         .expect("serve_scrape: bind telemetry server");
@@ -301,7 +408,7 @@ fn serve_scrape_entry(smoke: bool) -> Entry {
             }
         })
     };
-    let mut entry = mc_entry("serve_scrape", 1, 40_000, smoke, true);
+    let mut entry = mc_entry("serve_scrape", 1, smoke, true);
     stop.store(true, Ordering::Relaxed);
     let scrapes = scraper.join().expect("serve_scrape: scraper thread panicked");
     assert!(scrapes > 0, "serve_scrape: scraper never completed a request");
@@ -317,14 +424,10 @@ fn serve_scrape_entry(smoke: bool) -> Entry {
 /// client-to-answer round-trip `resq bench serve` measures. Quantiles
 /// are the load harness's exact per-request order statistics; on a
 /// single-core host client and daemon share one CPU, so the entry is
-/// tagged degraded and the p50 gate is skipped.
+/// tagged degraded.
 fn serve_decide_entry(smoke: bool) -> Entry {
     use resq_cli::serve::{self, DecisionService, LoadOptions, LoadProto};
-    let mut spec = LatticeSpec::defaults(LawFamily::Exponential);
-    if smoke {
-        spec = spec.with_points(5);
-    }
-    let lattice = resq::core::lattice::build(&spec).expect("serve_decide: lattice build");
+    let lattice = exponential_lattice(smoke);
     let query = serve::served_queries(&lattice)
         .next()
         .expect("serve_decide: no served lattice query to drive");
@@ -359,6 +462,14 @@ fn serve_decide_entry(smoke: bool) -> Entry {
         p99_nanos: report.p99_nanos,
         parallel_efficiency: None,
     }
+}
+
+/// The exponential-family lattice the lookup and daemon entries answer
+/// from, built outside any timed region.
+fn exponential_lattice(smoke: bool) -> resq::PolicyLattice {
+    let spec = LatticeSpec::defaults(LawFamily::Exponential);
+    let spec = if smoke { spec.with_points(5) } else { spec };
+    resq::core::lattice::build(&spec).expect("lattice build")
 }
 
 fn collect(smoke: bool) -> Vec<Entry> {
@@ -421,11 +532,7 @@ fn collect(smoke: bool) -> Vec<Entry> {
     // cycled, so the entry times the lookup itself, not the exact-solver
     // fallback (which `solve/dynamic` above already tracks).
     entries.push({
-        let mut spec = LatticeSpec::defaults(LawFamily::Exponential);
-        if smoke {
-            spec = spec.with_points(5);
-        }
-        let lattice = resq::core::lattice::build(&spec).expect("lattice build");
+        let lattice = exponential_lattice(smoke);
         let queries: Vec<_> = resq_cli::serve::served_queries(&lattice).collect();
         assert!(!queries.is_empty(), "no served lattice queries to time");
         let mut cache = SolveCache::new();
@@ -437,19 +544,13 @@ fn collect(smoke: bool) -> Vec<Entry> {
         })
     });
 
-    entries.push(mc_entry("mc/threads_1", 1, 40_000, smoke, false));
-    entries.push(mc_entry("mc/threads_2", 2, 40_000, smoke, false));
-    entries.push(mc_entry("mc/threads_max", n_threads.max(2), 40_000, smoke, false));
+    entries.push(mc_entry("mc/threads_1", 1, smoke, false));
+    entries.push(mc_entry("mc/threads_2", 2, smoke, false));
+    entries.push(mc_entry("mc/threads_max", n_threads.max(2), smoke, false));
 
-    entries.push(mc_entry("mc_batched/threads_1", 1, 40_000, smoke, true));
-    entries.push(mc_entry("mc_batched/threads_2", 2, 40_000, smoke, true));
-    entries.push(mc_entry(
-        "mc_batched/threads_max",
-        n_threads.max(2),
-        40_000,
-        smoke,
-        true,
-    ));
+    entries.push(mc_entry("mc_batched/threads_1", 1, smoke, true));
+    entries.push(mc_entry("mc_batched/threads_2", 2, smoke, true));
+    entries.push(mc_entry("mc_batched/threads_max", n_threads.max(2), smoke, true));
 
     entries.push(serve_scrape_entry(smoke));
 
@@ -505,9 +606,7 @@ fn render(entries: &[Entry], mode: &str, wall_time_secs: f64) -> String {
         out.push_str(&row);
     }
     out.push_str("  ],\n");
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let available = host_parallelism();
     let git_rev = match resq_obs::git_rev() {
         Some(rev) => format!("\"{rev}\""),
         None => "null".to_string(),
@@ -522,12 +621,25 @@ fn render(entries: &[Entry], mode: &str, wall_time_secs: f64) -> String {
     out
 }
 
-/// Parses a report and returns `(mode, available_parallelism, entries)`
-/// after validating the schema: tag, per-entry numeric fields
-/// (including v3's `threads` and v7's `parallel_efficiency` on the
-/// thread-sweep entries), v5's boolean `degraded`, and the provenance
-/// block with `available_parallelism`.
-fn load_report(path: &str) -> Result<(String, u64, Vec<json::JsonValue>), String> {
+/// A report as the gates read it; `mode` is `full`, `smoke`, or
+/// `scaling-smoke` for the entries `--scaling-smoke` times.
+struct Report {
+    mode: String,
+    available_parallelism: u64,
+    entries: Vec<Entry>,
+}
+
+impl Report {
+    fn entry(&self, name: &str) -> Option<&Entry> {
+        self.entries.iter().find(|e| e.name == name)
+    }
+}
+
+/// Parses a report after validating the schema: tag, per-entry numeric
+/// fields (including v3's `threads` and v7's `parallel_efficiency` on
+/// the thread-sweep entries), v5's boolean `degraded`, and the
+/// provenance block with `available_parallelism`.
+fn load_report(path: &str) -> Result<Report, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let root = json::parse(&text).map_err(|e| format!("`{path}` is not valid JSON: {e}"))?;
@@ -538,57 +650,49 @@ fn load_report(path: &str) -> Result<(String, u64, Vec<json::JsonValue>), String
     if schema != SCHEMA {
         return Err(format!("schema `{schema}`, expected `{SCHEMA}`"));
     }
-    let Some(json::JsonValue::Array(entries)) = root.get("entries") else {
+    let Some(json::JsonValue::Array(rows)) = root.get("entries") else {
         return Err("`entries` must be an array".to_string());
     };
-    if entries.is_empty() {
+    if rows.is_empty() {
         return Err("`entries` is empty".to_string());
     }
-    for e in entries {
+    let mut entries = Vec::with_capacity(rows.len());
+    for e in rows {
         let name = e
             .get("name")
             .and_then(|n| n.as_str())
             .ok_or("entry missing `name`")?;
-        for key in [
-            "iters",
-            "threads",
-            "total_nanos",
-            "nanos_per_iter",
-            "p50_nanos",
-            "p90_nanos",
-            "p99_nanos",
-        ] {
-            let v = e
-                .get(key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("entry `{name}` missing numeric `{key}`"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("entry `{name}` has non-finite `{key}`"));
-            }
-        }
-        if e.get("degraded").and_then(|v| v.as_bool()).is_none() {
-            return Err(format!("entry `{name}` missing boolean `degraded`"));
-        }
+        let num = |key: &str| match e.get(key).and_then(|v| v.as_f64()) {
+            Some(v) if v.is_finite() && v >= 0.0 => Ok(v),
+            Some(_) => Err(format!("entry `{name}` has non-finite `{key}`")),
+            None => Err(format!("entry `{name}` missing numeric `{key}`")),
+        };
+        let entry = Entry {
+            name: name.to_string(),
+            iters: num("iters")? as u64,
+            threads: num("threads")? as usize,
+            total_nanos: num("total_nanos")? as u64,
+            nanos_per_iter: num("nanos_per_iter")?,
+            p50_nanos: num("p50_nanos")?,
+            p90_nanos: num("p90_nanos")?,
+            p99_nanos: num("p99_nanos")?,
+            degraded: e
+                .get("degraded")
+                .and_then(|v| v.as_bool())
+                .ok_or_else(|| format!("entry `{name}` missing boolean `degraded`"))?,
+            parallel_efficiency: e.get("parallel_efficiency").and_then(|v| v.as_f64()),
+        };
         // v7: the Monte-Carlo thread-sweep entries must carry the
         // derived efficiency (other entries must not need it, so it
         // stays optional for them).
-        if name.starts_with("mc/threads_") || name.starts_with("mc_batched/threads_") {
-            let pe = e
-                .get("parallel_efficiency")
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| {
-                    format!("entry `{name}` missing numeric `parallel_efficiency` (schema v7)")
-                })?;
-            if !pe.is_finite() || pe <= 0.0 {
-                return Err(format!("entry `{name}` has non-positive `parallel_efficiency`"));
-            }
+        let sweep = name.starts_with("mc/threads_") || name.starts_with("mc_batched/threads_");
+        if sweep && !entry.parallel_efficiency.is_some_and(|pe| pe.is_finite() && pe > 0.0) {
+            return Err(format!("entry `{name}` lacks a positive `parallel_efficiency` (v7)"));
         }
-        if e.get("iters").and_then(|v| v.as_u64()) == Some(0) {
-            return Err(format!("entry `{name}` ran zero iterations"));
+        if entry.iters == 0 || entry.threads == 0 {
+            return Err(format!("entry `{name}` ran zero iterations or claims zero threads"));
         }
-        if e.get("threads").and_then(|v| v.as_u64()) == Some(0) {
-            return Err(format!("entry `{name}` claims zero threads"));
-        }
+        entries.push(entry);
     }
     let prov = root
         .get("provenance")
@@ -598,7 +702,7 @@ fn load_report(path: &str) -> Result<(String, u64, Vec<json::JsonValue>), String
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("provenance missing `{key}`"))?;
     }
-    let avail = prov
+    let available_parallelism = prov
         .get("available_parallelism")
         .and_then(|v| v.as_u64())
         .ok_or("provenance missing `available_parallelism`")?;
@@ -610,273 +714,69 @@ fn load_report(path: &str) -> Result<(String, u64, Vec<json::JsonValue>), String
         .and_then(|v| v.as_str())
         .unwrap_or("unknown")
         .to_string();
-    Ok((mode, avail, entries.clone()))
+    Ok(Report { mode, available_parallelism, entries })
 }
 
-/// Looks up `nanos_per_iter` for a named entry.
-fn per_iter(entries: &[json::JsonValue], wanted: &str) -> Option<f64> {
-    entries
-        .iter()
-        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some(wanted))
-        .and_then(|e| e.get("nanos_per_iter").and_then(|v| v.as_f64()))
-}
-
-/// Looks up `p50_nanos` for a named entry. The throughput and scaling
-/// gates read the median rather than the mean: on a busy or single-core
-/// host a handful of preempted iterations inflate the mean by 10%+
-/// (visible as p99 ≫ p50), and the gates should measure the code, not
-/// the scheduler.
-fn p50_of(entries: &[json::JsonValue], wanted: &str) -> Option<f64> {
-    entries
-        .iter()
-        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some(wanted))
-        .and_then(|e| e.get("p50_nanos").and_then(|v| v.as_f64()))
-}
-
-/// Whether a named entry carries the `degraded` honesty tag. Absent
-/// entries count as degraded so gates never fire on missing data.
-fn is_degraded(entries: &[json::JsonValue], wanted: &str) -> bool {
-    entries
-        .iter()
-        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some(wanted))
-        .and_then(|e| e.get("degraded").and_then(|v| v.as_bool()))
-        .unwrap_or(true)
-}
-
-/// Validates a report against the schema, plus the cross-path invariants
-/// and (optionally) the solver regression gate against a committed
-/// baseline report. The CI smoke gate runs this on both the smoke report
-/// and the committed `BENCH_perf.json`.
-///
-/// Returns the list of gates that were *skipped* (degraded entries,
-/// single-core hosts, mode mismatches) so the caller can distinguish a
-/// fully-gated pass (exit 0) from a passed-with-skips run (exit 3) —
-/// before v7 the skip notices scrolled past individually and a report
-/// that skipped every speedup gate exited identically to one that
-/// proved them all.
-fn check(path: &str, baseline: Option<&str>) -> Result<Vec<String>, String> {
-    let mut skips: Vec<String> = Vec::new();
-    let (mode, avail, entries) = load_report(path)?;
-    // Full-mode reports must show the batched fast path actually paying
-    // for itself on the single-threaded sweep. Smoke runs are too short
-    // and noisy for a speed assertion, so only the schema is checked.
-    if mode == "full" {
-        let scalar = per_iter(&entries, "mc/threads_1")
-            .ok_or("full-mode report missing `mc/threads_1`")?;
-        let batched = per_iter(&entries, "mc_batched/threads_1")
-            .ok_or("full-mode report missing `mc_batched/threads_1`")?;
-        if is_degraded(&entries, "mc/threads_1") || is_degraded(&entries, "mc_batched/threads_1")
-        {
-            skips.push(
-                "batched-vs-scalar: a single-threaded entry is tagged degraded".to_string(),
-            );
-        } else if batched >= scalar {
-            return Err(format!(
-                "mc_batched/threads_1 ({batched:.1} ns/iter) is not faster than \
-                 mc/threads_1 ({scalar:.1} ns/iter)"
-            ));
-        }
-        // Single-core throughput gate (v7): one batched iteration is a
-        // full 40 000-trial run, so the 4 ms/iter ceiling is the
-        // 10⁷ trials/sec/core floor. Gated on the *median* iteration
-        // (see `p50_of`). `threads_1` can never exceed the host's
-        // parallelism, so there is no degraded skip here — a full-mode
-        // report that misses this floor fails on any host.
-        let batched_p50 = p50_of(&entries, "mc_batched/threads_1")
-            .ok_or("full-mode report missing `mc_batched/threads_1` p50")?;
-        if batched_p50 > MC_BATCHED_T1_LIMIT_NANOS {
-            return Err(format!(
-                "mc_batched/threads_1 p50 at {batched_p50:.1} ns/iter misses the \
-                 {MC_BATCHED_T1_LIMIT_NANOS:.0} ns/iter (10⁷ trials/sec/core) \
-                 throughput gate"
-            ));
-        }
-        println!(
-            "  gate mc-throughput: mc_batched/threads_1 p50 {batched_p50:.1} ns/iter \
-             (limit {MC_BATCHED_T1_LIMIT_NANOS:.0}) ok"
-        );
-        // Multicore scaling gate (v7): when the host can really run two
-        // or more workers, the batched sweep must show an actual
-        // speedup — threads_max at least SCALING_SPEEDUP_MIN times
-        // faster per median iteration than threads_1. A single-core
-        // host cannot measure this; it is skipped honestly, not waved
-        // through.
-        let tmax_p50 = p50_of(&entries, "mc_batched/threads_max")
-            .ok_or("full-mode report missing `mc_batched/threads_max`")?;
-        if avail < 2 {
-            skips.push(format!(
-                "mc-scaling: host reports available_parallelism = {avail}, \
-                 cannot measure a multicore speedup"
-            ));
-        } else if is_degraded(&entries, "mc_batched/threads_max") {
-            skips.push(
-                "mc-scaling: `mc_batched/threads_max` is tagged degraded".to_string(),
-            );
-        } else {
-            let speedup = batched_p50 / tmax_p50;
-            if speedup < SCALING_SPEEDUP_MIN {
-                return Err(format!(
-                    "mc_batched/threads_max p50 speedup {speedup:.2}x over threads_1 \
-                     is under the {SCALING_SPEEDUP_MIN}x multicore scaling gate \
-                     (threads_1 {batched_p50:.1} ns/iter, threads_max {tmax_p50:.1})"
-                ));
-            }
-            println!(
-                "  gate mc-scaling: {speedup:.2}x p50 speedup at threads_max \
-                 (floor {SCALING_SPEEDUP_MIN}x) ok"
-            );
-        }
-        // Live-telemetry overhead gate: a 10 Hz scraper against the
-        // interference-free snapshot endpoints must not slow the
-        // batched single-thread workload by 5% or more. On hosts where
-        // either side is degraded (e.g. single core, where the scraper
-        // thread competes for the workload's CPU) the comparison is
-        // meaningless and is skipped with a notice.
-        if let Some(scrape) = per_iter(&entries, "serve_scrape") {
-            if is_degraded(&entries, "serve_scrape")
-                || is_degraded(&entries, "mc_batched/threads_1")
-            {
-                skips.push(
-                    "serve_scrape: entry tagged degraded (host cannot time \
-                     scraper + workload honestly)"
-                        .to_string(),
-                );
-            } else {
-                let limit = batched * (1.0 + SCRAPE_OVERHEAD_TOLERANCE);
-                if scrape > limit {
-                    return Err(format!(
-                        "serve_scrape at {scrape:.1} ns/iter is {:.1}% over \
-                         mc_batched/threads_1 ({batched:.1} ns/iter); scraping \
-                         overhead tolerance is {:.0}%",
-                        (scrape / batched - 1.0) * 100.0,
-                        SCRAPE_OVERHEAD_TOLERANCE * 100.0
-                    ));
-                }
-                println!(
-                    "  gate serve_scrape: {scrape:.1} ns/iter vs {batched:.1} \
-                     (limit {limit:.1}) ok"
-                );
-            }
-        } else {
-            return Err("full-mode report missing `serve_scrape`".to_string());
-        }
-        // Decision-daemon latency gate: the lattice path exists to
-        // answer in microseconds, and the daemon must not bury that
-        // under wire or locking overhead — median round-trip stays at
-        // or under SERVE_DECIDE_P50_LIMIT_NANOS. Degraded hosts
-        // (client + daemon sharing one core) skip the gate with a
-        // notice.
-        let p50 = entries
-            .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("serve_decide"))
-            .and_then(|e| e.get("p50_nanos").and_then(|v| v.as_f64()));
-        if let Some(p50) = p50 {
-            if is_degraded(&entries, "serve_decide") {
-                skips.push(
-                    "serve_decide: entry tagged degraded (client and daemon \
-                     share one core)"
-                        .to_string(),
-                );
-            } else if p50 > SERVE_DECIDE_P50_LIMIT_NANOS {
-                return Err(format!(
-                    "serve_decide p50 at {p50:.0} ns is over the \
-                     {SERVE_DECIDE_P50_LIMIT_NANOS:.0} ns lattice-path latency gate"
-                ));
-            } else {
-                println!(
-                    "  gate serve_decide: p50 {p50:.0} ns \
-                     (limit {SERVE_DECIDE_P50_LIMIT_NANOS:.0}) ok"
-                );
-            }
-        } else {
-            return Err("full-mode report missing `serve_decide`".to_string());
-        }
+/// `--check`: evaluates the `full` rows after requiring each entry they
+/// name, of a smoke report too, where they then list themselves as
+/// skipped.
+fn check(report: &Report, baseline: Option<&Report>) -> Vec<Outcome> {
+    let rows = GATES.iter().filter(|g| g.mode == "full");
+    let missing: Vec<Outcome> = rows
+        .clone()
+        .flat_map(|g| g.named().map(move |name| (g.name, name)))
+        .filter(|(_, name)| report.entry(name).is_none())
+        .map(|(gate, name)| Outcome {
+            gate,
+            verdict: Verdict::Fail,
+            detail: format!("the report has no `{name}` entry"),
+        })
+        .collect();
+    if !missing.is_empty() {
+        return missing;
     }
-    // Regression gate: every tracked solver entry in the fresh report
-    // must stay within SOLVER_REGRESSION_TOLERANCE of the committed
-    // baseline. Wall-clock comparisons only mean something when both
-    // reports are full-mode (smoke iteration counts are noise) — a
-    // smoke-mode fresh report gets schema+sanity only, by design.
-    if let Some(base_path) = baseline {
-        let (base_mode, _base_avail, base_entries) = load_report(base_path)?;
-        if mode == "full" && base_mode == "full" {
-            for e in &entries {
-                let Some(name) = e.get("name").and_then(|n| n.as_str()) else {
-                    continue;
-                };
-                if !name.starts_with("solve/") {
-                    continue;
-                }
-                let fresh = e
-                    .get("nanos_per_iter")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(f64::NAN);
-                let Some(base) = per_iter(&base_entries, name) else {
-                    // New entry with no committed baseline yet: nothing
-                    // to regress against.
-                    continue;
-                };
-                if is_degraded(&entries, name) || is_degraded(&base_entries, name) {
-                    skips.push(format!("regression `{name}`: entry tagged degraded"));
-                    continue;
-                }
-                let limit = base * (1.0 + SOLVER_REGRESSION_TOLERANCE);
-                if fresh > limit {
-                    return Err(format!(
-                        "solver regression: `{name}` at {fresh:.1} ns/iter is \
-                         {:.0}% slower than the committed baseline ({base:.1} ns/iter); \
-                         tolerance is {:.0}%",
-                        (fresh / base - 1.0) * 100.0,
-                        SOLVER_REGRESSION_TOLERANCE * 100.0
-                    ));
-                }
-                println!(
-                    "  gate `{name}`: {fresh:.1} ns/iter vs baseline {base:.1} (limit {limit:.1}) ok"
-                );
-            }
-        } else {
-            skips.push(format!(
-                "regression: needs two full-mode reports \
-                 (fresh `{mode}`, baseline `{base_mode}`)"
-            ));
-        }
-    }
-    println!("{path}: ok ({} entries)", entries.len());
-    Ok(skips)
+    rows.flat_map(|g| g.evaluate(report, baseline)).collect()
 }
 
-/// `--scaling-smoke`: a report-free two-entry scaling probe for CI — no
-/// cargo-bench machinery, no JSON, just the batched fig. 8 workload at
-/// `threads_1` and `threads_max` and the [`SCALING_SMOKE_MIN`] floor on
-/// the speedup. Exit 0 = speedup proven, 1 = multicore host failed the
-/// floor, 3 = single-core host, honestly skipped (CI legs treat 3 as
-/// pass-with-notice, same convention as `--check`).
-fn scaling_smoke() -> i32 {
+/// `--scaling-smoke`: a report-free probe for CI that times the batched
+/// fig. 8 workload at one thread and at the host's parallelism, and
+/// evaluates the `scaling-smoke` rows on those two entries.
+fn scaling_smoke() -> Vec<Outcome> {
     let n = host_parallelism();
     println!("scaling smoke: available_parallelism = {n}");
-    if n < 2 {
-        println!(
-            "scaling smoke skipped: a single-core host cannot measure a \
-             multicore speedup (exit 3 = passed with skips)"
-        );
-        return 3;
+    let mut report = Report {
+        mode: "scaling-smoke".to_string(),
+        available_parallelism: n as u64,
+        entries: Vec::new(),
+    };
+    let rows = GATES.iter().filter(|g| g.mode == "scaling-smoke");
+    if rows.clone().any(|g| g.host_skip(&report).is_none()) {
+        report.entries = vec![
+            mc_entry("mc_batched/threads_1", 1, false, true),
+            mc_entry("mc_batched/threads_max", n, false, true),
+        ];
     }
-    let t1 = mc_entry("mc_batched/threads_1", 1, 40_000, false, true);
-    let tmax = mc_entry("mc_batched/threads_max", n, 40_000, false, true);
-    let speedup = t1.p50_nanos / tmax.p50_nanos;
-    println!(
-        "scaling smoke: threads_1 p50 {:.1} ns/iter, threads_{} p50 {:.1} ns/iter \
-         -> {speedup:.2}x (floor {SCALING_SMOKE_MIN}x)",
-        t1.p50_nanos, n, tmax.p50_nanos
-    );
-    if speedup < SCALING_SMOKE_MIN {
-        eprintln!(
-            "scaling smoke failed: {speedup:.2}x is under the \
-             {SCALING_SMOKE_MIN}x floor on a {n}-core host"
-        );
+    rows.flat_map(|g| g.evaluate(&report, None)).collect()
+}
+
+/// Prints the outcomes, the skips as one consolidated notice, and
+/// returns the exit code: `1` if a gate failed, `3` if one was skipped,
+/// `0` when every gate ran and passed.
+fn conclude(outcomes: &[Outcome]) -> i32 {
+    let with = |verdict| outcomes.iter().filter(move |o| o.verdict == verdict);
+    with(Verdict::Pass).for_each(|o| println!("  gate {}: {} ok", o.gate, o.detail));
+    with(Verdict::Fail).for_each(|o| eprintln!("gate {} failed: {}", o.gate, o.detail));
+    if with(Verdict::Fail).next().is_some() {
         return 1;
     }
-    0
+    let skips: Vec<&Outcome> = with(Verdict::Skip).collect();
+    if skips.is_empty() {
+        return 0;
+    }
+    println!("passed with {} skipped gate(s):", skips.len());
+    skips.iter().for_each(|o| println!("  - {}: {}", o.gate, o.detail));
+    println!("exit 3: passed-with-skips (0 = all gates ran and passed)");
+    3
 }
 
 fn main() {
@@ -905,27 +805,18 @@ fn main() {
         }
     }
     if run_scaling_smoke {
-        std::process::exit(scaling_smoke());
+        std::process::exit(conclude(&scaling_smoke()));
     }
     if let Some(path) = check_path {
-        match check(&path, baseline_path.as_deref()) {
-            Err(e) => {
+        let load = |path: &str| {
+            load_report(path).unwrap_or_else(|e| {
                 eprintln!("perf report check failed: {e}");
                 std::process::exit(1);
-            }
-            Ok(skips) if !skips.is_empty() => {
-                // One consolidated notice instead of scattered lines:
-                // the run passed every gate the host could measure, and
-                // exit 3 tells automation it was not a fully-gated pass.
-                println!("passed with {} skipped gate(s):", skips.len());
-                for s in &skips {
-                    println!("  - {s}");
-                }
-                println!("exit 3: passed-with-skips (0 = all gates ran and passed)");
-                std::process::exit(3);
-            }
-            Ok(_) => return,
-        }
+            })
+        };
+        let (report, baseline) = (load(&path), baseline_path.as_deref().map(load));
+        println!("{path}: schema ok ({} entries)", report.entries.len());
+        std::process::exit(conclude(&check(&report, baseline.as_ref())));
     }
     let start = Instant::now();
     let entries = collect(smoke);
@@ -943,4 +834,265 @@ fn main() {
         );
     }
     println!("report written    : {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(name: &str, threads: usize, mean: f64, p50: f64) -> Entry {
+        Entry {
+            name: name.to_string(),
+            iters: 30,
+            threads,
+            degraded: false,
+            total_nanos: (mean * 30.0) as u64,
+            nanos_per_iter: mean,
+            p50_nanos: p50,
+            p90_nanos: p50,
+            p99_nanos: p50,
+            parallel_efficiency: None,
+        }
+    }
+
+    /// A full-mode report from a two-CPU host on which every `--check`
+    /// row runs and passes.
+    fn full() -> Report {
+        Report {
+            mode: "full".to_string(),
+            available_parallelism: 2,
+            entries: vec![
+                entry("solve/static", 1, 100_000.0, 100_000.0),
+                entry("solve/dynamic", 1, 12e6, 12e6),
+                entry("mc/threads_1", 1, 10e6, 10e6),
+                entry("mc_batched/threads_1", 1, 3.2e6, 3.4e6),
+                entry("mc_batched/threads_max", 2, 1.6e6, 1.7e6),
+                entry("serve_scrape", 1, 3.3e6, 3.3e6),
+                entry("serve_decide", 2, 15e3, 20e3),
+            ],
+        }
+    }
+
+    fn smoke() -> Report {
+        Report {
+            mode: "smoke".to_string(),
+            ..full()
+        }
+    }
+
+    /// `report` with `edit` applied to its entry `name`.
+    fn with(mut report: Report, name: &str, edit: impl FnOnce(&mut Entry)) -> Report {
+        edit(report.entries.iter_mut().find(|e| e.name == name).expect("entry to edit"));
+        report
+    }
+
+    fn degraded(report: Report, name: &str) -> Report {
+        with(report, name, |e| e.degraded = true)
+    }
+
+    /// Asserts the exit code and exactly which gates were skipped.
+    #[track_caller]
+    fn assert_outcome(outcomes: &[Outcome], code: i32, skipped: &[&str]) {
+        let skips: Vec<&str> = outcomes
+            .iter()
+            .filter(|o| o.verdict == Verdict::Skip)
+            .map(|o| o.gate)
+            .collect();
+        assert_eq!((conclude(outcomes), skips.as_slice()), (code, skipped));
+    }
+
+    /// How many of `gate`'s outcomes passed.
+    fn passes(outcomes: &[Outcome], gate: &str) -> usize {
+        outcomes
+            .iter()
+            .filter(|o| o.gate == gate && o.verdict == Verdict::Pass)
+            .count()
+    }
+
+    #[test]
+    fn batched_vs_scalar_row() {
+        let outcomes = check(&full(), None);
+        assert_outcome(&outcomes, 0, &[]);
+        assert_eq!(passes(&outcomes, "batched-vs-scalar"), 1);
+        // Equal means fail: the batched path must be strictly faster.
+        let equal = with(full(), "mc_batched/threads_1", |e| e.nanos_per_iter = 10e6);
+        assert_outcome(&check(&equal, None), 1, &[]);
+        let slower = with(full(), "mc_batched/threads_1", |e| e.nanos_per_iter = 11e6);
+        assert_outcome(&check(&slower, None), 1, &[]);
+        let scalar = degraded(full(), "mc/threads_1");
+        assert_outcome(&check(&scalar, None), 3, &["batched-vs-scalar"]);
+        let batched = degraded(full(), "mc_batched/threads_1");
+        assert_outcome(&check(&batched, None), 3, &["batched-vs-scalar", "serve_scrape"]);
+    }
+
+    #[test]
+    fn mc_throughput_row() {
+        let at = |p50| {
+            let r = with(full(), "mc_batched/threads_max", |e| e.p50_nanos = 2e6);
+            with(r, "mc_batched/threads_1", |e| e.p50_nanos = p50)
+        };
+        let outcomes = check(&at(4e6), None);
+        assert_outcome(&outcomes, 0, &[]);
+        assert_eq!(passes(&outcomes, "mc-throughput"), 1);
+        assert_outcome(&check(&at(4_000_001.0), None), 1, &[]);
+        // The row never skips: a degraded entry does not excuse it.
+        let excused = degraded(at(4_000_001.0), "mc_batched/threads_1");
+        assert_outcome(&check(&excused, None), 1, &["batched-vs-scalar", "serve_scrape"]);
+    }
+
+    #[test]
+    fn mc_scaling_row() {
+        // 3.4 ms over 2 ms is a speedup of exactly 1.7.
+        let exact = with(full(), "mc_batched/threads_max", |e| e.p50_nanos = 2e6);
+        let outcomes = check(&exact, None);
+        assert_outcome(&outcomes, 0, &[]);
+        assert_eq!(passes(&outcomes, "mc-scaling"), 1);
+        let slow = with(full(), "mc_batched/threads_max", |e| e.p50_nanos = 2.1e6);
+        assert_outcome(&check(&slow, None), 1, &[]);
+        let one_cpu = Report {
+            available_parallelism: 1,
+            ..slow
+        };
+        assert_outcome(&check(&one_cpu, None), 3, &["mc-scaling"]);
+        let tmax = degraded(full(), "mc_batched/threads_max");
+        assert_outcome(&check(&tmax, None), 3, &["mc-scaling"]);
+    }
+
+    #[test]
+    fn serve_scrape_row() {
+        // 3.36 ms is exactly 1.05 × the 3.2 ms batched mean.
+        let exact = with(full(), "serve_scrape", |e| e.nanos_per_iter = 3.36e6);
+        let outcomes = check(&exact, None);
+        assert_outcome(&outcomes, 0, &[]);
+        assert_eq!(passes(&outcomes, "serve_scrape"), 1);
+        let over = with(full(), "serve_scrape", |e| e.nanos_per_iter = 3.37e6);
+        assert_outcome(&check(&over, None), 1, &[]);
+        let scrape = degraded(full(), "serve_scrape");
+        assert_outcome(&check(&scrape, None), 3, &["serve_scrape"]);
+    }
+
+    #[test]
+    fn serve_decide_row() {
+        let exact = with(full(), "serve_decide", |e| e.p50_nanos = 50_000.0);
+        let outcomes = check(&exact, None);
+        assert_outcome(&outcomes, 0, &[]);
+        assert_eq!(passes(&outcomes, "serve_decide"), 1);
+        let over = with(full(), "serve_decide", |e| e.p50_nanos = 50_001.0);
+        assert_outcome(&check(&over, None), 1, &[]);
+        let decide = degraded(full(), "serve_decide");
+        assert_outcome(&check(&decide, None), 3, &["serve_decide"]);
+    }
+
+    #[test]
+    fn regression_row() {
+        let base = full();
+        // Without a baseline the row is not asked for.
+        assert_eq!(passes(&check(&full(), None), "regression"), 0);
+        let exact = with(full(), "solve/static", |e| e.nanos_per_iter = 125_000.0);
+        let outcomes = check(&exact, Some(&base));
+        assert_outcome(&outcomes, 0, &[]);
+        assert_eq!(passes(&outcomes, "regression"), 2, "one pass per solve/* entry");
+        let slower = with(full(), "solve/static", |e| e.nanos_per_iter = 125_001.0);
+        assert_outcome(&check(&slower, Some(&base)), 1, &[]);
+        let fresh = degraded(full(), "solve/static");
+        assert_outcome(&check(&fresh, Some(&base)), 3, &["regression"]);
+        let committed = degraded(full(), "solve/static");
+        let outcomes = check(&full(), Some(&committed));
+        assert_outcome(&outcomes, 3, &["regression"]);
+        assert!(outcomes.iter().any(|o| o.detail.contains("`solve/static`")));
+        // An entry the baseline lacks is not evaluated, and not listed.
+        let mut new = full();
+        new.entries.push(entry("solve/new", 1, 5.0, 5.0));
+        let outcomes = check(&new, Some(&base));
+        assert_outcome(&outcomes, 0, &[]);
+        assert_eq!(passes(&outcomes, "regression"), 2);
+        assert_outcome(&check(&full(), Some(&smoke())), 3, &["regression"]);
+    }
+
+    #[test]
+    fn scaling_smoke_row() {
+        let run = |cpus: u64, entries: Vec<Entry>| -> Vec<Outcome> {
+            let report = Report {
+                mode: "scaling-smoke".to_string(),
+                available_parallelism: cpus,
+                entries,
+            };
+            GATES
+                .iter()
+                .filter(|g| g.mode == "scaling-smoke")
+                .flat_map(|g| g.evaluate(&report, None))
+                .collect()
+        };
+        let timed = |tmax_p50| {
+            vec![
+                entry("mc_batched/threads_1", 1, 3e6, 3e6),
+                entry("mc_batched/threads_max", 2, tmax_p50, tmax_p50),
+            ]
+        };
+        // 3 ms over 2 ms is a speedup of exactly 1.5.
+        let outcomes = run(2, timed(2e6));
+        assert_outcome(&outcomes, 0, &[]);
+        assert_eq!(passes(&outcomes, "scaling-smoke"), 1);
+        assert_outcome(&run(2, timed(2.1e6)), 1, &[]);
+        // One CPU skips before any entry is read, so none need exist.
+        assert_outcome(&run(1, Vec::new()), 3, &["scaling-smoke"]);
+    }
+
+    #[test]
+    fn smoke_report_lists_every_full_mode_row() {
+        let full_rows = [
+            "batched-vs-scalar",
+            "mc-throughput",
+            "mc-scaling",
+            "serve_scrape",
+            "serve_decide",
+        ];
+        assert_outcome(&check(&smoke(), None), 3, &full_rows);
+        let and_regression: Vec<&str> = full_rows.into_iter().chain(["regression"]).collect();
+        assert_outcome(&check(&smoke(), Some(&full())), 3, &and_regression);
+    }
+
+    #[test]
+    fn check_requires_every_entry_a_row_names() {
+        for mode in ["full", "smoke"] {
+            for name in [
+                "serve_decide",
+                "mc/threads_1",
+                "mc_batched/threads_max",
+                "serve_scrape",
+            ] {
+                // On one CPU mc-scaling skips, yet still needs its entries.
+                let mut report = Report {
+                    mode: mode.to_string(),
+                    available_parallelism: 1,
+                    ..full()
+                };
+                report.entries.retain(|e| e.name != name);
+                let code = conclude(&check(&report, None));
+                assert_eq!(code, 1, "{mode} report without {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn committed_baseline_skips_exactly_the_degraded_gates() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
+        let report = load_report(path).expect("the committed report loads");
+        let skipped = ["mc-scaling", "serve_scrape", "serve_decide"];
+        assert_outcome(&check(&report, None), 3, &skipped);
+        let outcomes = check(&report, Some(&report));
+        assert_outcome(&outcomes, 3, &skipped);
+        let solvers = report.entries.iter().filter(|e| e.name.starts_with("solve/"));
+        assert_eq!(passes(&outcomes, "regression"), solvers.count());
+    }
+
+    #[test]
+    fn every_gate_is_documented_in_operations() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/OPERATIONS.md");
+        let doc = std::fs::read_to_string(path).expect("docs/OPERATIONS.md");
+        for g in GATES {
+            let row = format!("| `{}` |", g.name);
+            assert!(doc.contains(&row), "docs/OPERATIONS.md has no gate table row {row}");
+        }
+    }
 }

@@ -1147,52 +1147,6 @@ impl PolicyLattice {
     }
 }
 
-/// Lattice-backed counterpart of [`StaticStrategy::optimize`] /
-/// [`DynamicStrategy::threshold`]: owns the lattice and the exact-path
-/// [`SolveCache`] its fallbacks use, and answers per-query in O(µs) when
-/// the lattice serves.
-pub struct LatticePlanner {
-    lattice: PolicyLattice,
-    cache: SolveCache,
-}
-
-impl LatticePlanner {
-    /// Wraps a lattice with a fresh fallback cache.
-    pub fn new(lattice: PolicyLattice) -> Self {
-        Self {
-            lattice,
-            cache: SolveCache::new(),
-        }
-    }
-
-    /// The wrapped lattice.
-    pub fn lattice(&self) -> &PolicyLattice {
-        &self.lattice
-    }
-
-    /// Full answer for `q`.
-    pub fn query(&mut self, q: &PolicyQuery) -> Result<PolicyAnswer, CoreError> {
-        self.lattice.query(q, &mut self.cache)
-    }
-
-    /// Lattice-backed static plan (§4.2): what
-    /// [`StaticStrategy::optimize`] would return for `q`'s laws.
-    pub fn plan_static(&mut self, q: &PolicyQuery) -> Result<StaticPlan, CoreError> {
-        Ok(self.query(q)?.static_plan())
-    }
-
-    /// Lattice-backed dynamic threshold (§4.3): what
-    /// [`DynamicStrategy::threshold`] would return for `q`'s laws.
-    pub fn threshold(&mut self, q: &PolicyQuery) -> Result<Option<f64>, CoreError> {
-        Ok(self.query(q)?.w_int)
-    }
-
-    /// The §4.3 online decision at work level `w`.
-    pub fn should_checkpoint(&mut self, q: &PolicyQuery, w: f64) -> Result<bool, CoreError> {
-        Ok(self.query(q)?.should_checkpoint(w))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1454,17 +1408,15 @@ mod tests {
 
     #[test]
     fn planner_variants_agree_with_query() {
-        let mut planner = LatticePlanner::new(exp_lattice().clone());
+        let mut cache = SolveCache::new();
         let q = exp_query(0.17, 0.17, 20.0);
-        let a = planner.query(&q).unwrap();
-        let plan = planner.plan_static(&q).unwrap();
+        let a = exp_lattice().query(&q, &mut cache).unwrap();
+        let plan = a.static_plan();
         assert_eq!(plan.n_opt, a.n_opt);
         assert_eq!(plan.expected_work, a.expected_work);
-        let w = planner.threshold(&q).unwrap();
-        assert_eq!(w, a.w_int);
-        if let Some(w) = w {
-            assert!(planner.should_checkpoint(&q, w + 0.1).unwrap());
-            assert!(!planner.should_checkpoint(&q, w - 0.1).unwrap());
+        if let Some(w) = a.w_int {
+            assert!(a.should_checkpoint(w + 0.1));
+            assert!(!a.should_checkpoint(w - 0.1));
         }
     }
 

@@ -49,7 +49,7 @@ pub mod workflow;
 pub use controller::{ControllerState, ReservationController};
 pub use error::CoreError;
 pub use lattice::{
-    AnswerSource, AxisSpec, LatticeError, LatticePlanner, LatticeSpec, LawFamily, PolicyAnswer,
+    AnswerSource, AxisSpec, LatticeError, LatticeSpec, LawFamily, PolicyAnswer,
     PolicyLattice, PolicyQuery, TaskParams,
 };
 pub use policy::{

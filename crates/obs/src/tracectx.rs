@@ -47,22 +47,13 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The causal coordinates of one telemetry row.
-///
-/// Constructed once per CLI invocation via [`TraceCtx::derive`]; the
-/// optional trial/attempt members narrow the context to one trial or
-/// one checkpoint attempt when a producer has them in hand.
+/// The run-level trace context of one telemetry row, constructed once
+/// per CLI invocation via [`TraceCtx::derive`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Deterministic run fingerprint (see the module docs for what
     /// does and does not enter the hash).
     pub run_id: u64,
-    /// Trial index, when the context is narrowed to one trial.
-    pub trial_id: Option<u64>,
-    /// Checkpoint attempt index within the trial, when narrowed
-    /// further (1-based, matching the `attempts` counter of
-    /// `retry-outcome` rows).
-    pub attempt: Option<u64>,
 }
 
 impl TraceCtx {
@@ -79,28 +70,7 @@ impl TraceCtx {
             h = fnv1a(h, b"=");
             h = fnv1a(h, value.as_bytes());
         }
-        Self {
-            run_id: h,
-            trial_id: None,
-            attempt: None,
-        }
-    }
-
-    /// Narrows the context to one trial.
-    pub fn for_trial(&self, trial: u64) -> Self {
-        Self {
-            run_id: self.run_id,
-            trial_id: Some(trial),
-            attempt: None,
-        }
-    }
-
-    /// Narrows a trial context to one checkpoint attempt (1-based).
-    pub fn with_attempt(&self, attempt: u64) -> Self {
-        Self {
-            attempt: Some(attempt),
-            ..self.clone()
-        }
+        Self { run_id: h }
     }
 
     /// The `run_id` as the 16-hex-digit string event rows carry.
@@ -109,8 +79,8 @@ impl TraceCtx {
     }
 }
 
-/// Sink wrapper that appends the context's `run_id` (and, when
-/// narrowed, `trial`/`attempt`) to every row it forwards.
+/// Sink wrapper that appends the context's `run_id` to every row it
+/// forwards.
 ///
 /// Wrapping the sink — rather than threading a context parameter
 /// through every producer signature — means *all* rows of a run
@@ -137,7 +107,7 @@ pub struct TracedSink<S> {
 }
 
 impl<S: RunSink> TracedSink<S> {
-    /// Wraps `inner` so every forwarded row carries `ctx`'s fields.
+    /// Wraps `inner` so every forwarded row carries `ctx`'s `run_id`.
     pub fn new(inner: S, ctx: TraceCtx) -> Self {
         let run_id_hex = ctx.run_id_hex();
         Self {
@@ -160,14 +130,7 @@ impl<S: RunSink> TracedSink<S> {
 
 impl<S: RunSink> RunSink for TracedSink<S> {
     fn emit(&self, event: Event) {
-        let mut event = event.str("run_id", self.run_id_hex.clone());
-        if let Some(trial) = self.ctx.trial_id {
-            event = event.u64("trial_ctx", trial);
-        }
-        if let Some(attempt) = self.ctx.attempt {
-            event = event.u64("attempt_ctx", attempt);
-        }
-        self.inner.emit(event);
+        self.inner.emit(event.str("run_id", self.run_id_hex.clone()));
     }
 
     fn enabled(&self) -> bool {
@@ -460,14 +423,12 @@ mod tests {
         let inner = MemorySink::new();
         let ctx = TraceCtx::derive("simulate", [("seed", "7")].into_iter());
         let hex = ctx.run_id_hex();
-        let sink = TracedSink::new(&inner, ctx.for_trial(12).with_attempt(2));
+        let sink = TracedSink::new(&inner, ctx);
         sink.emit(Event::new(event_type::RETRY_OUTCOME).u64("trial", 12));
         let line = inner.lines().remove(0);
         let row = json::parse(&line).unwrap();
         assert_eq!(row.get("run_id").unwrap().as_str(), Some(hex.as_str()));
-        assert_eq!(row.get("trial_ctx").unwrap().as_u64(), Some(12));
-        assert_eq!(row.get("attempt_ctx").unwrap().as_u64(), Some(2));
-        // Context fields come after the producer's own fields.
+        // The context field comes after the producer's own fields.
         assert!(line.find("\"trial\"").unwrap() < line.find("\"run_id\"").unwrap());
     }
 

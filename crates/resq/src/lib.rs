@@ -51,7 +51,7 @@ pub use resq_core::{
     Action, AnswerSource, AxisSpec, CampaignModel, CheckpointFit, CheckpointPlan,
     CheckpointReliability, ControllerState, ConvolutionStatic, CoreError, DeterministicPlan,
     DeterministicWorkflow, DpSolution, DynamicStrategy, DynamicWorkflowPolicy, FixedLeadPolicy,
-    HeterogeneousDynamic, LatticeError, LatticePlanner, LatticeSpec, LawFamily,
+    HeterogeneousDynamic, LatticeError, LatticeSpec, LawFamily,
     PessimisticWorkflowPolicy, PolicyAnswer, PolicyLattice, PolicyQuery, Preemptible,
     PreemptiblePolicy, ReservationController, RetryPolicy, RetryPreemptible, SolveCache, Stage,
     StaticPlan, StaticStrategy, StaticWorkflowPolicy, TaskDuration, TaskParams, WorkflowPolicy,

@@ -53,9 +53,7 @@ pub use faults::{
     FaultyOutcome, FaultyPreemptibleOutcome, FaultyWorkflowSim, ReliabilityInjector,
     RetryPreemptibleSim,
 };
-pub use monte_carlo::{
-    run_trials, run_trials_batched, run_trials_observed, run_trials_with, MonteCarloConfig, CHUNK,
-};
+pub use monte_carlo::{run_trials, run_trials_batched, run_trials_observed, MonteCarloConfig, CHUNK};
 pub use preemptible::{PreemptibleOutcome, PreemptibleSim};
 pub use stats::{Histogram, Summary, Welford};
 pub use workflow::{BatchScratch, WorkflowOutcome, WorkflowSim};

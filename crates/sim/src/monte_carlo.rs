@@ -296,41 +296,6 @@ where
     total.summary()
 }
 
-/// Like [`run_trials`] but collects a full per-trial value of any `Send`
-/// type, in trial order — for histograms, event inspection, or metrics
-/// beyond a scalar.
-pub fn run_trials_with<T, F>(config: MonteCarloConfig, trial: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(u64, &mut Xoshiro256pp) -> T + Sync,
-{
-    let threads = config.resolved_threads().max(1);
-    let n = config.trials as usize;
-    let mut out = vec![T::default(); n];
-    if threads == 1 || config.trials < 1024 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let mut rng = Xoshiro256pp::for_stream(config.seed, i as u64);
-            *slot = trial(i as u64, &mut rng);
-        }
-        return out;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, slots) in out.chunks_mut(chunk).enumerate() {
-            let trial = &trial;
-            let lo = (t * chunk) as u64;
-            scope.spawn(move || {
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    let i = lo + j as u64;
-                    let mut rng = Xoshiro256pp::for_stream(config.seed, i);
-                    *slot = trial(i, &mut rng);
-                }
-            });
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,36 +356,6 @@ mod tests {
             )
         };
         assert_ne!(mk(1).mean, mk(2).mean);
-    }
-
-    #[test]
-    fn run_trials_with_preserves_order() {
-        let out: Vec<f64> = run_trials_with(
-            MonteCarloConfig {
-                trials: 5000,
-                seed: 3,
-                threads: 4,
-            },
-            |i, _| i as f64,
-        );
-        assert_eq!(out.len(), 5000);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i as f64);
-        }
-    }
-
-    #[test]
-    fn run_trials_with_matches_scalar_runner() {
-        let law = Normal::new(2.0, 1.0).unwrap();
-        let cfg = MonteCarloConfig {
-            trials: 3000,
-            seed: 5,
-            threads: 3,
-        };
-        let summary = run_trials(cfg, |_, rng| law.sample(rng));
-        let values: Vec<f64> = run_trials_with(cfg, |_, rng| law.sample(rng));
-        let w: crate::stats::Welford = values.into_iter().collect();
-        assert!((summary.mean - w.mean()).abs() < 1e-12);
     }
 
     #[test]

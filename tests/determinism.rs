@@ -4,9 +4,7 @@
 
 use resq::core::policy::ThresholdWorkflowPolicy;
 use resq::dist::{Gamma, Normal, Truncated, Uniform, Xoshiro256pp};
-use resq::sim::{
-    run_trials, run_trials_batched, run_trials_with, BatchScratch, MonteCarloConfig, WorkflowSim,
-};
+use resq::sim::{run_trials, run_trials_batched, BatchScratch, MonteCarloConfig, WorkflowSim};
 
 type TN = Truncated<Normal>;
 
@@ -52,21 +50,39 @@ fn monte_carlo_bit_identical_across_thread_counts() {
 
 #[test]
 fn per_trial_values_depend_only_on_seed_and_index() {
+    // With a sample every trial, the `trial-sample` rows are the
+    // per-trial values themselves, in trial order: they must match byte
+    // for byte whether one worker or four ran the trials. 20 000 trials
+    // are five chunks, so all four workers take part.
+    use resq::obs::MemorySink;
+    use resq::sim::run_trials_observed;
+
     let s = sim();
     let policy = ThresholdWorkflowPolicy { threshold: 20.26 };
-    let cfg = MonteCarloConfig {
-        trials: 2_000,
-        seed: 7,
-        threads: 4,
+    let samples = |threads: usize| {
+        let sink = MemorySink::new();
+        run_trials_observed(
+            MonteCarloConfig {
+                trials: 20_000,
+                seed: 7,
+                threads,
+            },
+            &sink,
+            1,
+            |_, rng| s.run_once(&policy, rng).work_saved,
+        );
+        sink.lines()
+            .into_iter()
+            .filter(|l| l.contains("\"trial-sample\""))
+            .collect::<Vec<_>>()
     };
-    let a: Vec<f64> = run_trials_with(cfg, |_, rng| s.run_once(&policy, rng).work_saved);
-    let b: Vec<f64> = run_trials_with(
-        MonteCarloConfig { threads: 1, ..cfg },
-        |_, rng| s.run_once(&policy, rng).work_saved,
-    );
-    assert_eq!(a.len(), b.len());
+    let a = samples(4);
+    let b = samples(1);
+    assert_eq!(a.len(), 20_000);
+    assert_eq!(b.len(), a.len());
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "trial {i} differs");
+        assert!(x.contains(&format!("\"trial\":{i},")), "row {i} is not trial {i}: {x}");
+        assert_eq!(x, y, "trial {i} differs");
     }
 }
 
