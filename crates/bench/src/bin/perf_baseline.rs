@@ -145,7 +145,10 @@ enum Limit {
 
 /// Skip never; when an entry the gate reads, in either report, is
 /// tagged degraded; or on a host with one CPU, which cannot show a
-/// speedup, or when the entry the speedup divides by is degraded.
+/// speedup, or when the entry the speedup divides by is degraded. A
+/// `--scaling-smoke` run also skips a `OneCpu` row when its CPU-bound
+/// probe ([`probe_speedup`]) shows less parallelism than the row's
+/// bound: such a host reports several CPUs but cannot run them at once.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Skip {
     Never,
@@ -207,9 +210,24 @@ impl Gate {
     /// Why the host keeps the row from running; decided before any
     /// entry is read, so `--scaling-smoke` times nothing it would skip.
     fn host_skip(&self, report: &Report) -> Option<String> {
+        if self.skip != Skip::OneCpu {
+            return None;
+        }
         let cpus = report.available_parallelism;
-        (self.skip == Skip::OneCpu && cpus < 2)
-            .then(|| format!("available_parallelism = {cpus}, cannot measure a multicore speedup"))
+        if cpus < 2 {
+            return Some(format!(
+                "available_parallelism = {cpus}, cannot measure a multicore speedup"
+            ));
+        }
+        let bound = match self.limit {
+            Limit::Fixed(bound) => bound,
+            _ => return None,
+        };
+        let probe = report.probe_speedup.filter(|&probe| probe < bound)?;
+        Some(format!(
+            "a CPU-bound probe ran {probe:.2}x faster on {cpus} threads than on 1, \
+             below the {bound}x bound: the host cannot show a multicore speedup"
+        ))
     }
 
     /// The verdict on one entry, or `None` when the baseline has no such
@@ -497,9 +515,7 @@ fn collect(smoke: bool) -> Vec<Entry> {
         black_box(model.optimize().expected_work);
     }));
 
-    // Fresh strategy and kernel cache every iteration: what a cold
-    // single solve costs (the sweep-level cache reuse shows up in
-    // `all_experiments` wall time instead).
+    // A fresh strategy every iteration: what one solve costs.
     entries.push(time_entry("solve/static", scaled(40, smoke), 1, || {
         let task = Poisson::new(3.0).unwrap();
         let ckpt = Truncated::above(Normal::new(5.0, 0.4).unwrap(), 0.0).unwrap();
@@ -626,6 +642,9 @@ fn render(entries: &[Entry], mode: &str, wall_time_secs: f64) -> String {
 struct Report {
     mode: String,
     available_parallelism: u64,
+    /// The host's measured parallelism ([`probe_speedup`]); only
+    /// `--scaling-smoke` measures it, a stored report has none.
+    probe_speedup: Option<f64>,
     entries: Vec<Entry>,
 }
 
@@ -714,7 +733,12 @@ fn load_report(path: &str) -> Result<Report, String> {
         .and_then(|v| v.as_str())
         .unwrap_or("unknown")
         .to_string();
-    Ok(Report { mode, available_parallelism, entries })
+    Ok(Report {
+        mode,
+        available_parallelism,
+        probe_speedup: None,
+        entries,
+    })
 }
 
 /// `--check`: evaluates the `full` rows after requiring each entry they
@@ -738,15 +762,51 @@ fn check(report: &Report, baseline: Option<&Report>) -> Vec<Outcome> {
     rows.flat_map(|g| g.evaluate(report, baseline)).collect()
 }
 
+/// How much faster `threads` threads run a fixed CPU-bound loop than
+/// one thread: `threads` copies of the loop at once against one copy
+/// alone, each the fastest of three runs. About `threads` on a host
+/// that really runs them in parallel, about 1 on one that does not.
+fn probe_speedup(threads: usize) -> f64 {
+    fn spin() -> u64 {
+        let mut x = black_box(0u64);
+        for _ in 0..20_000_000u64 {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        }
+        black_box(x)
+    }
+    let fastest = |n: usize| {
+        (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::thread::scope(|s| {
+                    for _ in 0..n {
+                        s.spawn(spin);
+                    }
+                });
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let one = fastest(1);
+    threads as f64 * one / fastest(threads)
+}
+
 /// `--scaling-smoke`: a report-free probe for CI that times the batched
 /// fig. 8 workload at one thread and at the host's parallelism, and
-/// evaluates the `scaling-smoke` rows on those two entries.
+/// evaluates the `scaling-smoke` rows on those two entries. A host whose
+/// CPU-bound probe already misses a row's bound skips the row.
 fn scaling_smoke() -> Vec<Outcome> {
     let n = host_parallelism();
-    println!("scaling smoke: available_parallelism = {n}");
+    let probe = (n >= 2).then(|| probe_speedup(n));
+    match probe {
+        Some(p) => println!("scaling smoke: available_parallelism = {n}, probe speedup {p:.2}x"),
+        None => println!("scaling smoke: available_parallelism = {n}"),
+    }
     let mut report = Report {
         mode: "scaling-smoke".to_string(),
         available_parallelism: n as u64,
+        probe_speedup: probe,
         entries: Vec::new(),
     };
     let rows = GATES.iter().filter(|g| g.mode == "scaling-smoke");
@@ -861,6 +921,7 @@ mod tests {
         Report {
             mode: "full".to_string(),
             available_parallelism: 2,
+            probe_speedup: None,
             entries: vec![
                 entry("solve/static", 1, 100_000.0, 100_000.0),
                 entry("solve/dynamic", 1, 12e6, 12e6),
@@ -1011,10 +1072,11 @@ mod tests {
 
     #[test]
     fn scaling_smoke_row() {
-        let run = |cpus: u64, entries: Vec<Entry>| -> Vec<Outcome> {
+        let run_probed = |cpus: u64, probe: Option<f64>, entries: Vec<Entry>| -> Vec<Outcome> {
             let report = Report {
                 mode: "scaling-smoke".to_string(),
                 available_parallelism: cpus,
+                probe_speedup: probe,
                 entries,
             };
             GATES
@@ -1023,6 +1085,7 @@ mod tests {
                 .flat_map(|g| g.evaluate(&report, None))
                 .collect()
         };
+        let run = |cpus: u64, entries: Vec<Entry>| run_probed(cpus, Some(2.0), entries);
         let timed = |tmax_p50| {
             vec![
                 entry("mc_batched/threads_1", 1, 3e6, 3e6),
@@ -1036,6 +1099,17 @@ mod tests {
         assert_outcome(&run(2, timed(2.1e6)), 1, &[]);
         // One CPU skips before any entry is read, so none need exist.
         assert_outcome(&run(1, Vec::new()), 3, &["scaling-smoke"]);
+        // So does a host whose CPU-bound probe shows less parallelism
+        // than the bound, whatever the timed entries would have said;
+        // the reason names the probe's speedup.
+        let throttled = run_probed(2, Some(1.02), Vec::new());
+        assert_outcome(&throttled, 3, &["scaling-smoke"]);
+        let reason = &throttled[0].detail;
+        assert!(reason.contains("1.02x"), "{reason}");
+        let ignored = run_probed(2, Some(1.02), timed(2e6));
+        assert_outcome(&ignored, 3, &["scaling-smoke"]);
+        // A probe at the bound runs the row; the entries decide.
+        assert_outcome(&run_probed(2, Some(1.5), timed(2.1e6)), 1, &[]);
     }
 
     #[test]

@@ -195,9 +195,6 @@ pub fn exp_dynamic_vs_static(trials: u64) -> FigureResult {
     let mut rows = Vec::new();
     let mut gain_low = 0.0;
     let mut gain_high = 0.0;
-    // One kernel cache for the whole sweep: the checkpoint law and R are
-    // fixed, so every σ after the first reuses the same CDF lattice.
-    let mut cache = resq::SolveCache::new();
     for &sigma in &[0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5] {
         let task = Truncated::above(Normal::new(3.0, sigma).unwrap(), 0.0).unwrap();
         let sim = WorkflowSim {
@@ -207,11 +204,11 @@ pub fn exp_dynamic_vs_static(trials: u64) -> FigureResult {
         };
         let static_plan = StaticStrategy::new(Normal::new(3.0, sigma).unwrap(), c, r)
             .unwrap()
-            .optimize_with(&mut cache)
+            .optimize()
             .unwrap();
         let w_int = DynamicStrategy::new(task, c, r)
             .unwrap()
-            .threshold_with(&mut cache)
+            .threshold()
             .unwrap()
             .unwrap();
         let cfg = MonteCarloConfig {

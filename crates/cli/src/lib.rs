@@ -83,7 +83,8 @@ COMMANDS:
                                           missing families answer exact-only
       [--max-inflight <n>=64]             admission cap: concurrent decisions
                                           past it are shed 429 + Retry-After
-      [--shards <n>=8]                    independent exact-solve cache shards
+      [--shards <n>=8]                    exact-solve shards (round-robin locks
+                                          concurrent fallbacks spread over)
       [--workers <n>=4]                   connection workers per listener
       [--deadline-ms <ms>=1000]           per-request decision deadline; answers
                                           past it become typed timeout errors

@@ -10,15 +10,16 @@
 //! 2. try the precomputed [`PolicyLattice`] for the query's law family —
 //!    the O(µs) interpolation path with its built-in a-posteriori
 //!    error discipline (`docs/LATTICES.md`);
-//! 3. fall back to the exact solvers through a shared [`SolveCache`]
-//!    behind sharded locks (round-robin shard pick, so concurrent
-//!    fallbacks don't serialize on one cache).
+//! 3. fall back to the exact solvers on one of several [`SolveCache`]
+//!    shards behind their own locks (round-robin shard pick, so
+//!    concurrent fallbacks don't serialize on one lock).
 //!
 //! Every answer is deterministic in the query: the lattice interpolation
-//! is pure, the exact solvers are deterministic, and the solve cache
-//! stores exact results — so concurrent clients observe byte-identical
-//! response bodies for identical queries (`tests/serve.rs` hammers this
-//! invariant from many threads).
+//! is pure, and the exact solvers are deterministic and share nothing
+//! between queries but the immutable quadrature rule a shard holds — so
+//! concurrent clients observe byte-identical response bodies for
+//! identical queries, whatever the shard answered before
+//! (`tests/serve.rs` hammers this invariant from many threads).
 //!
 //! Admission control is a bounded in-flight counter: past
 //! `max_inflight` the service answers `429` + `Retry-After` (a typed
@@ -281,7 +282,7 @@ enum SlotState {
 }
 
 /// The daemon's shared state: per-family policy lattices (lattice-first
-/// pipeline) and sharded exact-solve caches (fallback), plus the
+/// pipeline) and exact-solve shards (fallback), plus the
 /// admission counter. Lattice slots are hot-swappable (`RwLock` +
 /// `Arc`): a SIGHUP reload replaces a slot atomically while concurrent
 /// requests keep serving from whichever artifact they already cloned.
@@ -302,7 +303,7 @@ pub struct DecisionService {
 
 impl DecisionService {
     /// Builds a service over the given lattices (families without one
-    /// fall back to exact solves), `shards` independent solve caches and
+    /// fall back to exact solves), `shards` exact-solve shards and
     /// an admission cap of `max_inflight` concurrent requests.
     pub fn new(lattices: Vec<PolicyLattice>, shards: usize, max_inflight: usize) -> Self {
         let mut slots: Vec<Option<Arc<PolicyLattice>>> = LawFamily::ALL.iter().map(|_| None).collect();
@@ -545,11 +546,9 @@ impl DecisionService {
         let mut cache = match self.shards[shard].lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
-                // A thread panicked while holding this shard, so its
-                // cache may hold a torn entry. Reset it (exact solves
-                // repopulate on demand — correctness never depended on
-                // the cache) and clear the poison so later locks are
-                // clean.
+                // A thread panicked while holding this shard. Reset
+                // its state (correctness never depended on it) and
+                // clear the poison so later locks are clean.
                 let mut guard = poisoned.into_inner();
                 *guard = SolveCache::new();
                 self.shards[shard].clear_poison();

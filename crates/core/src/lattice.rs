@@ -36,8 +36,8 @@
 //! if the fine and stride-2 coarse interpolants disagree by more than
 //! the artifact's tolerance (relative, floored at [`REL_FLOOR`] in
 //! `R = 1` units), or the cell failed calibration, or the query lies
-//! outside the grid, the query falls back to the exact
-//! [`SolveCache`]-backed solvers and is counted in the
+//! outside the grid, the query falls back to the exact solvers
+//! ([`solve_exact`], run at `R = 1`) and is counted in the
 //! `lattice_lookup_misses_total` / `lattice_fallbacks_total` metrics.
 //!
 //! **Artifact.** [`PolicyLattice::save`] serializes the lattice as a
@@ -484,8 +484,54 @@ fn ckpt_law(q: &PolicyQuery) -> Result<Truncated<Normal>, CoreError> {
 /// plan via the family's closed-form [`StaticStrategy`] (Exponential ≡
 /// `Gamma(1, µ)`, Normal) or the [`ConvolutionStatic`] planner (Uniform,
 /// LogNormal), and `W_int` via [`DynamicStrategy`].
+///
+/// The solvers run at `R = 1`: every length of the query is divided by
+/// `R`, and `X_opt`, `E(n_opt)` and `W_int` are multiplied back by it.
+/// The answers are homogeneous in the time scale (module docs), so this
+/// changes nothing but the solvers' absolute tolerances, which then act
+/// relative to `R` and cost the same at every `R`. A query already at
+/// `R = 1` (every lattice node) is solved exactly as given.
 pub fn solve_exact(q: &PolicyQuery, cache: &mut SolveCache) -> Result<PolicyAnswer, CoreError> {
     q.validate()?;
+    let r = q.r;
+    let unit = solve_at_unit_r(&per_unit_r(q), cache)?;
+    Ok(PolicyAnswer {
+        x_opt: unit.x_opt * r,
+        expected_work: unit.expected_work * r,
+        w_int: unit.w_int.map(|w| w * r),
+        ..unit
+    })
+}
+
+/// `q` with every length divided by its reservation: the same question
+/// at `R = 1`.
+fn per_unit_r(q: &PolicyQuery) -> PolicyQuery {
+    let r = q.r;
+    let task = match q.task {
+        TaskParams::Uniform { lo, hi } => TaskParams::Uniform {
+            lo: lo / r,
+            hi: hi / r,
+        },
+        TaskParams::Exponential { mean } => TaskParams::Exponential { mean: mean / r },
+        TaskParams::Normal { mean, sigma } => TaskParams::Normal {
+            mean: mean / r,
+            sigma: sigma / r,
+        },
+        TaskParams::LogNormal { mean, sd } => TaskParams::LogNormal {
+            mean: mean / r,
+            sd: sd / r,
+        },
+    };
+    PolicyQuery {
+        task,
+        ckpt_mean: q.ckpt_mean / r,
+        ckpt_sigma: q.ckpt_sigma / r,
+        r: 1.0,
+    }
+}
+
+/// The exact solvers on `q` as given: [`solve_exact`] at `R = 1`.
+fn solve_at_unit_r(q: &PolicyQuery, cache: &mut SolveCache) -> Result<PolicyAnswer, CoreError> {
     let ckpt = ckpt_law(q)?;
 
     // §3: X_opt depends on the checkpoint law and R only. The objective

@@ -1,29 +1,23 @@
-//! Planner-level kernel cache for the §4 solver fast path.
+//! Solver state for the §4 fast path.
 //!
 //! The static search (§4.2) and the dynamic threshold bracketing (§4.3)
 //! evaluate the same checkpoint fit probability
 //! ([`CheckpointFit::fit_probability`]: a law's `P(C ≤ c)` or a retry
-//! model's `S(c)`) at hundreds of quadrature nodes per candidate, and
-//! bench sweeps repeat that across whole `(R, μ_C, σ_C)` grids.
-//! [`SolveCache`] owns the shared pieces:
+//! model's `S(c)`) at hundreds of quadrature nodes per candidate.
+//! Each planner call tabulates it once with `fit_lattice` (4 097
+//! evaluations) and reuses that lattice across every `n` probed by one
+//! `optimize` and every point of one `threshold` scan. The lattice is
+//! never shared between calls: nothing short of the checkpoint's
+//! parameters identifies its fit, and [`CheckpointFit`] exposes none.
 //!
-//! * a [`resq_numerics::KernelCache`] of fit-probability lattices keyed
-//!   by a fingerprint of the checkpoint and `R` — reused across all
-//!   `n` probed by one `optimize`, across `threshold`'s bracketing, and
-//!   *across* solves when one cache is threaded through a sweep
-//!   (`optimize_with` / `threshold_with`);
-//! * the fixed-order Gauss–Legendre rule the fast quadrature path uses.
+//! [`SolveCache`] holds what *is* safe to share across solves: the
+//! fixed-order Gauss–Legendre rule the fast quadrature path uses.
 //!
-//! Cache traffic is visible as the `solver_cache_hits_total` /
-//! `solver_cache_misses_total` counters in every metrics exposition.
-//!
-//! The cache only ever steers *searches*: winners are re-evaluated
-//! through the exact reference path (see `StaticStrategy::optimize`), so
-//! sharing a cache across a sweep cannot change any reported artifact.
+//! The fit lattice only ever steers *searches*: winners are re-evaluated
+//! through the exact reference path (see `StaticStrategy::optimize`).
 
 use crate::workflow::fit::CheckpointFit;
-use resq_numerics::{GaussLegendre, KernelCache, LatticeCache};
-use std::sync::Arc;
+use resq_numerics::{GaussLegendre, LatticeCache};
 
 /// Cells in a fit-probability lattice: step `R/4096`, interpolation
 /// error `≲ (R/4096)²·max|pdf′|/8` — far below the resolution any
@@ -36,21 +30,15 @@ pub(crate) const FIT_LATTICE_CELLS: usize = 4096;
 /// integrator's forced-refinement floor, on a much cheaper integrand.
 pub(crate) const FAST_GL_ORDER: usize = 20;
 
-/// Number of distinct `(checkpoint, R)` lattices kept alive; grid
-/// sweeps vary one law parameter at a time, so a handful suffices.
-const KERNEL_CAPACITY: usize = 32;
-
-/// Shared solver state for the §4 fast path: a keyed store of
-/// fit-probability lattices plus the fixed-order quadrature rule.
+/// Shared solver state for the §4 fast path: the fixed-order quadrature
+/// rule.
 ///
 /// `StaticStrategy::optimize` and `DynamicStrategy::threshold` build a
-/// fresh one per call; sweeps that solve many nearby instances pass one
-/// cache through `optimize_with` / `threshold_with` so consecutive
-/// points with the same checkpoint and reservation reuse the lattice
-/// (watch `solver_cache_hits_total` climb).
+/// fresh one per call; callers that solve many instances may pass one
+/// through `optimize_with` / `threshold_with` to skip rebuilding the
+/// rule. Sharing one changes no answer.
 #[derive(Debug)]
 pub struct SolveCache {
-    kernels: KernelCache,
     gl: GaussLegendre,
 }
 
@@ -61,38 +49,23 @@ impl Default for SolveCache {
 }
 
 impl SolveCache {
-    /// An empty cache with the solver's standard rule and capacity.
+    /// Solver state with the standard Gauss–Legendre rule.
     pub fn new() -> Self {
         Self {
-            kernels: KernelCache::with_capacity(KERNEL_CAPACITY),
             gl: GaussLegendre::new(FAST_GL_ORDER),
         }
-    }
-
-    /// Number of lattices currently cached.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
     }
 
     /// The fixed-order Gauss–Legendre rule for fast quadrature.
     pub(crate) fn gl(&self) -> &GaussLegendre {
         &self.gl
     }
+}
 
-    /// The fit-probability lattice `c ↦` [`CheckpointFit::fit_probability`]
-    /// tabulated over `[0, r]`, served from the cache when an equal
-    /// fingerprint was seen before.
-    pub(crate) fn fit_lattice<C: CheckpointFit>(&mut self, ckpt: &C, r: f64) -> Arc<LatticeCache> {
-        let key = fit_key(ckpt, r);
-        self.kernels.get_or_build(&key, || {
-            LatticeCache::build(|c| ckpt.fit_probability(c), 0.0, r, FIT_LATTICE_CELLS)
-        })
-    }
+/// The fit-probability lattice `c ↦` [`CheckpointFit::fit_probability`]
+/// tabulated over `[0, r]`, for one planner call.
+pub(crate) fn fit_lattice<C: CheckpointFit>(ckpt: &C, r: f64) -> LatticeCache {
+    LatticeCache::build(|c| ckpt.fit_probability(c), 0.0, r, FIT_LATTICE_CELLS)
 }
 
 /// Gauss–Legendre coarse-segment hint for the fast quadrature path:
@@ -115,25 +88,6 @@ pub(crate) fn segments_for_window(window: f64, feature: f64) -> usize {
     }
 }
 
-/// Fingerprint of `(checkpoint, R)`. [`CheckpointFit`] exposes no
-/// parameters, so the checkpoint is identified by the exact bit patterns
-/// of one write's support bounds and its fit probability at five fixed
-/// probe points inside `(0, r)` — two checkpoints only share a lattice
-/// when all eight words match bit-for-bit. Probing costs five
-/// evaluations per lookup, noise against the 4097-evaluation lattice
-/// build it saves.
-fn fit_key<C: CheckpointFit>(ckpt: &C, r: f64) -> Vec<u64> {
-    let (lo, hi) = ckpt.write_support();
-    let mut key = Vec::with_capacity(8);
-    key.push(r.to_bits());
-    key.push(lo.to_bits());
-    key.push(hi.to_bits());
-    for k in 1..=5u32 {
-        key.push(ckpt.fit_probability(r * k as f64 / 6.0).to_bits());
-    }
-    key
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,30 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn same_law_same_r_shares_a_lattice() {
-        let mut cache = SolveCache::new();
-        let a = cache.fit_lattice(&ckpt(5.0, 0.4), 29.0);
-        let b = cache.fit_lattice(&ckpt(5.0, 0.4), 29.0);
-        assert!(Arc::ptr_eq(&a, &b), "identical instances must hit");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn distinct_laws_or_r_get_distinct_lattices() {
-        let mut cache = SolveCache::new();
-        let a = cache.fit_lattice(&ckpt(5.0, 0.4), 29.0);
-        let b = cache.fit_lattice(&ckpt(5.0, 0.5), 29.0);
-        let c = cache.fit_lattice(&ckpt(5.0, 0.4), 30.0);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
     fn lattice_matches_fit_probability() {
-        let mut cache = SolveCache::new();
         let law = ckpt(5.0, 0.4);
-        let lat = cache.fit_lattice(&law, 29.0);
+        let lat = fit_lattice(&law, 29.0);
         // Linear-interpolation bound: h²·max|cdf″|/8 with h = 29/4096
         // and max|pdf′| ≈ 1.6 for N[0,∞)(5, 0.4²) — about 1e-5, largest
         // near the law's inflection points (c ≈ μ_C ± σ_C).

@@ -17,7 +17,7 @@
 //! profile `S(c)` for the retry-aware rule.
 
 use crate::error::CoreError;
-use crate::solve_cache::SolveCache;
+use crate::solve_cache::{fit_lattice, SolveCache};
 use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
 use crate::workflow::task_law::TaskDuration;
 
@@ -102,8 +102,7 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
 
     /// The work threshold `W_int`: the first crossing of `E[W_C]` over
     /// `E[W_{+1}]` (Figures 8–10). Below it, continuing wins; above it,
-    /// checkpointing wins. Uses a fresh per-call [`SolveCache`]; sweeps
-    /// should share one via [`DynamicStrategy::threshold_with`].
+    /// checkpointing wins. Uses a fresh per-call [`SolveCache`].
     ///
     /// Returns `Ok(None)` if checkpointing never wins before `R` (can
     /// happen when `R` is too short for even one checkpoint to plausibly
@@ -114,10 +113,10 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
         self.threshold_with(&mut SolveCache::new())
     }
 
-    /// [`DynamicStrategy::threshold`] reusing `cache` across calls.
+    /// [`DynamicStrategy::threshold`] with `cache`'s quadrature rule.
     ///
     /// Runs the `W_int` scan (`scan_threshold`) with a fast
-    /// classifier: the `E[W_{+1}]` kernel over the cached fit lattice
+    /// classifier: the `E[W_{+1}]` kernel over this call's fit lattice
     /// and fixed-order Gauss–Legendre. A point whose fast diff sits
     /// clearly below zero — beyond a guard band 1000× the fast path's
     /// worst-case error — is accepted as "continue wins" without an
@@ -126,7 +125,7 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
     /// bit-identical to an all-exact scan.
     pub fn threshold_with(&self, cache: &mut SolveCache) -> Result<Option<f64>, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
-        let fit = cache.fit_lattice(&self.ckpt, self.r);
+        let fit = fit_lattice(&self.ckpt, self.r);
         let gl = cache.gl();
         // Narrowest structure the fast integrand carries: the checkpoint
         // law's CDF shoulder or the task density's bulk, whichever is
@@ -388,7 +387,7 @@ mod tests {
             ln.threshold().unwrap().map(f64::to_bits),
             reference_threshold(&ln).map(f64::to_bits)
         );
-        // And a shared cache across repeat solves changes nothing.
+        // And a shared solver state across repeat solves changes nothing.
         let mut cache = SolveCache::new();
         let a = tn.threshold_with(&mut cache).unwrap();
         let b = tn.threshold_with(&mut cache).unwrap();

@@ -19,7 +19,7 @@ pub trait CheckpointFit {
     fn fit_probability(&self, c: f64) -> f64;
 
     /// Support `(lo, hi)` of one write's duration. The planners reject
-    /// `lo < 0`, and the fit lattice's cache key includes both ends.
+    /// `lo < 0`.
     fn write_support(&self) -> (f64, f64);
 
     /// Width of one write's central 99.8% quantile range: the CDF

@@ -37,7 +37,7 @@ pub use grid::{for_each_cell_center, for_each_cell_probe, for_each_node, NdAxis,
 pub use optimize::{
     brent_max, brent_min, grid_max, integer_argmax, round_to_better_integer, Extremum, GridSpec,
 };
-pub use memo::{KernelCache, LatticeCache};
+pub use memo::LatticeCache;
 pub use quad::{
     adaptive_simpson, adaptive_simpson_checked, gauss_legendre_checked,
     gauss_legendre_checked_from, integrate_to_inf, GaussLegendre, QuadResult, GL_CHECK_SEGMENTS,

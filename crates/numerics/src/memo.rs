@@ -69,67 +69,32 @@ impl LatticeCache {
     pub fn cells(&self) -> usize {
         self.values.len() - 1
     }
-}
 
-/// A small keyed store of [`LatticeCache`]s — the per-law evaluation
-/// cache behind the solver fast path.
-///
-/// Keys are caller-built fingerprints (bit patterns of the law's
-/// parameters, support and probe values — see
-/// `resq_core::SolveCache`); equality is exact on the whole key, so two
-/// laws only share a lattice when every fingerprint word matches.
-/// Lookups are a linear scan: the store holds at most `capacity`
-/// lattices (FIFO eviction) and sweeps touch a handful of distinct laws,
-/// so a hash map would cost more than it saves.
-///
-/// Every lookup increments
-/// `resq_obs::metrics::SOLVER_CACHE_HITS_TOTAL` or
-/// `SOLVER_CACHE_MISSES_TOTAL`, so cache effectiveness is visible in all
-/// metrics expositions.
-#[derive(Debug)]
-pub struct KernelCache {
-    entries: Vec<(Vec<u64>, std::sync::Arc<LatticeCache>)>,
-    capacity: usize,
-}
-
-impl KernelCache {
-    /// An empty cache holding at most `capacity` lattices (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            entries: Vec::new(),
-            capacity: capacity.max(1),
-        }
+    /// The saturation nodes `(zero, one)` of a tabulated probability:
+    /// `zero` is the last node of the leading run of nodes whose value is
+    /// exactly 0, `one` the first node of the trailing run whose value is
+    /// exactly 1. Interpolating between two equal nodes returns their
+    /// value, so [`LatticeCache::eval`] is 0 on `[a, zero]` and 1 on
+    /// `[one, b]` (at `zero` and `one` themselves, up to the rounding of
+    /// `x` onto the lattice). Either is `None` when the first (last)
+    /// node is not exactly 0 (1).
+    pub fn saturation_nodes(&self) -> (Option<f64>, Option<f64>) {
+        let n = self.cells();
+        let zeros = self.values.iter().take_while(|&&v| v == 0.0).count();
+        let ones = self.values.iter().rev().take_while(|&&v| v == 1.0).count();
+        let zero = (zeros > 0).then(|| self.node(zeros - 1));
+        let one = (ones > 0).then(|| self.node(n + 1 - ones));
+        (zero, one)
     }
 
-    /// Returns the lattice stored under `key`, building (and inserting)
-    /// it with `build` on a miss. The oldest entry is evicted when the
-    /// cache is full.
-    pub fn get_or_build(
-        &mut self,
-        key: &[u64],
-        build: impl FnOnce() -> LatticeCache,
-    ) -> std::sync::Arc<LatticeCache> {
-        if let Some((_, cached)) = self.entries.iter().find(|(k, _)| k == key) {
-            resq_obs::metrics::SOLVER_CACHE_HITS_TOTAL.inc();
-            return cached.clone();
+    /// Abscissa of node `i`, as [`LatticeCache::build`] placed it.
+    fn node(&self, i: usize) -> f64 {
+        let n = self.cells();
+        if i == n {
+            self.b
+        } else {
+            self.a + i as f64 * ((self.b - self.a) / n as f64)
         }
-        resq_obs::metrics::SOLVER_CACHE_MISSES_TOTAL.inc();
-        let built = std::sync::Arc::new(build());
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push((key.to_vec(), built.clone()));
-        built
-    }
-
-    /// Number of lattices currently stored.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -174,53 +139,35 @@ mod tests {
     }
 
     #[test]
+    fn saturation_nodes_bound_the_exact_zero_and_one_runs() {
+        // A clamped ramp: exactly 0 up to x = 2, exactly 1 from x = 6.
+        let ramp = |x: f64| ((x - 2.0) / 4.0).clamp(0.0, 1.0);
+        let cache = LatticeCache::build(ramp, 0.0, 8.0, 16);
+        assert_eq!(cache.saturation_nodes(), (Some(2.0), Some(6.0)));
+        for k in 0..=80 {
+            let x = 0.1 * k as f64;
+            if x <= 2.0 {
+                assert_eq!(cache.eval(x), 0.0, "x = {x}");
+            }
+            if x >= 6.0 {
+                assert_eq!(cache.eval(x), 1.0, "x = {x}");
+            }
+        }
+        // A fit that never reaches 1, like a retry model's success
+        // profile: only the zero run exists.
+        let capped = LatticeCache::build(|x| 0.9 * ramp(x), 0.0, 8.0, 16);
+        assert_eq!(capped.saturation_nodes(), (Some(2.0), None));
+        // Saturated at both ends from the first and the last node.
+        let all_ones = LatticeCache::build(|_| 1.0, 0.0, 1.0, 4);
+        assert_eq!(all_ones.saturation_nodes(), (None, Some(0.0)));
+        let all_zeros = LatticeCache::build(|_| 0.0, 0.0, 1.0, 4);
+        assert_eq!(all_zeros.saturation_nodes(), (Some(1.0), None));
+    }
+
+    #[test]
     fn endpoint_nodes_are_exact() {
         let cache = LatticeCache::build(|x| x.exp(), 0.3, 1.7, 7);
         assert_eq!(cache.eval(0.3), 0.3f64.exp());
         assert_eq!(cache.eval(1.7), 1.7f64.exp());
-    }
-
-    #[test]
-    fn kernel_cache_hits_on_equal_keys_only() {
-        use resq_obs::metrics::Snapshot;
-        let before = Snapshot::capture();
-        let mut cache = KernelCache::with_capacity(4);
-        let mut builds = 0usize;
-        let key_a = [1u64, 2, 3];
-        let key_b = [1u64, 2, 4];
-        for _ in 0..3 {
-            cache.get_or_build(&key_a, || {
-                builds += 1;
-                LatticeCache::build(|x| x, 0.0, 1.0, 4)
-            });
-        }
-        cache.get_or_build(&key_b, || {
-            builds += 1;
-            LatticeCache::build(|x| 2.0 * x, 0.0, 1.0, 4)
-        });
-        assert_eq!(builds, 2, "one build per distinct key");
-        assert_eq!(cache.len(), 2);
-        // Hit serves the stored lattice, not a rebuild.
-        let served = cache.get_or_build(&key_b, || unreachable!("must hit"));
-        assert_eq!(served.eval(0.5), 1.0);
-        let delta = Snapshot::capture().delta(&before);
-        assert!(delta.counter("solver_cache_hits_total") >= 3);
-        assert!(delta.counter("solver_cache_misses_total") >= 2);
-    }
-
-    #[test]
-    fn kernel_cache_evicts_oldest_at_capacity() {
-        let mut cache = KernelCache::with_capacity(2);
-        for k in 0..3u64 {
-            cache.get_or_build(&[k], || LatticeCache::build(|x| x + k as f64, 0.0, 1.0, 2));
-        }
-        assert_eq!(cache.len(), 2);
-        // Key 0 was evicted: looking it up again rebuilds.
-        let mut rebuilt = false;
-        cache.get_or_build(&[0], || {
-            rebuilt = true;
-            LatticeCache::build(|x| x, 0.0, 1.0, 2)
-        });
-        assert!(rebuilt, "oldest entry should have been evicted");
     }
 }

@@ -388,17 +388,17 @@ pub static CKPT_FAILURES_TOTAL: Counter = Counter::new(
     "checkpoint write attempts that failed under fault injection",
 );
 
-/// Solver kernel-cache lookups served from an already-built lattice
-/// (`resq_numerics::memo::KernelCache`).
+/// Retired: the solvers no longer share fit lattices between calls, so
+/// nothing increments it. Kept registered because the benchmark reads it.
 pub static SOLVER_CACHE_HITS_TOTAL: Counter = Counter::new(
     "solver_cache_hits_total",
-    "solver kernel-cache lookups served from a cached distribution lattice",
+    "retired, always 0: solver fit lattices are no longer cached across calls",
 );
 
-/// Solver kernel-cache lookups that had to build (and insert) a lattice.
+/// Retired with [`SOLVER_CACHE_HITS_TOTAL`].
 pub static SOLVER_CACHE_MISSES_TOTAL: Counter = Counter::new(
     "solver_cache_misses_total",
-    "solver kernel-cache lookups that built a new distribution lattice",
+    "retired, always 0: each solver call builds its own fit lattice",
 );
 
 /// Policy-lattice queries answered by multilinear interpolation (the

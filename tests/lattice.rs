@@ -6,6 +6,8 @@
 
 use proptest::prelude::*;
 use resq::core::lattice::{build, solve_exact, REL_FLOOR};
+use resq::numerics::{for_each_node, NdAxis};
+use resq::obs::json::{self, JsonValue};
 use resq::{AnswerSource, LatticeSpec, LawFamily, PolicyLattice, SolveCache};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -61,6 +63,37 @@ fn golden_artifact_round_trips_byte_identically() {
     let a = lattice.query(&q, &mut cache).expect("golden artifact answers");
     assert!(a.n_opt >= 1);
     assert!(a.expected_work > 0.0 && a.x_opt > 0.0);
+}
+
+/// Every node of a build stores the `W_int` a fresh exact solve of its
+/// query gives (the sentinel −1 where there is none). Checkpoint means
+/// of 0.05–0.09 R leave the checkpoint CDF exactly 1 at R/6 … 5R/6, the
+/// points a fit-lattice cache once keyed on, so one node's fit used to
+/// decide another node's threshold scan and store W_int = 0.
+#[test]
+fn every_node_stores_the_w_int_of_a_fresh_exact_solve() {
+    let mut spec = LatticeSpec::defaults(LawFamily::Exponential).with_points(3);
+    spec.axes[1].lo = 0.05;
+    spec.axes[1].hi = 0.09;
+    let lattice = build(&spec).expect("exponential lattice builds");
+    let doc = json::parse(&lattice.to_json()).expect("artifact parses");
+    let Some(JsonValue::Array(stored)) = doc.get("fields").and_then(|f| f.get("w_int")) else {
+        panic!("artifact has no `fields.w_int` array");
+    };
+    let axes: Vec<NdAxis> = lattice
+        .axes()
+        .iter()
+        .map(|a| NdAxis::new(a.lo, a.hi, a.points).expect("valid axis"))
+        .collect();
+    assert_eq!(stored.len(), 9);
+    for_each_node(&axes, |flat, coords| {
+        let q = lattice.query_for_coords(coords, 1.0);
+        let fresh = solve_exact(&q, &mut SolveCache::new()).expect("node solves");
+        let got = stored[flat].as_f64().expect("numeric W_int");
+        let want = fresh.w_int.unwrap_or(-1.0);
+        let at = format!("node {flat} at {coords:?}: {got} vs {want}");
+        assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+    });
 }
 
 proptest! {

@@ -209,6 +209,30 @@ fn served_answers_respect_the_lattice_tolerance() {
     assert_eq!(render_answer(&fall, None), render_answer(&fresh, None));
 }
 
+/// An exact answer depends on its body alone, not on the bodies a shard
+/// answered before. At `R = 3600` the CDFs of a 60 s and a 240 s
+/// checkpoint are both exactly 1 at `R/6 … 5R/6`, so a cache keyed on
+/// those points would hand the 240 s body the 60 s body's fit.
+#[test]
+fn exact_answers_do_not_depend_on_earlier_bodies() {
+    let body = |ckpt_mean: f64| {
+        format!(
+            "{{\"task\":\"normal:300,45\",\"ckpt_mean\":{ckpt_mean},\
+             \"reservation\":3600,\"work\":1000}}"
+        )
+    };
+    let answer = |service: &DecisionService, ckpt_mean: f64| {
+        let text = body(ckpt_mean);
+        service.answer_single(&text).expect("the body answers")
+    };
+    let warmed = DecisionService::new(Vec::new(), 8, 16);
+    for _ in 0..8 {
+        answer(&warmed, 60.0);
+    }
+    let fresh = DecisionService::new(Vec::new(), 8, 16);
+    assert_eq!(answer(&warmed, 240.0), answer(&fresh, 240.0));
+}
+
 /// The framed TCP fast path answers with the same bytes as HTTP
 /// `/decide` for the same payload, on single and batch bodies.
 #[test]
