@@ -10,6 +10,12 @@
 //! never shared between calls: nothing short of the checkpoint's
 //! parameters identifies its fit, and [`CheckpointFit`] exposes none.
 //!
+//! The lattice also says where no quadrature is needed: from its first
+//! all-ones node on (`LatticeCache::saturation_nodes`) the checkpoint
+//! surely fits, and the planners use closed forms there — the sum law's
+//! partial mean in the static search, a lower bound on `E[W_{+1}]` that
+//! certifies dynamic scan points.
+//!
 //! [`SolveCache`] holds what *is* safe to share across solves: the
 //! fixed-order Gauss–Legendre rule the fast quadrature path uses.
 //!

@@ -20,6 +20,7 @@ use crate::error::CoreError;
 use crate::solve_cache::{fit_lattice, SolveCache};
 use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
 use crate::workflow::task_law::TaskDuration;
+use resq_numerics::{GaussLegendre, LatticeCache};
 
 /// §4.3 model: IID task law, checkpoint (support in `[0, ∞)`),
 /// reservation `R`.
@@ -115,37 +116,18 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
 
     /// [`DynamicStrategy::threshold`] with `cache`'s quadrature rule.
     ///
-    /// Runs the `W_int` scan (`scan_threshold`) with a fast
-    /// classifier: the `E[W_{+1}]` kernel over this call's fit lattice
-    /// and fixed-order Gauss–Legendre. A point whose fast diff sits
-    /// clearly below zero — beyond a guard band 1000× the fast path's
-    /// worst-case error — is accepted as "continue wins" without an
-    /// exact evaluation. Every deciding value goes through the exact
-    /// convergence-checked integrand, so the returned `W_int` is
-    /// bit-identical to an all-exact scan.
+    /// Runs the `W_int` scan (`scan_threshold`) with a fast classifier
+    /// (`FastScan`): a point whose checkpoint-now minus one-more diff is
+    /// certified below zero — by a closed-form bound, or else by the
+    /// `E[W_{+1}]` kernel over this call's fit lattice and fixed-order
+    /// Gauss–Legendre, beyond a guard band — is accepted as "continue
+    /// wins" without an exact evaluation. Every deciding value goes
+    /// through the exact convergence-checked integrand, so the returned
+    /// `W_int` is bit-identical to an all-exact scan.
     pub fn threshold_with(&self, cache: &mut SolveCache) -> Result<Option<f64>, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
-        let fit = fit_lattice(&self.ckpt, self.r);
-        let gl = cache.gl();
-        // Narrowest structure the fast integrand carries: the checkpoint
-        // law's CDF shoulder or the task density's bulk, whichever is
-        // tighter — sizes the fast kernel's quadrature panels so its
-        // check resolutions sample the feature instead of aliasing it
-        // (and uselessly failing over to the exact path at every point).
-        let feature = self
-            .ckpt
-            .fit_shoulder()
-            .min(self.task.fast_kernel_feature().unwrap_or(f64::INFINITY));
-        // Fast-path worst case: lattice interpolation (~1e-5-scale on
-        // the CDF, amplified by the ~R-unit integrand) plus the 1e-6
-        // GL agreement band. The guard is ~1000× that, so a fast diff
-        // below −guard certifies the exact diff is negative.
-        let guard = 1e-3 * (1.0 + self.r);
-        let clearly_negative = |w: f64| {
-            self.task
-                .expected_one_more_fast(w, self.r, &fit, gl, feature)
-                .is_some_and(|fast_one| self.expect_checkpoint_now(w) - fast_one < -guard)
-        };
+        let fast = FastScan::new(self, cache.gl());
+        let clearly_negative = |w: f64| fast.sure_fit_negative(w) || fast.quadrature_negative(w);
         let ckpt_cdf = |c: f64| self.ckpt.fit_probability(c);
         let one_more = |w: f64| {
             self.task
@@ -157,6 +139,70 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
             |w| self.expect_checkpoint_now(w) - self.expect_one_more(w),
             Some(&clearly_negative),
         )
+    }
+}
+
+/// The fast classifier of [`DynamicStrategy::threshold_with`]'s scan:
+/// two sound tests that a scan point's exact diff
+/// `E[W_C](w) − E[W_{+1}](w)` is negative, each with margin `guard`.
+struct FastScan<'a, X: TaskDuration, C: CheckpointFit> {
+    strategy: &'a DynamicStrategy<X, C>,
+    fit: LatticeCache,
+    /// Where the tabulated fit is exactly 1 from on (`None` when it
+    /// never is, as for a retry model's `S(c)`).
+    sure_fit_from: Option<f64>,
+    gl: &'a GaussLegendre,
+    /// Narrowest structure the quadrature kernel carries: the checkpoint
+    /// law's CDF shoulder or the task density's bulk, whichever is
+    /// tighter — sizes its panels so its check resolutions sample the
+    /// feature instead of aliasing it (and uselessly failing over to
+    /// the exact path at every point).
+    feature: f64,
+    /// Quadrature worst case: lattice interpolation (~1e-5-scale on the
+    /// CDF, amplified by the ~R-unit integrand) plus the 1e-6 GL
+    /// agreement band. The guard is ~1000× that.
+    guard: f64,
+}
+
+impl<'a, X: TaskDuration, C: CheckpointFit> FastScan<'a, X, C> {
+    fn new(strategy: &'a DynamicStrategy<X, C>, gl: &'a GaussLegendre) -> Self {
+        let fit = fit_lattice(&strategy.ckpt, strategy.r);
+        let sure_fit_from = fit.saturation_nodes().1;
+        let feature = strategy
+            .ckpt
+            .fit_shoulder()
+            .min(strategy.task.fast_kernel_feature().unwrap_or(f64::INFINITY));
+        Self {
+            strategy,
+            fit,
+            sure_fit_from,
+            gl,
+            feature,
+            guard: 1e-3 * (1.0 + strategy.r),
+        }
+    }
+
+    /// The closed-form certificate. The fit is 1 on `[one, ∞)`, so a
+    /// task of length `x ≤ q = R − w − one` leaves the checkpoint room
+    /// to fit for sure, and `E[W_{+1}](w) ≥ E[(X + w)·1{X ≤ q}]`
+    /// ([`TaskDuration::expected_one_more_sure_fit`]). A point where
+    /// `E[W_C](w)` falls below that bound by more than `guard` is
+    /// negative.
+    fn sure_fit_negative(&self, w: f64) -> bool {
+        let d = self.strategy;
+        self.sure_fit_from
+            .and_then(|one| d.task.expected_one_more_sure_fit(w, d.r - w - one))
+            .is_some_and(|lower| d.expect_checkpoint_now(w) - lower < -self.guard)
+    }
+
+    /// The quadrature certificate: the fast `E[W_{+1}]` kernel
+    /// ([`TaskDuration::expected_one_more_fast`]) exceeds `E[W_C](w)` by
+    /// more than `guard`.
+    fn quadrature_negative(&self, w: f64) -> bool {
+        let d = self.strategy;
+        d.task
+            .expected_one_more_fast(w, d.r, &self.fit, self.gl, self.feature)
+            .is_some_and(|fast_one| d.expect_checkpoint_now(w) - fast_one < -self.guard)
     }
 }
 
@@ -224,7 +270,7 @@ mod tests {
     use resq_dist::{Distribution, Exponential, Gamma, LogNormal, Normal, Poisson, Sample};
     use resq_dist::{Truncated, Uniform};
     use resq_numerics::{GaussLegendre, LatticeCache};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     fn ckpt(mu_c: f64, sigma_c: f64) -> Truncated<Normal> {
         Truncated::above(Normal::new(mu_c, sigma_c).unwrap(), 0.0).unwrap()
@@ -395,11 +441,13 @@ mod tests {
         assert_eq!(a.map(f64::to_bits), reference_threshold(&tn).map(f64::to_bits));
     }
 
-    /// A task law that delegates every method to `inner` and records each
-    /// `w` at which an exact `E[W_{+1}]` integral is evaluated.
+    /// A task law that delegates every method to `inner`, records each
+    /// `w` at which an exact `E[W_{+1}]` integral is evaluated and counts
+    /// the calls of the quadrature kernel.
     struct Counting<X> {
         inner: X,
         exact_ws: RefCell<Vec<f64>>,
+        kernel_calls: Cell<usize>,
     }
 
     impl<X> Counting<X> {
@@ -407,6 +455,7 @@ mod tests {
             Self {
                 inner,
                 exact_ws: RefCell::new(Vec::new()),
+                kernel_calls: Cell::new(0),
             }
         }
     }
@@ -457,10 +506,14 @@ mod tests {
             gl: &GaussLegendre,
             feature: f64,
         ) -> Option<f64> {
+            self.kernel_calls.set(self.kernel_calls.get() + 1);
             self.inner.expected_one_more_fast(w, r, fit, gl, feature)
         }
         fn fast_kernel_feature(&self) -> Option<f64> {
             self.inner.fast_kernel_feature()
+        }
+        fn expected_one_more_sure_fit(&self, w: f64, q: f64) -> Option<f64> {
+            self.inner.expected_one_more_sure_fit(w, q)
         }
     }
 
@@ -499,6 +552,73 @@ mod tests {
         // widest and costliest integral, the w = 0 seed, never runs.
         let (_, fig8_ws) = &cases[0].1;
         assert!(!fig8_ws.contains(&0.0), "fig8 integrated the w = 0 seed: {fig8_ws:?}");
+    }
+
+    /// Sweeps `w` over `[0, R]` (401 points and the 96 scan points) and
+    /// checks every point the closed-form certificate accepts: its bound
+    /// lies below the exact `E[W_{+1}]` and the exact diff is negative.
+    /// Returns how many scan points the quadrature certificate accepts,
+    /// and how many of those the closed form accepts too.
+    fn check_sure_fit<X: TaskDuration>(
+        name: &str,
+        d: &DynamicStrategy<X, Truncated<Normal>>,
+    ) -> (usize, usize) {
+        let cache = SolveCache::new();
+        let fast = FastScan::new(d, cache.gl());
+        let one = fast.sure_fit_from.expect("a checkpoint law's fit saturates");
+        let r = d.reservation();
+        let scan: Vec<f64> = (1..=96).map(|i| r / 96.0 * i as f64).collect();
+        let sweep = (0..=400).map(|i| r * i as f64 / 400.0);
+        let mut accepted = 0;
+        for w in sweep.chain(scan.iter().copied()) {
+            let exact = d.expect_one_more(w);
+            if let Some(lower) = d.task().expected_one_more_sure_fit(w, r - w - one) {
+                assert!(lower <= exact + 1e-9, "{name} w = {w}: bound {lower} > {exact}");
+            }
+            if fast.sure_fit_negative(w) {
+                accepted += 1;
+                let diff = d.expect_checkpoint_now(w) - exact;
+                assert!(diff < 0.0, "{name} w = {w}: certified a diff of {diff}");
+            }
+        }
+        assert!(accepted > 0, "{name}: the certificate accepted no point");
+        let by_quadrature: Vec<f64> = scan
+            .into_iter()
+            .filter(|&w| fast.quadrature_negative(w))
+            .collect();
+        let both = by_quadrature
+            .iter()
+            .filter(|&&w| fast.sure_fit_negative(w))
+            .count();
+        (by_quadrature.len(), both)
+    }
+
+    #[test]
+    fn sure_fit_certificate_is_sound_and_carries_the_scan() {
+        let (un, ex, ln) = decide_laws();
+        let fig8 = DynamicStrategy::new(trunc_normal_task(3.0, 0.5), ckpt(5.0, 0.4), 29.0).unwrap();
+        let fig9 = DynamicStrategy::new(Gamma::new(1.0, 0.5).unwrap(), ckpt(2.0, 0.4), 10.0);
+        let fig10 = DynamicStrategy::new(Poisson::new(3.0).unwrap(), ckpt(5.0, 0.4), 29.0);
+        check_sure_fit("fig9", &fig9.unwrap());
+        check_sure_fit("fig10", &fig10.unwrap());
+        check_sure_fit("uniform", &DynamicStrategy::new(un, ckpt(3.0, 0.24), 29.0).unwrap());
+        check_sure_fit("exponential", &DynamicStrategy::new(ex, ckpt(2.9, 0.232), 29.0).unwrap());
+        check_sure_fit("lognormal", &DynamicStrategy::new(ln, ckpt(5.0, 0.4), 29.0).unwrap());
+        // At Fig. 8 the closed form must carry most of what quadrature
+        // certifies (56 of 67 scan points), and the scan must use it: the
+        // quadrature kernel runs at fewer than a third of the scan points
+        // below W_int (about 11 of 67), not at every one.
+        let (quadrature, both) = check_sure_fit("fig8", &fig8);
+        assert!(
+            both as f64 >= 0.7 * quadrature as f64,
+            "fig8: the closed form accepts {both} of the {quadrature} points quadrature certifies"
+        );
+        let counted = Counting::new(trunc_normal_task(3.0, 0.5));
+        let fig8 = DynamicStrategy::new(counted, ckpt(5.0, 0.4), 29.0).unwrap();
+        let w_int = fig8.threshold().unwrap().expect("threshold exists");
+        let below = (w_int / (29.0 / 96.0)) as usize;
+        let calls = fig8.task().kernel_calls.get();
+        assert!(3 * calls < below, "fig8: quadrature ran at {calls} of {below} points");
     }
 
     #[test]

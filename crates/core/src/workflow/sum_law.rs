@@ -11,7 +11,7 @@
 //! | `Gamma(k, θ)`   | `Gamma(yk, θ)`       |
 //! | `Poisson(λ)`    | `Poisson(yλ)`        |
 
-use resq_dist::{Distribution, Gamma, Normal, Poisson};
+use resq_dist::{Continuous, Distribution, Gamma, Normal, Poisson};
 use resq_specfun::{ln_factorial, ln_gamma, norm_pdf};
 
 /// A task-duration law whose IID sum has a known density for any
@@ -65,6 +65,13 @@ pub trait IidSum {
     fn sum_density_fn(&self, y: f64) -> Box<dyn Fn(f64) -> f64 + '_> {
         Box::new(move |x| self.sum_density(y, x))
     }
+
+    /// Partial expectation `E[S_y·1{S_y ≤ x}]` of the sum law in closed
+    /// form ([`Continuous::partial_mean`]), or `None` when the family has
+    /// none. The static search uses it where the checkpoint surely fits.
+    fn sum_partial_mean(&self, _y: f64, _x: f64) -> Option<f64> {
+        None
+    }
 }
 
 impl IidSum for Normal {
@@ -91,6 +98,12 @@ impl IidSum for Normal {
         let m = y * self.mu();
         let sd = y.sqrt() * self.sigma();
         Box::new(move |x| norm_pdf((x - m) / sd) / sd)
+    }
+
+    fn sum_partial_mean(&self, y: f64, x: f64) -> Option<f64> {
+        Normal::new(y * self.mu(), y.sqrt() * self.sigma())
+            .ok()?
+            .partial_mean(x)
     }
 }
 
@@ -142,6 +155,12 @@ impl IidSum for Gamma {
                 0.0
             }
         })
+    }
+
+    fn sum_partial_mean(&self, y: f64, x: f64) -> Option<f64> {
+        Gamma::new(y * self.shape(), self.scale())
+            .ok()?
+            .partial_mean(x)
     }
 }
 
@@ -195,7 +214,6 @@ impl IidSum for Poisson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resq_dist::Continuous;
 
     #[test]
     fn normal_sum_density_matches_explicit_normal() {

@@ -84,6 +84,18 @@ impl Continuous for Normal {
         let z = self.z(x);
         -0.5 * z * z - LN_SQRT_2PI - self.sigma.ln()
     }
+
+    /// `μΦ(z) − σφ(z)`.
+    fn partial_mean(&self, x: f64) -> Option<f64> {
+        let z = self.z(x);
+        Some(self.mu * norm_cdf(z) - self.sigma * norm_pdf(z))
+    }
+
+    /// `μ(1 − Φ(z)) + σφ(z)`.
+    fn upper_partial_mean(&self, x: f64) -> Option<f64> {
+        let z = self.z(x);
+        Some(self.mu * norm_sf(z) + self.sigma * norm_pdf(z))
+    }
 }
 
 impl Sample for Normal {

@@ -37,6 +37,18 @@ pub trait Continuous: Distribution {
     fn ln_pdf(&self, x: f64) -> f64 {
         self.pdf(x).ln()
     }
+    /// Partial expectation `E[X·1{X ≤ x}] = ∫_{−∞}^x t·pdf(t) dt`, when
+    /// the law has a closed form for it; `None` otherwise, and callers
+    /// integrate `t·pdf(t)` themselves.
+    fn partial_mean(&self, _x: f64) -> Option<f64> {
+        None
+    }
+    /// Upper partial expectation `E[X·1{X > x}]`: `mean − partial_mean`
+    /// unless overridden. Override when a tail-accurate form exists, as
+    /// for [`Continuous::sf`].
+    fn upper_partial_mean(&self, x: f64) -> Option<f64> {
+        self.partial_mean(x).map(|m| self.mean() - m)
+    }
 }
 
 /// A discrete law on the non-negative integers.
