@@ -47,7 +47,7 @@
 //! specified in `docs/LATTICES.md`.
 
 use crate::error::CoreError;
-use crate::solve_cache::SolveCache;
+use crate::solve_cache::{fit_lattice, SolveCache};
 use crate::workflow::convolution::ConvolutionStatic;
 use crate::workflow::dynamic::DynamicStrategy;
 use crate::workflow::statics::{StaticPlan, StaticStrategy};
@@ -548,15 +548,17 @@ fn solve_at_unit_r(q: &PolicyQuery, cache: &mut SolveCache) -> Result<PolicyAnsw
     )
     .x;
 
+    // One fit lattice for every planner of this solve: it tabulates
+    // this query's checkpoint and nothing else.
+    let fit = fit_lattice(&ckpt, q.r);
+
     // §4.2: static plan through the family's exact path.
     let plan = match q.task {
         TaskParams::Exponential { mean } => {
-            StaticStrategy::new(Gamma::new(1.0, mean)?, ckpt, q.r)?
-                .optimize_with(cache)?
+            StaticStrategy::new(Gamma::new(1.0, mean)?, ckpt, q.r)?.optimize_on(&fit, cache)?
         }
         TaskParams::Normal { mean, sigma } => {
-            StaticStrategy::new(Normal::new(mean, sigma)?, ckpt, q.r)?
-                .optimize_with(cache)?
+            StaticStrategy::new(Normal::new(mean, sigma)?, ckpt, q.r)?.optimize_on(&fit, cache)?
         }
         TaskParams::Uniform { lo, hi } => {
             ConvolutionStatic::new(&Uniform::new(lo, hi)?, ckpt, q.r, CONV_GRID_CELLS)?
@@ -575,18 +577,18 @@ fn solve_at_unit_r(q: &PolicyQuery, cache: &mut SolveCache) -> Result<PolicyAnsw
     let w_int = match q.task {
         TaskParams::Exponential { mean } => {
             DynamicStrategy::new(Exponential::new(1.0 / mean)?, ckpt, q.r)?
-                .threshold_with(cache)?
+                .threshold_on(&fit, cache)?
         }
         TaskParams::Normal { mean, sigma } => {
             let task = Truncated::above(Normal::new(mean, sigma)?, 0.0)?;
-            DynamicStrategy::new(task, ckpt, q.r)?.threshold_with(cache)?
+            DynamicStrategy::new(task, ckpt, q.r)?.threshold_on(&fit, cache)?
         }
         TaskParams::Uniform { lo, hi } => {
-            DynamicStrategy::new(Uniform::new(lo, hi)?, ckpt, q.r)?.threshold_with(cache)?
+            DynamicStrategy::new(Uniform::new(lo, hi)?, ckpt, q.r)?.threshold_on(&fit, cache)?
         }
         TaskParams::LogNormal { mean, sd } => {
             DynamicStrategy::new(LogNormal::from_mean_sd(mean, sd)?, ckpt, q.r)?
-                .threshold_with(cache)?
+                .threshold_on(&fit, cache)?
         }
     };
 

@@ -6,15 +6,19 @@
 //! model's `S(c)`) at hundreds of quadrature nodes per candidate.
 //! Each planner call tabulates it once with `fit_lattice` (4 097
 //! evaluations) and reuses that lattice across every `n` probed by one
-//! `optimize` and every point of one `threshold` scan. The lattice is
-//! never shared between calls: nothing short of the checkpoint's
+//! `optimize` and every point of one `threshold` scan. One exact solve
+//! (`lattice::solve_exact`) tabulates it once for both of its planners
+//! (`StaticStrategy::optimize_on`, `DynamicStrategy::threshold_on`):
+//! they read the same checkpoint over the same `[0, R]`. The lattice is
+//! never shared between solves: nothing short of the checkpoint's
 //! parameters identifies its fit, and [`CheckpointFit`] exposes none.
 //!
 //! The lattice also says where no quadrature is needed: from its first
 //! all-ones node on (`LatticeCache::saturation_nodes`) the checkpoint
 //! surely fits, and the planners use closed forms there — the sum law's
 //! partial mean in the static search, a lower bound on `E[W_{+1}]` that
-//! certifies dynamic scan points.
+//! certifies dynamic scan points. The same partial means bracket each
+//! static grid point, so the search skips the points that cannot win.
 //!
 //! [`SolveCache`] holds what *is* safe to share across solves: the
 //! fixed-order Gauss–Legendre rule the fast quadrature path uses.

@@ -10,9 +10,12 @@
 //! [`Continuous`]. Mass above `R` is tracked in an overflow cell (such
 //! sums can never be saved, so their exact location is irrelevant).
 //!
-//! Cost: `O(n_max · m · k)` for grid size `m` and `k ≤ m` cells from the
-//! task pmf's first nonzero cell to its last; with the default
-//! `m = 1024` and reservation-scale `n`, planning takes milliseconds.
+//! Cost: `O(n · m · k)` for grid size `m`, `k ≤ m` cells from the task
+//! pmf's first nonzero cell to its last, and `n` convolution steps. The
+//! planner stops as soon as the mass of `S_n` left inside the grid
+//! bounds every later `E(n')` below the best so far, well short of its
+//! search bound `2R/E[X] + 10`; with the default `m = 1024` and
+//! reservation-scale `n`, planning takes milliseconds.
 
 use crate::error::CoreError;
 use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
@@ -37,6 +40,9 @@ pub struct ConvolutionStatic<C: Continuous> {
     mass: Range<usize>,
     /// `P(C ≤ R − x_j)` precomputed at the cell midpoints.
     fit_prob: Vec<f64>,
+    /// `max_j x_j·P(C ≤ R − x_j)`: `E(n)` is at most this times the mass
+    /// of `S_n` inside the grid.
+    work_cap: f64,
     /// Mean of one task (for search bounds).
     task_mean: f64,
 }
@@ -79,9 +85,14 @@ impl<C: Continuous> ConvolutionStatic<C> {
         if !(task_mean > 0.0) {
             return Err(CoreError::InvalidTaskLaw("task mean must be positive"));
         }
-        let fit_prob = (0..=m)
+        let fit_prob: Vec<f64> = (0..=m)
             .map(|j| ckpt.fit_probability(r - j as f64 * h))
             .collect();
+        let work_cap = fit_prob
+            .iter()
+            .enumerate()
+            .map(|(j, &fit)| j as f64 * h * fit)
+            .fold(0.0, f64::max);
         Ok(Self {
             ckpt,
             r,
@@ -90,6 +101,7 @@ impl<C: Continuous> ConvolutionStatic<C> {
             task_overflow,
             mass: first..end,
             fit_prob,
+            work_cap,
             task_mean,
         })
     }
@@ -151,40 +163,70 @@ impl<C: Continuous> ConvolutionStatic<C> {
         acc.value()
     }
 
-    /// Computes `E(n)` for `n = 1..=n_max` in one convolution sweep.
-    pub fn expected_work_upto(&self, n_max: u64) -> Vec<f64> {
-        let mut values = Vec::with_capacity(n_max as usize);
+    /// The one convolution sweep: hands `visit` the pmf of `S_n` for
+    /// `n = 1, 2, …` in turn, until `n_max`, until `visit` returns
+    /// `false`, or until the overflow holds all but 1e-12 of the mass
+    /// (checked from `n = 2` on).
+    fn sweep(&self, n_max: u64, mut visit: impl FnMut(&[f64]) -> bool) {
         let mut pmf = self.task_pmf.clone();
         let mut overflow = self.task_overflow;
-        values.push(self.expected_from_pmf(&pmf));
+        if !visit(&pmf) {
+            return;
+        }
         for _ in 1..n_max {
-            let (next, over) = self.convolve_step(&pmf, overflow);
-            pmf = next;
-            overflow = over;
-            values.push(self.expected_from_pmf(&pmf));
-            if overflow > 1.0 - 1e-12 {
-                // All mass beyond R: every further E(n) is 0.
-                while values.len() < n_max as usize {
-                    values.push(0.0);
-                }
-                break;
+            (pmf, overflow) = self.convolve_step(&pmf, overflow);
+            if !visit(&pmf) || overflow > 1.0 - 1e-12 {
+                return;
             }
+        }
+    }
+
+    /// Computes `E(n)` for `n = 1..=n_max` in one convolution sweep.
+    /// Once the overflow holds all but 1e-12 of the mass, every further
+    /// `E(n)` is reported as 0.
+    pub fn expected_work_upto(&self, n_max: u64) -> Vec<f64> {
+        let mut values = Vec::with_capacity(n_max as usize);
+        self.sweep(n_max, |pmf| {
+            values.push(self.expected_from_pmf(pmf));
+            true
+        });
+        while values.len() < n_max as usize {
+            values.push(0.0);
         }
         values
     }
 
-    /// Full static plan: scans `n` up to `2·R/E[X] + 10`.
+    /// A bound on `E(n')` for every `n' ≥ n`, given the pmf of `S_n`:
+    /// `work_cap · Σ_j pmf_n[j] · (1 + 1e-9)`.
+    ///
+    /// Each term of `E(n')` is at most `work_cap · pmf_{n'}[j]`, and the
+    /// mass inside the grid never grows under convolution with the
+    /// non-negative task pmf (whatever leaves it goes to the overflow
+    /// cell). The `1e-9` covers the rounding of the sums.
+    fn later_work_bound(&self, pmf: &[f64]) -> f64 {
+        self.work_cap * pmf.iter().sum::<f64>() * (1.0 + 1e-9)
+    }
+
+    /// Full static plan: the first `n` maximizing `E(n)` over
+    /// `n ≤ 2·R/E[X] + 10`, the argmax of [`Self::expected_work_upto`].
+    ///
+    /// The sweep ends at the first `n` where a bound on every later
+    /// `E(n')` from the mass of `S_n` left inside the grid
+    /// (`later_work_bound`) falls below the best `E` so far: no later `n`
+    /// can win.
     pub fn optimize(&self) -> StaticPlan {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_STATIC);
         let n_max = ((2.0 * self.r / self.task_mean) as u64 + 10).max(2);
-        let values = self.expected_work_upto(n_max);
-        let (mut best_n, mut best_v) = (1u64, f64::NEG_INFINITY);
-        for (i, &v) in values.iter().enumerate() {
+        let (mut n, mut best_n, mut best_v) = (0u64, 1u64, f64::NEG_INFINITY);
+        self.sweep(n_max, |pmf| {
+            n += 1;
+            let v = self.expected_from_pmf(pmf);
             if v > best_v {
                 best_v = v;
-                best_n = i as u64 + 1;
+                best_n = n;
             }
-        }
+            self.later_work_bound(pmf) >= best_v
+        });
         StaticPlan {
             y_opt: best_n as f64,
             n_opt: best_n,
@@ -197,7 +239,7 @@ impl<C: Continuous> ConvolutionStatic<C> {
 mod tests {
     use super::*;
     use crate::workflow::statics::StaticStrategy;
-    use resq_dist::{Gamma, LogNormal, Normal, Truncated, Weibull};
+    use resq_dist::{Distribution, Gamma, LogNormal, Normal, Truncated, Uniform, Weibull};
 
     fn ckpt(mu_c: f64, sigma_c: f64) -> Truncated<Normal> {
         Truncated::above(Normal::new(mu_c, sigma_c).unwrap(), 0.0).unwrap()
@@ -283,6 +325,73 @@ mod tests {
         let plan = conv.optimize();
         assert!(plan.n_opt >= 5 && plan.n_opt <= 9, "n_opt = {}", plan.n_opt);
         assert!(plan.expected_work > 0.0);
+    }
+
+    #[test]
+    fn early_exit_never_skips_a_winning_n() {
+        // At every n of a full sweep, the bound the early exit reads lies
+        // above every later E(n'); and on these laws the exit does fire,
+        // well before the search bound.
+        let cases: [(&str, ConvolutionStatic<Truncated<Normal>>, f64); 6] = [
+            {
+                let task = LogNormal::from_mean_sd(3.0, 0.6).unwrap();
+                let conv = ConvolutionStatic::new(&task, ckpt(5.0, 0.4), 30.0, 1024).unwrap();
+                ("lognormal", conv, task.mean())
+            },
+            {
+                let task = LogNormal::from_mean_sd(0.12, 0.03).unwrap();
+                let conv = ConvolutionStatic::new(&task, ckpt(0.2, 0.016), 1.0, 512).unwrap();
+                ("lognormal unit r", conv, task.mean())
+            },
+            {
+                let task = Uniform::new(0.05, 0.17).unwrap();
+                let conv = ConvolutionStatic::new(&task, ckpt(0.1, 0.008), 1.0, 512).unwrap();
+                ("uniform unit r", conv, task.mean())
+            },
+            {
+                let task = Uniform::new(2.0, 5.0).unwrap();
+                let conv = ConvolutionStatic::new(&task, ckpt(3.0, 0.24), 29.0, 1024).unwrap();
+                ("uniform", conv, task.mean())
+            },
+            {
+                let task = Weibull::new(2.0, 3.0).unwrap();
+                let conv = ConvolutionStatic::new(&task, ckpt(4.0, 0.5), 25.0, 1024).unwrap();
+                ("weibull", conv, task.mean())
+            },
+            {
+                let task = Gamma::new(1.0, 0.5).unwrap();
+                let conv = ConvolutionStatic::new(&task, ckpt(2.0, 0.4), 10.0, 512).unwrap();
+                ("gamma", conv, task.mean())
+            },
+        ];
+        for (name, conv, mean) in &cases {
+            let n_max = (2.0 * conv.reservation() / mean) as u64 + 10;
+            let (mut values, mut bounds) = (Vec::new(), Vec::new());
+            conv.sweep(n_max, |pmf| {
+                values.push(conv.expected_from_pmf(pmf));
+                bounds.push(conv.later_work_bound(pmf));
+                true
+            });
+            let mut best = f64::NEG_INFINITY;
+            let mut exit = None;
+            for (i, &bound) in bounds.iter().enumerate() {
+                let later = values[i..].iter().copied().fold(0.0, f64::max);
+                assert!(
+                    later <= bound,
+                    "{name} n = {}: E = {later} above {bound}",
+                    i + 1
+                );
+                best = best.max(values[i]);
+                if exit.is_none() && bound < best {
+                    exit = Some(i + 1);
+                }
+            }
+            let exit = exit.unwrap_or_else(|| panic!("{name}: the sweep never exits early"));
+            assert!(
+                2 * exit as u64 <= n_max,
+                "{name}: exits at n = {exit} of {n_max}"
+            );
+        }
     }
 
     #[test]

@@ -126,7 +126,24 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
     /// `W_int` is bit-identical to an all-exact scan.
     pub fn threshold_with(&self, cache: &mut SolveCache) -> Result<Option<f64>, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
-        let fast = FastScan::new(self, cache.gl());
+        self.scan(&fit_lattice(&self.ckpt, self.r), cache)
+    }
+
+    /// [`DynamicStrategy::threshold_with`] on `fit`, the fit lattice of
+    /// this strategy's checkpoint over `[0, R]` that the caller built
+    /// once for every planner of one solve.
+    pub(crate) fn threshold_on(
+        &self,
+        fit: &LatticeCache,
+        cache: &SolveCache,
+    ) -> Result<Option<f64>, CoreError> {
+        let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
+        self.scan(fit, cache)
+    }
+
+    /// The `W_int` scan of [`DynamicStrategy::threshold_with`] on `fit`.
+    fn scan(&self, fit: &LatticeCache, cache: &SolveCache) -> Result<Option<f64>, CoreError> {
+        let fast = FastScan::new(self, fit, cache.gl());
         let clearly_negative = |w: f64| fast.sure_fit_negative(w) || fast.quadrature_negative(w);
         let ckpt_cdf = |c: f64| self.ckpt.fit_probability(c);
         let one_more = |w: f64| {
@@ -147,7 +164,7 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
 /// `E[W_C](w) − E[W_{+1}](w)` is negative, each with margin `guard`.
 struct FastScan<'a, X: TaskDuration, C: CheckpointFit> {
     strategy: &'a DynamicStrategy<X, C>,
-    fit: LatticeCache,
+    fit: &'a LatticeCache,
     /// Where the tabulated fit is exactly 1 from on (`None` when it
     /// never is, as for a retry model's `S(c)`).
     sure_fit_from: Option<f64>,
@@ -165,8 +182,11 @@ struct FastScan<'a, X: TaskDuration, C: CheckpointFit> {
 }
 
 impl<'a, X: TaskDuration, C: CheckpointFit> FastScan<'a, X, C> {
-    fn new(strategy: &'a DynamicStrategy<X, C>, gl: &'a GaussLegendre) -> Self {
-        let fit = fit_lattice(&strategy.ckpt, strategy.r);
+    fn new(
+        strategy: &'a DynamicStrategy<X, C>,
+        fit: &'a LatticeCache,
+        gl: &'a GaussLegendre,
+    ) -> Self {
         let sure_fit_from = fit.saturation_nodes().1;
         let feature = strategy
             .ckpt
@@ -201,7 +221,7 @@ impl<'a, X: TaskDuration, C: CheckpointFit> FastScan<'a, X, C> {
     fn quadrature_negative(&self, w: f64) -> bool {
         let d = self.strategy;
         d.task
-            .expected_one_more_fast(w, d.r, &self.fit, self.gl, self.feature)
+            .expected_one_more_fast(w, d.r, self.fit, self.gl, self.feature)
             .is_some_and(|fast_one| d.expect_checkpoint_now(w) - fast_one < -self.guard)
     }
 }
@@ -564,7 +584,8 @@ mod tests {
         d: &DynamicStrategy<X, Truncated<Normal>>,
     ) -> (usize, usize) {
         let cache = SolveCache::new();
-        let fast = FastScan::new(d, cache.gl());
+        let fit = fit_lattice(d.checkpoint_law(), d.reservation());
+        let fast = FastScan::new(d, &fit, cache.gl());
         let one = fast.sure_fit_from.expect("a checkpoint law's fit saturates");
         let r = d.reservation();
         let scan: Vec<f64> = (1..=96).map(|i| r / 96.0 * i as f64).collect();

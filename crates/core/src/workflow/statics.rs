@@ -14,14 +14,21 @@
 //! The checkpoint enters only through its fit probability
 //! ([`CheckpointFit`]): a law's `P(C ≤ c)`, or a retry model's success
 //! profile `S(c)` for the retry-aware count.
+//!
+//! The search over `y` runs on a fast objective and evaluates it only
+//! where it can win: since `0 ≤ P(C ≤ R − x) ≤ 1`, Equation 3 lies
+//! between two closed-form partial means of the sum law, and a grid
+//! point whose upper bound falls below another point's lower bound (or
+//! the best value found) is skipped. `n_opt` and `E(n_opt)` are then
+//! settled on the exact path.
 
 use crate::error::CoreError;
 use crate::solve_cache::{fit_lattice, segments_for_window, SolveCache};
 use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
 use crate::workflow::sum_law::IidSum;
 use resq_numerics::{
-    grid_max, round_to_better_integer, GaussLegendre, GridSpec, LatticeCache, NeumaierSum,
-    QuadResult,
+    grid_max, grid_max_bracketed, round_to_better_integer, Extremum, GaussLegendre, GridSpec,
+    LatticeCache, NeumaierSum, QuadResult,
 };
 
 /// Absolute tolerance of the exact `E(y)` quadrature.
@@ -207,15 +214,9 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
         shoulder: f64,
     ) -> f64 {
         let _obj = resq_obs::span::enter(resq_obs::span_name::SOLVE_OBJECTIVE);
-        if !(y > 0.0) {
+        let Some((lo, cut, hi)) = self.fast_window(y, split) else {
             return 0.0;
-        }
-        let (lo, hi) = self.tasks.sum_bounds(y);
-        let hi = hi.min(self.r).min(split.zero_from);
-        if hi <= lo {
-            return 0.0;
-        }
-        let cut = split.one_below.clamp(lo, hi);
+        };
         let partial_mean = |x: f64| self.tasks.sum_partial_mean(y, x);
         let (saturated, cut) = match partial_mean(cut).zip(partial_mean(lo)) {
             Some((upto_cut, upto_lo)) => (upto_cut - upto_lo, cut),
@@ -248,6 +249,60 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
         saturated + between
     }
 
+    /// The window `(lo, cut, hi)` the fast objective integrates at `y`:
+    /// the sum law's bounds clipped to where the fit is not 0, cut where
+    /// it becomes 1. `None` when the window is empty and the objective
+    /// is 0.
+    fn fast_window(&self, y: f64, split: FitSplit) -> Option<(f64, f64, f64)> {
+        if !(y > 0.0) {
+            return None;
+        }
+        let (lo, hi) = self.tasks.sum_bounds(y);
+        let hi = hi.min(self.r).min(split.zero_from);
+        if hi <= lo {
+            return None;
+        }
+        Some((lo, split.one_below.clamp(lo, hi), hi))
+    }
+
+    /// Relative slack of [`StaticStrategy::fast_bracket`]'s upper bound:
+    /// far above the objective's quadrature tolerance (`GL_SEARCH_TOL`)
+    /// and the rounding of the interpolated fit above 1.
+    const BRACKET_SLACK: f64 = 1e-3;
+
+    /// Bounds `(lower, upper)` on [`StaticStrategy::expected_work_relaxed_fast`]
+    /// at `y` from Eq. 3, without a quadrature: `0 ≤ P(C ≤ R − x) ≤ 1`,
+    /// so `E(y)` lies between the sum law's partial mean over the stretch
+    /// where the tabulated fit is 1 and its partial mean over the whole
+    /// window.
+    ///
+    /// `lower = PM(cut) − PM(lo)` is the objective's own saturated term,
+    /// with the same bits; the objective adds to it an integral of
+    /// `x·fit·f_{S_y} ≥ 0` over `[cut, hi]`, non-negative when
+    /// `cut ≥ 0`. That integral is at most `PM(hi) − PM(cut)`, because
+    /// the fit is at most 1; `upper` adds it with [`Self::BRACKET_SLACK`]
+    /// relative slack for the quadrature and `1e-9·R` absolute slack for
+    /// the rounding of the partial means. The bracket is open when the
+    /// family has no partial mean or `cut < 0`.
+    fn fast_bracket(&self, y: f64, split: FitSplit) -> (f64, f64) {
+        const OPEN: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
+        let Some((lo, cut, hi)) = self.fast_window(y, split) else {
+            return (0.0, 0.0);
+        };
+        if cut < 0.0 {
+            return OPEN;
+        }
+        let partial_mean = |x: f64| self.tasks.sum_partial_mean(y, x);
+        match (partial_mean(cut), partial_mean(lo), partial_mean(hi)) {
+            (Some(upto_cut), Some(upto_lo), Some(upto_hi)) => {
+                let lower = upto_cut - upto_lo;
+                let shoulder = (upto_hi - upto_cut) * (1.0 + Self::BRACKET_SLACK);
+                (lower, lower + shoulder + 1e-9 * self.r)
+            }
+            _ => OPEN,
+        }
+    }
+
     /// Maximizes the relaxation over `y` and settles `n_opt` as the better
     /// of `⌊y_opt⌋` / `⌈y_opt⌉` (the paper's prescription), with a fresh
     /// per-call [`SolveCache`].
@@ -261,7 +316,10 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
     /// lattice, the sum law's closed-form partial mean where that lattice
     /// is 1, hoisted sum-density kernels and fixed-order Gauss–Legendre
     /// (continuous families) or a precomputed fit row plus the pmf
-    /// recurrence batch (discrete families). The reported `n_opt` and
+    /// recurrence batch (discrete families). For continuous families the
+    /// grid search skips every point whose Eq. 3 bracket
+    /// (`StaticStrategy::fast_bracket`) shows it cannot win
+    /// ([`grid_max_bracketed`]). The reported `n_opt` and
     /// `expected_work` are then settled through the exact,
     /// convergence-checked reference path around the located optimum:
     /// the fast objective only steers the search, never the answer, and
@@ -269,57 +327,93 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
     /// [`CoreError::Numerics`].
     pub fn optimize_with(&self, cache: &mut SolveCache) -> Result<StaticPlan, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_STATIC);
-        // Beyond R/E[X] (plus slack for variance) the sum exceeds R a.s.
-        // and E(y) → 0; cap the search there.
-        let y_max = (self.r / self.tasks.task_mean()) * 2.0 + 10.0;
-        let spec = GridSpec {
-            points: 256,
-            xtol: 1e-8,
-        };
         let e = if self.tasks.is_discrete() {
-            // The fit probabilities at the ⌊R⌋+1 integer points never
-            // change across candidates: precompute the row once, and get
-            // each candidate's mass row from the recurrence batch
-            // instead of ⌊R⌋+1 log-space pmf evaluations.
-            let jmax = self.r.floor() as u64;
-            let fit: Vec<f64> = (0..=jmax)
-                .map(|j| self.ckpt.fit_probability(self.r - j as f64))
-                .collect();
-            grid_max(
-                |y| {
-                    let _obj = resq_obs::span::enter(resq_obs::span_name::SOLVE_OBJECTIVE);
-                    if !(y > 0.0) {
-                        return 0.0;
-                    }
-                    let masses = self.tasks.sum_mass_batch(y, jmax);
-                    let mut acc = NeumaierSum::new();
-                    for (j, (&p, &mass)) in fit.iter().zip(&masses).enumerate().skip(1) {
-                        if p > 0.0 {
-                            acc.add(j as f64 * p * mass);
-                        }
-                    }
-                    acc.value()
-                },
-                1e-3,
-                y_max,
-                spec,
-            )
+            self.search_discrete()
         } else {
-            let fit = fit_lattice(&self.ckpt, self.r);
-            let split = FitSplit::new(&fit, self.r);
-            // The narrowest feature the fast integrand carries once the
-            // window is wider than the task-sum bulk it is built from.
-            let shoulder = self.ckpt.fit_shoulder();
-            grid_max(
-                |y| self.expected_work_relaxed_fast(y, &fit, split, cache.gl(), shoulder),
-                1e-3,
-                y_max,
-                spec,
-            )
+            self.search(&fit_lattice(&self.ckpt, self.r), cache)
         };
-        let n_hi = (y_max.ceil() as u64).max(2);
-        // Settle the winner on the exact reference path, surfacing any
-        // quadrature non-convergence instead of folding it into the max.
+        self.settle(e)
+    }
+
+    /// [`StaticStrategy::optimize_with`] for a continuous family, on `fit`,
+    /// the fit lattice of this strategy's checkpoint over `[0, R]` that
+    /// the caller built once for every planner of one solve.
+    pub(crate) fn optimize_on(
+        &self,
+        fit: &LatticeCache,
+        cache: &SolveCache,
+    ) -> Result<StaticPlan, CoreError> {
+        debug_assert!(
+            !self.tasks.is_discrete(),
+            "a discrete family reads no fit lattice"
+        );
+        let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_STATIC);
+        self.settle(self.search(fit, cache))
+    }
+
+    /// Beyond `R/E[X]` (plus slack for variance) the sum exceeds `R`
+    /// a.s. and `E(y) → 0`: the search stops at `2R/E[X] + 10`.
+    fn y_max(&self) -> f64 {
+        (self.r / self.tasks.task_mean()) * 2.0 + 10.0
+    }
+
+    /// The grid of both searches: 256 points on `[1e-3, y_max]`.
+    const SEARCH_GRID: GridSpec = GridSpec {
+        points: 256,
+        xtol: 1e-8,
+    };
+
+    /// The continuous families' search: the fast objective on `fit`,
+    /// evaluated only where its bracket lets it win.
+    fn search(&self, fit: &LatticeCache, cache: &SolveCache) -> Extremum {
+        let split = FitSplit::new(fit, self.r);
+        // The narrowest feature the fast integrand carries once the
+        // window is wider than the task-sum bulk it is built from.
+        let shoulder = self.ckpt.fit_shoulder();
+        grid_max_bracketed(
+            |y| self.expected_work_relaxed_fast(y, fit, split, cache.gl(), shoulder),
+            |y| self.fast_bracket(y, split),
+            1e-3,
+            self.y_max(),
+            Self::SEARCH_GRID,
+        )
+    }
+
+    /// The discrete families' search. The fit probabilities at the
+    /// `⌊R⌋+1` integer points never change across candidates: the row is
+    /// precomputed once, and each candidate's mass row comes from the
+    /// recurrence batch instead of `⌊R⌋+1` log-space pmf evaluations.
+    fn search_discrete(&self) -> Extremum {
+        let jmax = self.r.floor() as u64;
+        let fit: Vec<f64> = (0..=jmax)
+            .map(|j| self.ckpt.fit_probability(self.r - j as f64))
+            .collect();
+        grid_max(
+            |y| {
+                let _obj = resq_obs::span::enter(resq_obs::span_name::SOLVE_OBJECTIVE);
+                if !(y > 0.0) {
+                    return 0.0;
+                }
+                let masses = self.tasks.sum_mass_batch(y, jmax);
+                let mut acc = NeumaierSum::new();
+                for (j, (&p, &mass)) in fit.iter().zip(&masses).enumerate().skip(1) {
+                    if p > 0.0 {
+                        acc.add(j as f64 * p * mass);
+                    }
+                }
+                acc.value()
+            },
+            1e-3,
+            self.y_max(),
+            Self::SEARCH_GRID,
+        )
+    }
+
+    /// Settles the search's winner `e` on the exact reference path,
+    /// surfacing any quadrature non-convergence instead of folding it
+    /// into the max.
+    fn settle(&self, e: Extremum) -> Result<StaticPlan, CoreError> {
+        let n_hi = (self.y_max().ceil() as u64).max(2);
         let mut quad_err: Option<CoreError> = None;
         let (n_opt, expected_work) = round_to_better_integer(
             |n| match self.expected_work_relaxed_checked(n as f64) {
@@ -584,6 +678,120 @@ mod tests {
         // y ≤ 0 is defined as zero.
         assert_eq!(s.expected_work_relaxed(0.0), 0.0);
         assert_eq!(s.expected_work_relaxed(-3.0), 0.0);
+    }
+
+    /// At every grid point of `s`'s search, the fast objective lies in
+    /// its Eq. 3 bracket; and the bracketed search returns the full
+    /// grid's `Extremum` to the bit. Returns the objective's calls in
+    /// the bracketed search (grid points and Brent steps).
+    fn check_bracket<T: IidSum, C: CheckpointFit>(name: &str, s: &StaticStrategy<T, C>) -> usize {
+        let cache = SolveCache::new();
+        let fit = fit_lattice(s.checkpoint_law(), s.reservation());
+        let split = FitSplit::new(&fit, s.reservation());
+        let shoulder = s.checkpoint_law().fit_shoulder();
+        let f = |y: f64| s.expected_work_relaxed_fast(y, &fit, split, cache.gl(), shoulder);
+        let spec = StaticStrategy::<T, C>::SEARCH_GRID;
+        for y in resq_numerics::linspace(1e-3, s.y_max(), spec.points) {
+            let (lower, upper) = s.fast_bracket(y, split);
+            let v = f(y);
+            assert!(
+                lower <= v && v <= upper,
+                "{name} y = {y}: {v} outside [{lower}, {upper}]"
+            );
+        }
+        let full = grid_max(f, 1e-3, s.y_max(), spec);
+        let bracketed = s.search(&fit, &cache);
+        assert_eq!(
+            (bracketed.x.to_bits(), bracketed.value.to_bits()),
+            (full.x.to_bits(), full.value.to_bits()),
+            "{name}: bracketed {bracketed:?}, full grid {full:?}"
+        );
+        let mut calls = 0;
+        grid_max_bracketed(
+            |y| {
+                calls += 1;
+                f(y)
+            },
+            |y| s.fast_bracket(y, split),
+            1e-3,
+            s.y_max(),
+            spec,
+        );
+        calls
+    }
+
+    /// Seeded points of the `/decide` boxes at `R = 1`: `(task mean,
+    /// task cv, checkpoint mean)`, the last four just past one upper end.
+    fn decide_points(seed: u64) -> Vec<[f64; 3]> {
+        let mut state = seed;
+        let mut unit = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..20)
+            .map(|i| {
+                let mut p = [
+                    0.05 + 0.25 * unit(),
+                    0.05 + 0.25 * unit(),
+                    0.05 + 0.25 * unit(),
+                ];
+                if i >= 16 {
+                    p[i % 3] = 0.30 + 0.025 * (1.0 + unit());
+                }
+                p
+            })
+            .collect()
+    }
+
+    #[test]
+    fn eq3_bracket_holds_and_leaves_the_search_unchanged() {
+        let mut calls = 0;
+        let mut searches = 0;
+        for (i, [mean, cv, mu_c]) in decide_points(23).into_iter().enumerate() {
+            let normal = Normal::new(mean, cv * mean).unwrap();
+            let s = StaticStrategy::new(normal, ckpt(mu_c, 0.08 * mu_c), 1.0).unwrap();
+            calls += check_bracket(&format!("normal {i}"), &s);
+            let gamma = Gamma::new(1.0, mean).unwrap();
+            let s = StaticStrategy::new(gamma, ckpt(mu_c, 0.08 * mu_c), 1.0).unwrap();
+            calls += check_bracket(&format!("gamma {i}"), &s);
+            searches += 2;
+        }
+        // The bracket must carry the search: well under half the grid
+        // (and the Brent steps) per search.
+        assert!(
+            calls < 100 * searches,
+            "{calls} objective calls in {searches} searches"
+        );
+    }
+
+    #[test]
+    fn eq3_bracket_holds_under_retry_models() {
+        use crate::{CheckpointReliability, RetryPolicy, RetryPreemptible};
+        use CheckpointReliability::{DurationHazard, PerAttempt, Reliable};
+        use RetryPolicy::{Backoff, GiveUpAndWorkOn, Immediate};
+        let models = [
+            (Reliable, Immediate { max_attempts: 3 }),
+            (PerAttempt { p: 0.8 }, Immediate { max_attempts: 3 }),
+            (
+                PerAttempt { p: 0.5 },
+                Backoff {
+                    max_attempts: 3,
+                    delay: 0.5,
+                },
+            ),
+            (DurationHazard { rate: 0.1 }, Immediate { max_attempts: 3 }),
+            (PerAttempt { p: 0.7 }, GiveUpAndWorkOn),
+        ];
+        for (m, (rel, retry)) in models.into_iter().enumerate() {
+            let model = RetryPreemptible::new(ckpt(5.0, 0.4), 30.0, rel, retry).unwrap();
+            let s = StaticStrategy::new(Normal::new(3.0, 0.5).unwrap(), model, 30.0).unwrap();
+            check_bracket(&format!("fig5 model {m}"), &s);
+            let model = RetryPreemptible::new(ckpt(2.0, 0.4), 10.0, rel, retry).unwrap();
+            let s = StaticStrategy::new(Gamma::new(1.0, 0.5).unwrap(), model, 10.0).unwrap();
+            check_bracket(&format!("fig6 model {m}"), &s);
+        }
     }
 
     #[test]

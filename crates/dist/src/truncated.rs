@@ -125,11 +125,16 @@ impl<D: Continuous> Truncated<D> {
 }
 
 impl<D: Continuous> Distribution for Truncated<D> {
-    /// Mean by adaptive quadrature of `x·pdf(x)` over the effective
-    /// support (specialized closed forms exist for the Normal parent —
-    /// see [`crate::normal::truncated_normal_mean`] — and the test-suite
-    /// checks this generic path against them).
+    /// Mean as the partial mean up to `hi` ([`Continuous::partial_mean`])
+    /// where the parent has one in closed form; otherwise by adaptive
+    /// quadrature of `x·pdf(x)` over the effective support. The tests
+    /// hold the first path to [`crate::normal::truncated_normal_mean`]
+    /// and to the quadrature, and the second to a Weibull parent's
+    /// incomplete-gamma form.
     fn mean(&self) -> f64 {
+        if let Some(mean) = self.partial_mean(self.hi) {
+            return mean;
+        }
         let (a, b) = self.effective_support();
         if b.is_infinite() {
             resq_numerics::integrate_to_inf(|x| x * self.pdf(x), a, 1e-11).value
@@ -398,6 +403,62 @@ mod tests {
             "var {}",
             t.variance()
         );
+    }
+
+    #[test]
+    fn mean_without_a_partial_mean_integrates() {
+        // Weibull has no closed-form partial mean, so the mean takes the
+        // quadrature path. Reference: ∫_0^x t·f(t) dt = λ·Γ(1 + 1/k)·
+        // P(1 + 1/k, (x/λ)^k) for Weibull(k, λ).
+        use crate::Weibull;
+        use resq_specfun::{gamma, gamma_p};
+        let (k, lambda) = (1.7, 2.0);
+        let parent = Weibull::new(k, lambda).unwrap();
+        assert_eq!(parent.partial_mean(1.0), None);
+        let upto = |x: f64| {
+            if x == f64::INFINITY {
+                parent.mean()
+            } else {
+                lambda * gamma(1.0 + 1.0 / k) * gamma_p(1.0 + 1.0 / k, (x / lambda).powf(k))
+            }
+        };
+        for (lo, hi) in [(0.5, 3.0), (1.0, f64::INFINITY), (2.5, 4.0)] {
+            let t = Truncated::new(parent, lo, hi).unwrap();
+            let want = (upto(hi) - upto(lo)) / (parent.cdf(hi) - parent.cdf(lo));
+            assert!(
+                (t.mean() - want).abs() < 1e-9,
+                "[{lo}, {hi}]: {} vs {want}",
+                t.mean()
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_mean_matches_quadrature() {
+        // Parents with a partial mean take it; the quadrature the other
+        // parents use agrees with it.
+        let quadrature = |t: &Truncated<Normal>| {
+            let (a, b) = t.effective_support();
+            if b.is_infinite() {
+                resq_numerics::integrate_to_inf(|x| x * t.pdf(x), a, 1e-11).value
+            } else {
+                resq_numerics::adaptive_simpson(|x| x * t.pdf(x), a, b, 1e-11).value
+            }
+        };
+        for t in [
+            Truncated::above(Normal::new(5.0, 0.4).unwrap(), 0.0).unwrap(),
+            Truncated::above(Normal::new(0.1, 0.02).unwrap(), 0.0).unwrap(),
+            Truncated::new(Normal::new(3.5, 1.0).unwrap(), 1.0, 7.5).unwrap(),
+            Truncated::new(Normal::new(0.0, 1.0).unwrap(), 4.0, 5.0).unwrap(),
+        ] {
+            assert_eq!(Some(t.mean()), t.partial_mean(t.upper()));
+            let q = quadrature(&t);
+            assert!(
+                (t.mean() - q).abs() < 1e-9 * (1.0 + q.abs()),
+                "{} vs {q}",
+                t.mean()
+            );
+        }
     }
 
     #[test]

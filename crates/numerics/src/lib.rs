@@ -35,7 +35,8 @@ pub mod sum;
 pub use error::NumericsError;
 pub use grid::{for_each_cell_center, for_each_cell_probe, for_each_node, NdAxis, NdGrid};
 pub use optimize::{
-    brent_max, brent_min, grid_max, integer_argmax, round_to_better_integer, Extremum, GridSpec,
+    brent_max, brent_min, grid_max, grid_max_bracketed, integer_argmax, round_to_better_integer,
+    Extremum, GridSpec,
 };
 pub use memo::LatticeCache;
 pub use quad::{

@@ -1,6 +1,7 @@
 //! Scalar optimization: Brent minimization ([`brent_min`]/[`brent_max`]),
-//! grid-refined global maximization ([`grid_max`]) and integer argmax
-//! ([`integer_argmax`]).
+//! grid-refined global maximization ([`grid_max`], and
+//! [`grid_max_bracketed`] where the objective has cheap bounds) and
+//! integer argmax ([`integer_argmax`]).
 //!
 //! The paper's optima are mostly maxima of smooth concave (or at least
 //! unimodal) objectives — `E[W(X)]` over `X ∈ [a, R]`, the continuous
@@ -141,8 +142,33 @@ impl Default for GridSpec {
 ///
 /// Robust against multimodality at the grid resolution; the endpoints are
 /// always candidates (the paper's `X_opt = b` saturation case lands
-/// exactly on an endpoint).
-pub fn grid_max<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, spec: GridSpec) -> Extremum {
+/// exactly on an endpoint). This is [`grid_max_bracketed`] with no
+/// bracket: every grid point is evaluated.
+pub fn grid_max<F: FnMut(f64) -> f64>(f: F, a: f64, b: f64, spec: GridSpec) -> Extremum {
+    grid_max_bracketed(f, |_| (f64::NEG_INFINITY, f64::INFINITY), a, b, spec)
+}
+
+/// [`grid_max`] that evaluates `f` only at grid points that can win.
+///
+/// `bounds(x)` brackets the objective: `lower ≤ f(x) ≤ upper`. Every
+/// grid point's bracket is computed first, and the largest `lower` is the
+/// bar: the maximum is at least that. Grid points are then visited in
+/// order of decreasing `upper`, and `f` is evaluated until the next
+/// `upper` falls below the bar or the best value evaluated so far; no
+/// point from there on can reach it. If the best evaluated value ends
+/// below the bar (a NaN where a bound promised a value, or a violated
+/// lower bound), the skipped points are evaluated as well.
+///
+/// With valid upper bounds the result is bit-identical to the full scan:
+/// a skipped point's value lies strictly below the best, so the best
+/// grid point (the first on ties) and the Brent refinement around it are
+/// the same. A NaN bound counts as open. The `OPTIMIZER_ITERATIONS`
+/// counter counts the grid points actually evaluated.
+pub fn grid_max_bracketed<F, B>(mut f: F, mut bounds: B, a: f64, b: f64, spec: GridSpec) -> Extremum
+where
+    F: FnMut(f64) -> f64,
+    B: FnMut(f64) -> (f64, f64),
+{
     assert!(a <= b, "invalid interval [{a}, {b}]");
     let n = spec.points.max(3);
     if a == b {
@@ -150,26 +176,54 @@ pub fn grid_max<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, spec: GridSpec) 
         return Extremum { x: a, value };
     }
     let xs = crate::linspace(a, b, n);
-    let mut best_i = 0usize;
-    let mut best_v = f64::NEG_INFINITY;
-    let fs: Vec<f64> = xs
+    let mut bar = f64::NEG_INFINITY;
+    let uppers: Vec<f64> = xs
         .iter()
         .map(|&x| {
-            let v = f(x);
-            if v.is_nan() {
-                f64::NEG_INFINITY
+            let (lower, upper) = bounds(x);
+            if lower > bar {
+                bar = lower;
+            }
+            if upper.is_nan() {
+                f64::INFINITY
             } else {
-                v
+                upper
             }
         })
         .collect();
+    // Best-first: a stable sort keeps grid order among equal bounds.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| uppers[j].total_cmp(&uppers[i]));
+    let mut fs = vec![f64::NEG_INFINITY; n];
+    let mut eval = |i: usize| {
+        let v = f(xs[i]);
+        fs[i] = if v.is_nan() { f64::NEG_INFINITY } else { v };
+        fs[i]
+    };
+    let mut best_v = f64::NEG_INFINITY;
+    let mut evaluated = 0;
+    for &i in &order {
+        if uppers[i] < bar.max(best_v) {
+            break;
+        }
+        best_v = best_v.max(eval(i));
+        evaluated += 1;
+    }
+    if best_v < bar {
+        for &i in &order[evaluated..] {
+            eval(i);
+        }
+        evaluated = n;
+    }
+    resq_obs::metrics::OPTIMIZER_ITERATIONS.add(evaluated as u64);
+    let mut best_i = 0usize;
+    best_v = f64::NEG_INFINITY;
     for (i, &v) in fs.iter().enumerate() {
         if v > best_v {
             best_v = v;
             best_i = i;
         }
     }
-    resq_obs::metrics::OPTIMIZER_ITERATIONS.add(n as u64);
     // Refine inside the two cells adjacent to the best sample.
     let lo = xs[best_i.saturating_sub(1)];
     let hi = xs[(best_i + 1).min(n - 1)];
@@ -290,6 +344,131 @@ mod tests {
         let e = grid_max(|x| x * x, 3.0, 3.0, GridSpec::default());
         assert_eq!(e.x, 3.0);
         assert_eq!(e.value, 9.0);
+    }
+
+    /// Runs [`grid_max_bracketed`] and counts the objective's calls.
+    fn bracketed_counting(
+        f: impl Fn(f64) -> f64,
+        bounds: impl FnMut(f64) -> (f64, f64),
+        a: f64,
+        b: f64,
+    ) -> (Extremum, usize) {
+        let mut calls = 0;
+        let e = grid_max_bracketed(
+            |x| {
+                calls += 1;
+                f(x)
+            },
+            bounds,
+            a,
+            b,
+            GridSpec::default(),
+        );
+        (e, calls)
+    }
+
+    fn bits(e: Extremum) -> (u64, u64) {
+        (e.x.to_bits(), e.value.to_bits())
+    }
+
+    #[test]
+    fn bracketed_search_equals_the_full_grid() {
+        // Three humps of near-equal height on a sloped floor, bracketed
+        // with uneven slack on both sides.
+        let f = |x: f64| {
+            (-(x - 1.0) * (x - 1.0) / 0.05).exp()
+                + 1.02 * (-(x - 3.3) * (x - 3.3) / 0.02).exp()
+                + 0.98 * (-(x - 5.2) * (x - 5.2) / 0.1).exp()
+                + 0.01 * x
+        };
+        let slack = |x: f64| 0.05 * (1.0 + (7.0 * x).sin().abs());
+        let full = grid_max(f, 0.0, 6.0, GridSpec::default());
+        for (name, scale) in [("tight", 0.0), ("loose", 1.0), ("very loose", 10.0)] {
+            let bounds = |x: f64| (f(x) - scale * slack(x), f(x) + scale * slack(x));
+            let (e, calls) = bracketed_counting(f, bounds, 0.0, 6.0);
+            assert_eq!(bits(e), bits(full), "{name}");
+            if scale <= 1.0 {
+                assert!(calls < 128, "{name}: {calls} calls");
+            }
+        }
+        // An always-open bracket evaluates every grid point.
+        let open = |_: f64| (f64::NEG_INFINITY, f64::INFINITY);
+        let (e, calls) = bracketed_counting(f, open, 0.0, 6.0);
+        assert_eq!(bits(e), bits(full));
+        assert!(calls >= 256, "{calls} calls");
+    }
+
+    #[test]
+    fn bracketed_search_keeps_the_first_of_tied_grid_points() {
+        // A flat top: grid points from x = 2 to x = 3 all reach exactly
+        // 1.0, and the full scan refines around the first of them.
+        let f = |x: f64| {
+            if (2.0..=3.0).contains(&x) {
+                1.0
+            } else {
+                0.5 - 0.01 * x
+            }
+        };
+        let full = grid_max(f, 0.0, 6.0, GridSpec::default());
+        // Exact brackets, where later tied points are skipped only if
+        // the search wrongly treated "not above the best" as "below".
+        let (e, _) = bracketed_counting(f, |x| (f(x), f(x)), 0.0, 6.0);
+        assert_eq!(bits(e), bits(full));
+        // Brackets that rank the later tied points first: the first one's
+        // upper bound only equals the best value by then, which is not
+        // below it, so it is still evaluated and still wins.
+        let bounds = |x: f64| (f(x), f(x) + 0.1 * (x - 2.0).max(0.0));
+        let (e, _) = bracketed_counting(f, bounds, 0.0, 6.0);
+        assert_eq!(bits(e), bits(full));
+    }
+
+    #[test]
+    fn bracketed_search_evaluates_skipped_points_below_the_bar() {
+        // The bar point's bound promises 10, but the objective is NaN
+        // there: the best evaluated value ends below the bar, so every
+        // skipped point is evaluated and the full scan's answer stands.
+        let xs = crate::linspace(0.0, 6.0, 256);
+        let bar_x = xs[100];
+        let f = |x: f64| {
+            if x == bar_x {
+                f64::NAN
+            } else {
+                -(x - 4.0) * (x - 4.0)
+            }
+        };
+        let bounds = |x: f64| {
+            if x == bar_x {
+                (10.0, 11.0)
+            } else {
+                (f(x), f(x))
+            }
+        };
+        let full = grid_max(f, 0.0, 6.0, GridSpec::default());
+        let (e, calls) = bracketed_counting(f, bounds, 0.0, 6.0);
+        assert_eq!(bits(e), bits(full));
+        assert!(calls >= 256, "{calls} calls");
+        // A violated lower bound elsewhere falls back the same way.
+        let f = |x: f64| -(x - 4.0) * (x - 4.0);
+        let bounds = |x: f64| {
+            if x == xs[10] {
+                (5.0, 6.0)
+            } else {
+                (f(x), f(x))
+            }
+        };
+        let (e, calls) = bracketed_counting(f, bounds, 0.0, 6.0);
+        assert_eq!(bits(e), bits(grid_max(f, 0.0, 6.0, GridSpec::default())));
+        assert!(calls >= 256, "{calls} calls");
+    }
+
+    #[test]
+    fn bracketed_search_on_a_degenerate_interval() {
+        let (e, calls) = bracketed_counting(|x| x * x, |_| (100.0, 100.0), 3.0, 3.0);
+        assert_eq!(
+            bits(e),
+            bits(grid_max(|x| x * x, 3.0, 3.0, GridSpec::default()))
+        );
+        assert_eq!((e.x, e.value, calls), (3.0, 9.0, 1));
     }
 
     #[test]
