@@ -457,6 +457,52 @@ fn load_proto(args: &Args) -> Result<LoadProto, ArgError> {
     }
 }
 
+/// The load harnesses' workload: the 5-node exponential lattice and the
+/// request body of its first served query. The query is in-grid, so the
+/// load exercises the O(µs) lattice path (the fallback path is tracked
+/// by perf_baseline's `solve/dynamic`) and every correct answer byte is
+/// known up front. `what` names the harness in errors.
+fn bench_workload(what: &str) -> Result<(PolicyLattice, String), ArgError> {
+    let spec = LatticeSpec::defaults(LawFamily::Exponential).with_points(5);
+    let lattice = resq::core::lattice::build(&spec)
+        .map_err(|e| ArgError(format!("cannot build the {what} lattice: {e}")))?;
+    let query = serve::served_queries(&lattice).next().ok_or_else(|| {
+        ArgError(format!(
+            "no served lattice query to drive the {what} load with"
+        ))
+    })?;
+    let body = serve::render_request(&query, Some(10.0));
+    Ok((lattice, body))
+}
+
+/// Runs `opts`' load against an in-process daemon: `lattice` behind a
+/// [`DecisionService`] on a 4-worker, 64-deep server speaking
+/// `opts.proto` on an ephemeral loopback port, faulted by `chaos` when
+/// given. Points `opts` at that port and stops the server after the
+/// load; returns the report and the admission slots still held then.
+fn load_in_process(
+    what: &str,
+    lattice: PolicyLattice,
+    opts: &mut LoadOptions,
+    chaos: Option<Arc<resq::obs::chaos::ChaosPolicy>>,
+) -> Result<(serve::LoadReport, usize), ArgError> {
+    let admission = (opts.connections * 2).max(64);
+    let service = Arc::new(DecisionService::new(vec![lattice], 8, admission));
+    let mut cfg = http::ServerConfig::new("127.0.0.1:0");
+    cfg.workers = 4;
+    cfg.queue_depth = 64;
+    cfg.chaos = chaos;
+    let server = match opts.proto {
+        LoadProto::Http => http::serve_with(cfg, serve::http_handler(Arc::clone(&service))),
+        LoadProto::Framed => http::serve_framed(cfg, serve::frame_handler(Arc::clone(&service))),
+    }
+    .map_err(|e| ArgError(format!("cannot bind the in-process {what} daemon: {e}")))?;
+    opts.addr = server.local_addr().to_string();
+    let result = serve::run_load(opts);
+    server.stop();
+    Ok((result.map_err(ArgError)?, service.inflight()))
+}
+
 /// `resq bench serve`: closed-loop load harness for the decision
 /// daemon. Without `--addr`, builds a small exponential lattice, stands
 /// the daemon up in-process on an ephemeral loopback port, hammers it
@@ -471,16 +517,7 @@ fn bench_serve(args: &Args) -> Result<(), ArgError> {
         Some(_) => Some(args.require_f64("min-throughput")?),
         None => None,
     };
-    // The workload: an in-grid exponential-family query so the load
-    // exercises the O(µs) lattice path (the fallback path is tracked by
-    // perf_baseline's `solve/dynamic`).
-    let spec = LatticeSpec::defaults(LawFamily::Exponential).with_points(5);
-    let lattice = resq::core::lattice::build(&spec)
-        .map_err(|e| ArgError(format!("cannot build the bench lattice: {e}")))?;
-    let query = serve::served_queries(&lattice)
-        .next()
-        .ok_or_else(|| ArgError("no served lattice query to drive the load with".into()))?;
-    let body = serve::render_request(&query, Some(10.0));
+    let (lattice, body) = bench_workload("bench")?;
     let retries = args.u64_or("retries", 0)? as usize;
     let backoff_ms = args.u64_or("backoff-ms", 5)?;
     let deadline_s = args.u64_or("deadline-s", 0)?;
@@ -497,27 +534,7 @@ fn bench_serve(args: &Args) -> Result<(), ArgError> {
             opts.addr = addr.to_string();
             serve::run_load(&opts).map_err(ArgError)?
         }
-        None => {
-            let service = Arc::new(DecisionService::new(
-                vec![lattice],
-                8,
-                (connections * 2).max(64),
-            ));
-            let mut cfg = http::ServerConfig::new("127.0.0.1:0");
-            cfg.workers = 4;
-            cfg.queue_depth = 64;
-            let server = match proto {
-                LoadProto::Http => http::serve_with(cfg, serve::http_handler(Arc::clone(&service))),
-                LoadProto::Framed => {
-                    http::serve_framed(cfg, serve::frame_handler(Arc::clone(&service)))
-                }
-            }
-            .map_err(|e| ArgError(format!("cannot bind the in-process daemon: {e}")))?;
-            opts.addr = server.local_addr().to_string();
-            let result = serve::run_load(&opts);
-            server.stop();
-            result.map_err(ArgError)?
-        }
+        None => load_in_process("bench", lattice, &mut opts, None)?.0,
     };
     let delta = resq::obs::metrics::Snapshot::capture().delta(&before);
     println!("connections       : {}", report.connections);
@@ -575,24 +592,11 @@ fn bench_chaos(args: &Args) -> Result<(), ArgError> {
         resq::obs::chaos::ChaosPolicy::parse(&spec)
             .map_err(|e| ArgError(format!("flag `--chaos-spec`: {e}")))?,
     );
-    // The same deterministic workload as `bench serve`: an in-grid
-    // exponential query, so every correct answer byte is known up front.
-    let lattice_spec = LatticeSpec::defaults(LawFamily::Exponential).with_points(5);
-    let lattice = resq::core::lattice::build(&lattice_spec)
-        .map_err(|e| ArgError(format!("cannot build the chaos lattice: {e}")))?;
-    let query = serve::served_queries(&lattice)
-        .next()
-        .ok_or_else(|| ArgError("no served lattice query to drive the chaos load with".into()))?;
-    let body = serve::render_request(&query, Some(10.0));
+    let (lattice, body) = bench_workload("chaos")?;
     // Every correct response byte, precomputed on a clean service over
     // the identical (deterministic) lattice build — this also matches an
     // external daemon started from the same artifact spec.
-    let clean = DecisionService::new(
-        vec![resq::core::lattice::build(&lattice_spec)
-            .map_err(|e| ArgError(format!("cannot rebuild the reference lattice: {e}")))?],
-        2,
-        8,
-    );
+    let clean = DecisionService::new(vec![lattice.clone()], 2, 8);
     let expected = if batch_size > 1 {
         let batch = format!("[{}]", vec![body.as_str(); batch_size].join(","));
         clean.answer_batch(&batch)
@@ -623,26 +627,9 @@ fn bench_chaos(args: &Args) -> Result<(), ArgError> {
             (serve::run_load(&opts).map_err(ArgError)?, None)
         }
         None => {
-            let service = Arc::new(DecisionService::new(
-                vec![lattice],
-                8,
-                (connections * 2).max(64),
-            ));
-            let mut cfg = http::ServerConfig::new("127.0.0.1:0");
-            cfg.workers = 4;
-            cfg.queue_depth = 64;
-            cfg.chaos = Some(Arc::clone(&policy));
-            let server = match proto {
-                LoadProto::Http => http::serve_with(cfg, serve::http_handler(Arc::clone(&service))),
-                LoadProto::Framed => {
-                    http::serve_framed(cfg, serve::frame_handler(Arc::clone(&service)))
-                }
-            }
-            .map_err(|e| ArgError(format!("cannot bind the in-process chaos daemon: {e}")))?;
-            opts.addr = server.local_addr().to_string();
-            let result = serve::run_load(&opts);
-            server.stop();
-            (result.map_err(ArgError)?, Some(service.inflight()))
+            let (report, inflight) =
+                load_in_process("chaos", lattice, &mut opts, Some(Arc::clone(&policy)))?;
+            (report, Some(inflight))
         }
     };
     let delta = resq::obs::metrics::Snapshot::capture().delta(&before);

@@ -4,7 +4,8 @@
 //! or half-truncated with `@0,` (`normal:5,0.4@0,` — the paper's
 //! `N_{[0,∞)}`). Parsed laws are wrapped in [`DynLaw`], which implements
 //! the real `resq` traits so they plug straight into `Preemptible`,
-//! `DynamicStrategy`, `ConvolutionStatic` and the simulators.
+//! `DynamicStrategy`, `ConvolutionStatic` and the simulators, and
+//! answers every one of them exactly as the law it wraps.
 
 use crate::args::ArgError;
 use rand::RngCore;
@@ -25,6 +26,12 @@ pub trait ErasedLaw: Send + Sync {
     fn quantile(&self, p: f64) -> f64;
     /// Support.
     fn support(&self) -> (f64, f64);
+    /// Log-density.
+    fn ln_pdf(&self, x: f64) -> f64;
+    /// Partial expectation `E[X·1{X ≤ x}]`, when in closed form.
+    fn partial_mean(&self, x: f64) -> Option<f64>;
+    /// Upper partial expectation `E[X·1{X > x}]`, when in closed form.
+    fn upper_partial_mean(&self, x: f64) -> Option<f64>;
     /// Mean.
     fn mean(&self) -> f64;
     /// Variance.
@@ -53,6 +60,15 @@ impl<D: Continuous + Sample + Send + Sync> ErasedLaw for D {
     }
     fn support(&self) -> (f64, f64) {
         Continuous::support(self)
+    }
+    fn ln_pdf(&self, x: f64) -> f64 {
+        Continuous::ln_pdf(self, x)
+    }
+    fn partial_mean(&self, x: f64) -> Option<f64> {
+        Continuous::partial_mean(self, x)
+    }
+    fn upper_partial_mean(&self, x: f64) -> Option<f64> {
+        Continuous::upper_partial_mean(self, x)
     }
     fn mean(&self) -> f64 {
         Distribution::mean(self)
@@ -97,6 +113,15 @@ impl Continuous for DynLaw {
     fn support(&self) -> (f64, f64) {
         self.0.support()
     }
+    fn ln_pdf(&self, x: f64) -> f64 {
+        self.0.ln_pdf(x)
+    }
+    fn partial_mean(&self, x: f64) -> Option<f64> {
+        self.0.partial_mean(x)
+    }
+    fn upper_partial_mean(&self, x: f64) -> Option<f64> {
+        self.0.upper_partial_mean(x)
+    }
 }
 
 impl Sample for DynLaw {
@@ -109,11 +134,10 @@ impl Sample for DynLaw {
     }
 }
 
-impl resq::core::workflow::task_law::TaskDuration for DynLaw {
-    fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64 {
-        resq::core::workflow::task_law::continuous_expected_one_more(self, w, r, ckpt_cdf)
-    }
-}
+/// `TaskDuration` comes from the library's blanket impl over this
+/// marker, so `plan-dynamic` runs the same §4.3 kernels, convergence
+/// check and scan certificates on a CLI law as on the law it wraps.
+impl resq::core::workflow::task_law::ContinuousTask for DynLaw {}
 
 /// A parsed law: continuous (possibly truncated) or Poisson.
 pub enum LawSpec {
@@ -356,6 +380,44 @@ mod tests {
         let model = resq::Preemptible::new(law, 10.0).unwrap();
         let plan = model.optimize();
         assert!((plan.lead_time - 5.5).abs() < 1e-5);
+    }
+
+    /// The bits of every closed form a planner reads from `law`: partial
+    /// means, log-density, the fast-kernel feature and the sure-fit bound
+    /// of `E[W_{+1}]`, over a sweep of its support.
+    fn closed_form_bits<D: resq::core::workflow::task_law::TaskDuration + Continuous>(
+        law: &D,
+    ) -> Vec<Option<u64>> {
+        let mut bits = vec![law.fast_kernel_feature().map(f64::to_bits)];
+        for k in 0..=40 {
+            let x = 0.25 * k as f64;
+            bits.push(law.partial_mean(x).map(f64::to_bits));
+            bits.push(law.upper_partial_mean(x).map(f64::to_bits));
+            bits.push(Some(law.ln_pdf(x).to_bits()));
+            bits.push(law.expected_one_more_sure_fit(1.5, x).map(f64::to_bits));
+        }
+        bits
+    }
+
+    #[test]
+    fn cli_laws_answer_as_the_laws_they_wrap() {
+        fn parsed(raw: &str) -> DynLaw {
+            match parse_law(raw).unwrap() {
+                LawSpec::Continuous(law) => law,
+                LawSpec::Poisson(_) => panic!("{raw} is continuous"),
+            }
+        }
+        let normal = Truncated::new(Normal::new(3.0, 0.5).unwrap(), 0.0, f64::INFINITY).unwrap();
+        let lognormal = LogNormal::new(1.0, 0.35).unwrap();
+        let cases = [
+            ("normal:3,0.5@0,", closed_form_bits(&normal)),
+            ("lognormal:1,0.35", closed_form_bits(&lognormal)),
+            ("uniform:1,5", closed_form_bits(&Uniform::new(1.0, 5.0).unwrap())),
+            ("gamma:2,1.5", closed_form_bits(&Gamma::new(2.0, 1.5).unwrap())),
+        ];
+        for (raw, want) in cases {
+            assert_eq!(closed_form_bits(&parsed(raw)), want, "{raw}");
+        }
     }
 
     #[test]

@@ -54,6 +54,56 @@ fn plan_dynamic_reports_fig8_threshold() {
 }
 
 #[test]
+fn plan_dynamic_logs_the_library_threshold_bits() {
+    // Fig. 8 through the CLI's type-erased laws must run the library's
+    // own §4.3 kernels: the same `W_int` bits as the concrete
+    // `Truncated<Normal>` laws, with the scan certificates carrying most
+    // scan points (an all-exact scan spends ~476 000 evaluations).
+    use resq::dist::{Normal, Truncated};
+    let dir = std::env::temp_dir().join("resq-cli-int-plan-dynamic");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("run.jsonl");
+    let out = resq(&[
+        "plan-dynamic",
+        "--task",
+        "normal:3,0.5@0,",
+        "--ckpt",
+        "normal:5,0.4@0,",
+        "--reservation",
+        "29",
+        "--metrics",
+        "--log-json",
+        log.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&log).unwrap();
+    let finished = resq::obs::json::parse(text.lines().last().unwrap()).unwrap();
+    let logged = finished.get("threshold").and_then(|t| t.as_f64()).unwrap();
+
+    let half_normal =
+        |mu, sigma| Truncated::new(Normal::new(mu, sigma).unwrap(), 0.0, f64::INFINITY);
+    let d = resq::DynamicStrategy::new(
+        half_normal(3.0, 0.5).unwrap(),
+        half_normal(5.0, 0.4).unwrap(),
+        29.0,
+    )
+    .unwrap();
+    let want = d.threshold().unwrap().expect("Fig. 8 has a threshold");
+    assert_eq!(logged.to_bits(), want.to_bits(), "{logged} vs {want}");
+
+    let err = String::from_utf8_lossy(&out.stderr);
+    let evals: u64 = err
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("quadrature_evals"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no quadrature_evals in:\n{err}"));
+    assert!(evals <= 476_304 / 5, "{evals} quadrature evaluations");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn plan_static_reports_fig7_n_opt() {
     let out = resq(&[
         "plan-static",

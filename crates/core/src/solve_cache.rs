@@ -6,12 +6,20 @@
 //! model's `S(c)`) at hundreds of quadrature nodes per candidate.
 //! Each planner call tabulates it once with `fit_lattice` (4 097
 //! evaluations) and reuses that lattice across every `n` probed by one
-//! `optimize` and every point of one `threshold` scan. One exact solve
+//! `StaticStrategy::optimize` and every point of one
+//! `DynamicStrategy::threshold` scan. One exact solve
 //! (`lattice::solve_exact`) tabulates it once for both of its planners
 //! (`StaticStrategy::optimize_on`, `DynamicStrategy::threshold_on`):
 //! they read the same checkpoint over the same `[0, R]`. The lattice is
 //! never shared between solves: nothing short of the checkpoint's
 //! parameters identifies its fit, and [`CheckpointFit`] exposes none.
+//!
+//! Both planners integrate over the lattice with one check,
+//! [`resq_numerics::gauss_legendre_two_resolution`] at this module's
+//! order ([`FAST_GL_ORDER`]) and tolerance ([`FAST_GL_TOL`]), on panels
+//! sized by `segments_for_window`. When its two resolutions disagree the
+//! static objective integrates that stretch by adaptive Simpson instead,
+//! and the dynamic scan decides that point on its exact path.
 //!
 //! The lattice also says where no quadrature is needed: from its first
 //! all-ones node on (`LatticeCache::saturation_nodes`) the checkpoint
@@ -22,6 +30,8 @@
 //!
 //! [`SolveCache`] holds what *is* safe to share across solves: the
 //! fixed-order Gauss–Legendre rule the fast quadrature path uses.
+//! `solve_exact` takes one, so a caller answering many queries builds
+//! the rule once; `optimize` and `threshold` build their own.
 //!
 //! The fit lattice only ever steers *searches*: winners are re-evaluated
 //! through the exact reference path (see `StaticStrategy::optimize`).
@@ -35,18 +45,24 @@ use resq_numerics::{GaussLegendre, LatticeCache};
 pub(crate) const FIT_LATTICE_CELLS: usize = 4096;
 
 /// Order of the solver's fixed Gauss–Legendre rule. With the two-
-/// resolution check in `gauss_legendre_checked` the accepting path costs
+/// resolution check on its minimum 2 + 4 panels the accepting path costs
 /// `6 × 20 = 120` integrand evaluations — roughly half the adaptive
 /// integrator's forced-refinement floor, on a much cheaper integrand.
 pub(crate) const FAST_GL_ORDER: usize = 20;
+
+/// Relative agreement demanded of the two Gauss–Legendre resolutions
+/// before either planner's fast path trusts them. The fit lattice's own
+/// interpolation error is ~1e-5-scale, so asking the quadrature for more
+/// would be wasted work.
+pub(crate) const FAST_GL_TOL: f64 = 1e-6;
 
 /// Shared solver state for the §4 fast path: the fixed-order quadrature
 /// rule.
 ///
 /// `StaticStrategy::optimize` and `DynamicStrategy::threshold` build a
-/// fresh one per call; callers that solve many instances may pass one
-/// through `optimize_with` / `threshold_with` to skip rebuilding the
-/// rule. Sharing one changes no answer.
+/// fresh one per call; [`crate::lattice::solve_exact`] takes one from
+/// its caller, who may share it across solves. Sharing one changes no
+/// answer.
 #[derive(Debug)]
 pub struct SolveCache {
     gl: GaussLegendre,
@@ -84,17 +100,14 @@ pub(crate) fn fit_lattice<C: CheckpointFit>(ckpt: &C, r: f64) -> LatticeCache {
 /// integration range, so the two check resolutions sample the feature
 /// instead of aliasing it. Degenerate features (zero-width, non-finite)
 /// ask for the ceiling and let the a-posteriori agreement check
-/// arbitrate.
+/// arbitrate; [`resq_numerics::gauss_legendre_two_resolution`] clamps
+/// the hint to its range (f64→usize casts saturate).
 pub(crate) fn segments_for_window(window: f64, feature: f64) -> usize {
     let ratio = window / feature;
     if ratio.is_finite() {
-        // f64→usize casts saturate, and the clamp bounds both ends.
-        (ratio.ceil() as usize).clamp(
-            resq_numerics::GL_CHECK_SEGMENTS,
-            resq_numerics::GL_MAX_SEGMENTS,
-        )
+        ratio.ceil() as usize
     } else {
-        resq_numerics::GL_MAX_SEGMENTS
+        usize::MAX
     }
 }
 

@@ -103,18 +103,13 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
 
     /// The work threshold `W_int`: the first crossing of `E[W_C]` over
     /// `E[W_{+1}]` (Figures 8–10). Below it, continuing wins; above it,
-    /// checkpointing wins. Uses a fresh per-call [`SolveCache`].
+    /// checkpointing wins.
     ///
     /// Returns `Ok(None)` if checkpointing never wins before `R` (can
     /// happen when `R` is too short for even one checkpoint to plausibly
     /// fit — then everything is lost regardless);
     /// [`CoreError::Numerics`] when the `E[W_{+1}]` quadrature fails to
     /// converge at a deciding scan point.
-    pub fn threshold(&self) -> Result<Option<f64>, CoreError> {
-        self.threshold_with(&mut SolveCache::new())
-    }
-
-    /// [`DynamicStrategy::threshold`] with `cache`'s quadrature rule.
     ///
     /// Runs the `W_int` scan (`scan_threshold`) with a fast classifier
     /// (`FastScan`): a point whose checkpoint-now minus one-more diff is
@@ -124,12 +119,12 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
     /// wins" without an exact evaluation. Every deciding value goes
     /// through the exact convergence-checked integrand, so the returned
     /// `W_int` is bit-identical to an all-exact scan.
-    pub fn threshold_with(&self, cache: &mut SolveCache) -> Result<Option<f64>, CoreError> {
+    pub fn threshold(&self) -> Result<Option<f64>, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
-        self.scan(&fit_lattice(&self.ckpt, self.r), cache)
+        self.scan(&fit_lattice(&self.ckpt, self.r), &SolveCache::new())
     }
 
-    /// [`DynamicStrategy::threshold_with`] on `fit`, the fit lattice of
+    /// [`DynamicStrategy::threshold`] on `fit`, the fit lattice of
     /// this strategy's checkpoint over `[0, R]` that the caller built
     /// once for every planner of one solve.
     pub(crate) fn threshold_on(
@@ -141,7 +136,7 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
         self.scan(fit, cache)
     }
 
-    /// The `W_int` scan of [`DynamicStrategy::threshold_with`] on `fit`.
+    /// The `W_int` scan of [`DynamicStrategy::threshold`] on `fit`.
     fn scan(&self, fit: &LatticeCache, cache: &SolveCache) -> Result<Option<f64>, CoreError> {
         let fast = FastScan::new(self, fit, cache.gl());
         let clearly_negative = |w: f64| fast.sure_fit_negative(w) || fast.quadrature_negative(w);
@@ -159,7 +154,7 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
     }
 }
 
-/// The fast classifier of [`DynamicStrategy::threshold_with`]'s scan:
+/// The fast classifier of [`DynamicStrategy::threshold`]'s scan:
 /// two sound tests that a scan point's exact diff
 /// `E[W_C](w) − E[W_{+1}](w)` is negative, each with margin `guard`.
 struct FastScan<'a, X: TaskDuration, C: CheckpointFit> {
@@ -453,12 +448,6 @@ mod tests {
             ln.threshold().unwrap().map(f64::to_bits),
             reference_threshold(&ln).map(f64::to_bits)
         );
-        // And a shared solver state across repeat solves changes nothing.
-        let mut cache = SolveCache::new();
-        let a = tn.threshold_with(&mut cache).unwrap();
-        let b = tn.threshold_with(&mut cache).unwrap();
-        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
-        assert_eq!(a.map(f64::to_bits), reference_threshold(&tn).map(f64::to_bits));
     }
 
     /// A task law that delegates every method to `inner`, records each

@@ -23,7 +23,7 @@
 //! settled on the exact path.
 
 use crate::error::CoreError;
-use crate::solve_cache::{fit_lattice, segments_for_window, SolveCache};
+use crate::solve_cache::{fit_lattice, segments_for_window, SolveCache, FAST_GL_TOL};
 use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
 use crate::workflow::sum_law::IidSum;
 use resq_numerics::{
@@ -176,19 +176,14 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
         Ok(self.relaxed(y).converged(QUAD_TOL)?.value)
     }
 
-    /// Relative agreement demanded of the two Gauss–Legendre resolutions
-    /// before the fast search objective trusts them; the fit lattice's
-    /// own interpolation error is ~1e-5-scale, so asking the quadrature
-    /// for more would be wasted work.
-    const GL_SEARCH_TOL: f64 = 1e-6;
-
     /// The search-phase fast objective: the fit probability
     /// ([`CheckpointFit::fit_probability`]) served from a precomputed
     /// lattice, the sum density with per-`y` constants hoisted
     /// ([`IidSum::sum_density_fn`]), and fixed-order Gauss–Legendre
     /// quadrature with an a-posteriori two-resolution check
-    /// ([`resq_numerics::gauss_legendre_checked_from`]) in place of
-    /// adaptive Simpson.
+    /// ([`resq_numerics::gauss_legendre_two_resolution`]) in place of
+    /// adaptive Simpson, which integrates only a stretch the check
+    /// rejects.
     ///
     /// `split` ([`FitSplit`]) cuts the window where the tabulated fit
     /// saturates. Where it is exactly 1 the integrand is `x·f_{S_y}(x)`,
@@ -202,7 +197,7 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
     /// and every such evaluation silently pays the adaptive fallback. A
     /// family without a partial mean integrates the saturated stretch
     /// with the shoulder. Accuracy is lattice interpolation error plus
-    /// `GL_SEARCH_TOL` — plenty to *locate* the optimum, which is why
+    /// `FAST_GL_TOL` — plenty to *locate* the optimum, which is why
     /// [`StaticStrategy::optimize`] re-evaluates the winner through the
     /// exact reference path.
     fn expected_work_relaxed_fast(
@@ -231,20 +226,19 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
             x * fit.eval(c) * density(x)
         };
         let segments = segments_for_window(hi - cut, shoulder);
-        let between = match resq_numerics::gauss_legendre_checked_from(
+        let between = match resq_numerics::gauss_legendre_two_resolution(
             gl,
             &mut integrand,
             cut,
             hi,
             segments,
-            Self::GL_SEARCH_TOL,
-            QUAD_TOL,
+            FAST_GL_TOL,
         ) {
-            Ok(q) => q.value,
-            // Search phase only: best-effort is fine on a genuinely hard
-            // integrand; the winner is re-evaluated through the checked
-            // reference path regardless.
-            Err(_) => resq_numerics::adaptive_simpson(&mut integrand, cut, hi, QUAD_TOL).value,
+            Some(v) => v,
+            // Search phase only: an unchecked estimate is fine on a
+            // genuinely hard integrand; the winner is re-evaluated
+            // through the checked reference path regardless.
+            None => resq_numerics::adaptive_simpson(&mut integrand, cut, hi, QUAD_TOL).value,
         };
         saturated + between
     }
@@ -266,7 +260,7 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
     }
 
     /// Relative slack of [`StaticStrategy::fast_bracket`]'s upper bound:
-    /// far above the objective's quadrature tolerance (`GL_SEARCH_TOL`)
+    /// far above the objective's quadrature tolerance (`FAST_GL_TOL`)
     /// and the rounding of the interpolated fit above 1.
     const BRACKET_SLACK: f64 = 1e-3;
 
@@ -304,13 +298,7 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
     }
 
     /// Maximizes the relaxation over `y` and settles `n_opt` as the better
-    /// of `⌊y_opt⌋` / `⌈y_opt⌉` (the paper's prescription), with a fresh
-    /// per-call [`SolveCache`].
-    pub fn optimize(&self) -> Result<StaticPlan, CoreError> {
-        self.optimize_with(&mut SolveCache::new())
-    }
-
-    /// [`StaticStrategy::optimize`] with `cache`'s quadrature rule.
+    /// of `⌊y_opt⌋` / `⌈y_opt⌉` (the paper's prescription).
     ///
     /// The search runs on the fast objective — this call's fit-probability
     /// lattice, the sum law's closed-form partial mean where that lattice
@@ -325,17 +313,17 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
     /// the fast objective only steers the search, never the answer, and
     /// quadrature non-convergence on the reported values surfaces as
     /// [`CoreError::Numerics`].
-    pub fn optimize_with(&self, cache: &mut SolveCache) -> Result<StaticPlan, CoreError> {
+    pub fn optimize(&self) -> Result<StaticPlan, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_STATIC);
         let e = if self.tasks.is_discrete() {
             self.search_discrete()
         } else {
-            self.search(&fit_lattice(&self.ckpt, self.r), cache)
+            self.search(&fit_lattice(&self.ckpt, self.r), &SolveCache::new())
         };
         self.settle(e)
     }
 
-    /// [`StaticStrategy::optimize_with`] for a continuous family, on `fit`,
+    /// [`StaticStrategy::optimize`] for a continuous family, on `fit`,
     /// the fit lattice of this strategy's checkpoint over `[0, R]` that
     /// the caller built once for every planner of one solve.
     pub(crate) fn optimize_on(
@@ -442,7 +430,7 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
 mod tests {
     use super::*;
     use resq_dist::{Gamma, Normal, Poisson, Truncated};
-    use resq_numerics::gauss_legendre_checked_from;
+    use resq_numerics::gauss_legendre_two_resolution;
 
     /// The paper's checkpoint law for all of Section 4:
     /// `N_{[0,∞)}(μ_C, σ_C²)`.
@@ -551,9 +539,10 @@ mod tests {
 
     /// The stretch where the fit lattice is exactly 1, for every search
     /// grid point `y` of one solve: the sum law's partial mean against
-    /// the Gauss–Legendre pass of `x·f_{S_y}(x)` on `GL_CHECK_SEGMENTS`
-    /// panels it replaced, relative to the value (that pass accepted at
-    /// `GL_SEARCH_TOL` relative), and against adaptive Simpson at 1e-13.
+    /// the pass over `x·f_{S_y}(x)` it replaced (Gauss–Legendre on the
+    /// fewest panels, accepted at `FAST_GL_TOL` relative, else adaptive
+    /// Simpson), relative to the value, and against adaptive Simpson at
+    /// 1e-13.
     fn saturated_stretch_gaps<T: IidSum>(tasks: T, ckpt: Truncated<Normal>, r: f64) -> (f64, f64) {
         let s = StaticStrategy::new(tasks, ckpt, r).unwrap();
         let cache = SolveCache::new();
@@ -572,18 +561,14 @@ mod tests {
                 - s.tasks().sum_partial_mean(y, lo).unwrap();
             let density = s.tasks().sum_density_fn(y);
             let integrand = |x: f64| x * density(x);
-            let gl = gauss_legendre_checked_from(
-                cache.gl(),
-                integrand,
-                lo,
-                cut,
-                resq_numerics::GL_CHECK_SEGMENTS,
-                StaticStrategy::<T, Truncated<Normal>>::GL_SEARCH_TOL,
-                QUAD_TOL,
-            )
-            .expect("the replaced pass accepted every point of these solves");
+            let gl = gauss_legendre_two_resolution(cache.gl(), integrand, lo, cut, 2, FAST_GL_TOL)
+                .unwrap_or_else(|| {
+                    resq_numerics::adaptive_simpson_checked(integrand, lo, cut, QUAD_TOL)
+                        .expect("the replaced pass converged at every point of these solves")
+                        .value
+                });
             let simpson = resq_numerics::adaptive_simpson(integrand, lo, cut, 1e-13);
-            vs_gl = vs_gl.max((closed - gl.value).abs() / (1.0 + closed.abs()));
+            vs_gl = vs_gl.max((closed - gl).abs() / (1.0 + closed.abs()));
             vs_simpson = vs_simpson.max((closed - simpson.value).abs());
         }
         (vs_gl, vs_simpson)
@@ -596,9 +581,8 @@ mod tests {
         // only to ~3e-7; the closed form matches Simpson to ~1e-15.
         let fig5 = saturated_stretch_gaps(Normal::new(3.0, 0.5).unwrap(), ckpt(5.0, 0.4), 30.0);
         let fig6 = saturated_stretch_gaps(Gamma::new(1.0, 0.5).unwrap(), ckpt(2.0, 0.4), 10.0);
-        let gl_tol = StaticStrategy::<Normal, Truncated<Normal>>::GL_SEARCH_TOL;
         for (name, (vs_gl, vs_simpson), r) in [("fig5", fig5, 30.0), ("fig6", fig6, 10.0)] {
-            assert!(vs_gl <= gl_tol, "{name}: {vs_gl}");
+            assert!(vs_gl <= FAST_GL_TOL, "{name}: {vs_gl}");
             assert!(vs_simpson <= 1e-12 * r, "{name}: {vs_simpson}");
         }
     }
@@ -645,22 +629,6 @@ mod tests {
                 "y = {y}"
             );
         }
-    }
-
-    #[test]
-    fn shared_cache_serves_repeat_solves() {
-        let s = StaticStrategy::new(
-            Normal::new(3.0, 0.5).unwrap(),
-            ckpt(5.0, 0.4),
-            30.0,
-        )
-        .unwrap();
-        let mut cache = SolveCache::new();
-        let a = s.optimize_with(&mut cache).unwrap();
-        let b = s.optimize_with(&mut cache).unwrap();
-        assert_eq!(a, b);
-        // A fresh-per-call cache (the plain entry point) must agree.
-        assert_eq!(s.optimize().unwrap(), a);
     }
 
     #[test]

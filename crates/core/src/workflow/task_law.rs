@@ -7,18 +7,15 @@
 //! the law's mean and sampler (its `Distribution` and `Sample`
 //! supertraits), implemented:
 //!
-//! * for **every continuous law** via adaptive quadrature (a blanket
-//!   impl — this covers the paper's truncated Normal and Gamma
-//!   instantiations, and anything else a user plugs in), and
+//! * for **every continuous law** marked [`ContinuousTask`], by one
+//!   blanket impl over the law's density, CDF and partial mean — this
+//!   covers the paper's truncated Normal and Gamma instantiations and
+//!   the CLI's type-erased laws, and
 //! * for **Poisson** via the paper's finite sum.
 
+use crate::solve_cache::{segments_for_window, FAST_GL_TOL};
 use resq_dist::{Continuous, Discrete, Distribution, Poisson, Sample};
 use resq_numerics::{GaussLegendre, LatticeCache, NeumaierSum, QuadResult};
-
-/// Relative agreement demanded of the two Gauss–Legendre resolutions
-/// before [`TaskDuration::expected_one_more_fast`] trusts them (see
-/// `StaticStrategy::GL_SEARCH_TOL` for the matching static-side budget).
-const GL_FAST_TOL: f64 = 1e-6;
 
 /// A task-duration law usable by the dynamic strategy and the simulator:
 /// the simulators draw task durations through [`Sample`], the planners
@@ -54,7 +51,7 @@ pub trait TaskDuration: Sample + Distribution {
     /// has no fast kernel or the resolutions disagree — callers fall
     /// back to the exact path. This is a *search/bracketing* accelerator
     /// only; decisions and reported values must come from the exact path
-    /// (see `DynamicStrategy::threshold_with`).
+    /// (see `DynamicStrategy::threshold`).
     fn expected_one_more_fast(
         &self,
         _w: f64,
@@ -84,6 +81,22 @@ pub trait TaskDuration: Sample + Distribution {
         None
     }
 }
+
+/// A continuous law the §4.3 planner integrates against: every law
+/// marked with it gets [`TaskDuration`] from one blanket impl. (A
+/// blanket impl over `Continuous + Sample` itself would overlap the
+/// Poisson impl, because both traits are foreign to this crate; over a
+/// local marker it does not.)
+pub trait ContinuousTask: Continuous + Sample {}
+
+impl ContinuousTask for resq_dist::Uniform {}
+impl ContinuousTask for resq_dist::Exponential {}
+impl ContinuousTask for resq_dist::Normal {}
+impl ContinuousTask for resq_dist::LogNormal {}
+impl ContinuousTask for resq_dist::Gamma {}
+impl ContinuousTask for resq_dist::Weibull {}
+impl ContinuousTask for resq_dist::Constant {}
+impl<D: Continuous + Sample> ContinuousTask for resq_dist::Truncated<D> {}
 
 /// Absolute tolerance of the exact `E[W_{+1}]` quadrature.
 const ONE_MORE_TOL: f64 = 1e-11;
@@ -125,9 +138,9 @@ fn one_more_window<D: Continuous>(task: &D, w: f64, r: f64) -> Option<(f64, f64)
 }
 
 /// `E[W_{+1}]` by adaptive quadrature with its error estimate: the one
-/// evaluation behind [`continuous_expected_one_more`] and its checked
-/// form.
-fn continuous_one_more_quad<D: Continuous>(
+/// evaluation behind [`TaskDuration::expected_one_more`] and its checked
+/// form for a continuous law.
+fn one_more_quad<D: Continuous>(
     task: &D,
     w: f64,
     r: f64,
@@ -144,127 +157,11 @@ fn continuous_one_more_quad<D: Continuous>(
     }
 }
 
-/// `E[W_{+1}]` by quadrature against any continuous task density — the
-/// §4.3 integral `∫_0^{R−w} (x + w)·P(C ≤ R−w−x)·f_X(x) dx`.
-pub fn continuous_expected_one_more<D: Continuous>(
-    task: &D,
-    w: f64,
-    r: f64,
-    ckpt_cdf: &dyn Fn(f64) -> f64,
-) -> f64 {
-    continuous_one_more_quad(task, w, r, ckpt_cdf).value
-}
-
-/// [`continuous_expected_one_more`] with the quadrature's convergence
-/// test applied: the identical value when it converges, a typed error
-/// instead of a silently wrong number when it does not.
-pub fn continuous_expected_one_more_checked<D: Continuous>(
-    task: &D,
-    w: f64,
-    r: f64,
-    ckpt_cdf: &dyn Fn(f64) -> f64,
-) -> Result<f64, resq_numerics::NumericsError> {
-    Ok(continuous_one_more_quad(task, w, r, ckpt_cdf)
-        .converged(ONE_MORE_TOL)?
-        .value)
-}
-
-/// Fast `E[W_{+1}]` for a continuous law: lattice-served checkpoint CDF
-/// plus fixed-order Gauss–Legendre at two resolutions, panels sized so a
-/// `feature`-wide structure spans at least one segment
-/// (`segments_for_window`). `None` when the resolutions disagree beyond
-/// `GL_FAST_TOL` (callers use the exact path for that point).
-pub fn continuous_expected_one_more_fast<D: Continuous>(
-    task: &D,
-    w: f64,
-    r: f64,
-    fit: &LatticeCache,
-    gl: &GaussLegendre,
-    feature: f64,
-) -> Option<f64> {
-    let Some((lo, hi)) = one_more_window(task, w, r) else {
-        return Some(0.0);
-    };
-    let segments = crate::solve_cache::segments_for_window(hi - lo, feature);
-    let mut integrand = one_more_integrand(task, w, r - w, |c| fit.eval(c));
-    let coarse = gl.integrate_composite(&mut integrand, lo, hi, segments);
-    let fine = gl.integrate_composite(&mut integrand, lo, hi, 2 * segments);
-    let err = (fine - coarse).abs();
-    if fine.is_finite() && err <= GL_FAST_TOL * (1.0 + fine.abs()) {
-        Some(fine)
-    } else {
-        None
-    }
-}
-
-/// [`TaskDuration::expected_one_more_sure_fit`] for a continuous law:
-/// `w·P(lo ≤ X ≤ q) + E[X·1{lo ≤ X ≤ q}]` over the support clipped at
-/// `lo = 0`, from the law's CDF and partial mean.
-fn continuous_one_more_sure_fit<D: Continuous>(task: &D, w: f64, q: f64) -> Option<f64> {
-    let lo = task.support().0.max(0.0);
-    if q <= lo {
-        return Some(0.0);
-    }
-    let work = task.partial_mean(q)? - task.partial_mean(lo)?;
-    Some(w * (task.cdf(q) - task.cdf(lo)) + work)
-}
-
-/// Implements [`TaskDuration`] for a continuous law through
-/// [`continuous_expected_one_more`]. (A blanket impl over
-/// `D: Continuous + Sample` would conflict with the dedicated Poisson
-/// impl under coherence rules, so the continuous laws are enumerated.)
-macro_rules! impl_continuous_task {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl TaskDuration for $ty {
-            fn expected_one_more(
-                &self,
-                w: f64,
-                r: f64,
-                ckpt_cdf: &dyn Fn(f64) -> f64,
-            ) -> f64 {
-                continuous_expected_one_more(self, w, r, ckpt_cdf)
-            }
-            fn expected_one_more_checked(
-                &self,
-                w: f64,
-                r: f64,
-                ckpt_cdf: &dyn Fn(f64) -> f64,
-            ) -> Result<f64, crate::error::CoreError> {
-                Ok(continuous_expected_one_more_checked(self, w, r, ckpt_cdf)?)
-            }
-            fn expected_one_more_fast(
-                &self,
-                w: f64,
-                r: f64,
-                fit: &LatticeCache,
-                gl: &GaussLegendre,
-                feature: f64,
-            ) -> Option<f64> {
-                continuous_expected_one_more_fast(self, w, r, fit, gl, feature)
-            }
-            fn fast_kernel_feature(&self) -> Option<f64> {
-                Some(self.quantile(0.999) - self.quantile(0.001))
-            }
-            fn expected_one_more_sure_fit(&self, w: f64, q: f64) -> Option<f64> {
-                continuous_one_more_sure_fit(self, w, q)
-            }
-        }
-    )+};
-}
-
-impl_continuous_task!(
-    resq_dist::Uniform,
-    resq_dist::Exponential,
-    resq_dist::Normal,
-    resq_dist::LogNormal,
-    resq_dist::Gamma,
-    resq_dist::Weibull,
-    resq_dist::Constant,
-);
-
-impl<D: Continuous + Sample> TaskDuration for resq_dist::Truncated<D> {
+/// The §4.3 integral `∫_0^{R−w} (x + w)·P(C ≤ R−w−x)·f_X(x) dx` against
+/// the law's density; the sure-fit bound from its CDF and partial mean.
+impl<D: ContinuousTask> TaskDuration for D {
     fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64 {
-        continuous_expected_one_more(self, w, r, ckpt_cdf)
+        one_more_quad(self, w, r, ckpt_cdf).value
     }
 
     fn expected_one_more_checked(
@@ -273,9 +170,16 @@ impl<D: Continuous + Sample> TaskDuration for resq_dist::Truncated<D> {
         r: f64,
         ckpt_cdf: &dyn Fn(f64) -> f64,
     ) -> Result<f64, crate::error::CoreError> {
-        Ok(continuous_expected_one_more_checked(self, w, r, ckpt_cdf)?)
+        Ok(one_more_quad(self, w, r, ckpt_cdf)
+            .converged(ONE_MORE_TOL)?
+            .value)
     }
 
+    /// Lattice-served checkpoint CDF plus the two-resolution
+    /// Gauss–Legendre check ([`resq_numerics::gauss_legendre_two_resolution`]),
+    /// panels sized so a `feature`-wide structure spans at least one
+    /// segment. `None` when the resolutions disagree beyond
+    /// `FAST_GL_TOL`: the caller uses the exact path for that point.
     fn expected_one_more_fast(
         &self,
         w: f64,
@@ -284,15 +188,32 @@ impl<D: Continuous + Sample> TaskDuration for resq_dist::Truncated<D> {
         gl: &GaussLegendre,
         feature: f64,
     ) -> Option<f64> {
-        continuous_expected_one_more_fast(self, w, r, fit, gl, feature)
+        let Some((lo, hi)) = one_more_window(self, w, r) else {
+            return Some(0.0);
+        };
+        resq_numerics::gauss_legendre_two_resolution(
+            gl,
+            one_more_integrand(self, w, r - w, |c| fit.eval(c)),
+            lo,
+            hi,
+            segments_for_window(hi - lo, feature),
+            FAST_GL_TOL,
+        )
     }
 
     fn fast_kernel_feature(&self) -> Option<f64> {
         Some(self.quantile(0.999) - self.quantile(0.001))
     }
 
+    /// `w·P(lo ≤ X ≤ q) + E[X·1{lo ≤ X ≤ q}]` over the support clipped
+    /// at `lo = 0`, from the law's CDF and partial mean.
     fn expected_one_more_sure_fit(&self, w: f64, q: f64) -> Option<f64> {
-        continuous_one_more_sure_fit(self, w, q)
+        let lo = self.support().0.max(0.0);
+        if q <= lo {
+            return Some(0.0);
+        }
+        let work = self.partial_mean(q)? - self.partial_mean(lo)?;
+        Some(w * (self.cdf(q) - self.cdf(lo)) + work)
     }
 }
 

@@ -97,7 +97,6 @@ fn queries() -> Vec<PolicyQuery> {
 
 /// The planners `solve_exact` runs, run directly at the query's `R`.
 fn planners_at_r(q: &PolicyQuery) -> PolicyAnswer {
-    let mut cache = SolveCache::new();
     let ckpt = Truncated::above(Normal::new(q.ckpt_mean, q.ckpt_sigma).unwrap(), 0.0).unwrap();
     let spec = GridSpec {
         points: 256,
@@ -107,11 +106,11 @@ fn planners_at_r(q: &PolicyQuery) -> PolicyAnswer {
     let plan = match q.task {
         TaskParams::Exponential { mean } => {
             StaticStrategy::new(Gamma::new(1.0, mean).unwrap(), ckpt, q.r)
-                .and_then(|s| s.optimize_with(&mut cache))
+                .and_then(|s| s.optimize())
         }
         TaskParams::Normal { mean, sigma } => {
             StaticStrategy::new(Normal::new(mean, sigma).unwrap(), ckpt, q.r)
-                .and_then(|s| s.optimize_with(&mut cache))
+                .and_then(|s| s.optimize())
         }
         TaskParams::Uniform { lo, hi } => {
             ConvolutionStatic::new(&Uniform::new(lo, hi).unwrap(), ckpt, q.r, CONV_GRID_CELLS)
@@ -126,19 +125,19 @@ fn planners_at_r(q: &PolicyQuery) -> PolicyAnswer {
     let w_int = match q.task {
         TaskParams::Exponential { mean } => {
             DynamicStrategy::new(Exponential::new(1.0 / mean).unwrap(), ckpt, q.r)
-                .and_then(|d| d.threshold_with(&mut cache))
+                .and_then(|d| d.threshold())
         }
         TaskParams::Normal { mean, sigma } => {
             let task = Truncated::above(Normal::new(mean, sigma).unwrap(), 0.0).unwrap();
-            DynamicStrategy::new(task, ckpt, q.r).and_then(|d| d.threshold_with(&mut cache))
+            DynamicStrategy::new(task, ckpt, q.r).and_then(|d| d.threshold())
         }
         TaskParams::Uniform { lo, hi } => {
             DynamicStrategy::new(Uniform::new(lo, hi).unwrap(), ckpt, q.r)
-                .and_then(|d| d.threshold_with(&mut cache))
+                .and_then(|d| d.threshold())
         }
         TaskParams::LogNormal { mean, sd } => {
             DynamicStrategy::new(LogNormal::from_mean_sd(mean, sd).unwrap(), ckpt, q.r)
-                .and_then(|d| d.threshold_with(&mut cache))
+                .and_then(|d| d.threshold())
         }
     }
     .unwrap();

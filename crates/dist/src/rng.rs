@@ -110,19 +110,6 @@ impl Xoshiro256pp {
         Self::new(SplitMix64::derive(base_seed, index))
     }
 
-    /// Fills `out` with `[0, 1)` uniforms straight off the state — the
-    /// buffered batch entry point for kernels that hold a concrete
-    /// generator and want to skip per-draw virtual dispatch entirely.
-    ///
-    /// Consumes exactly `out.len()` words and produces bit-identical
-    /// values to `out.len()` scalar 53-bit uniform draws, so it is
-    /// draw-order preserving.
-    pub fn fill_uniform01(&mut self, out: &mut [f64]) {
-        for slot in out.iter_mut() {
-            *slot = crate::traits::u64_to_uniform01(self.next());
-        }
-    }
-
     #[inline]
     fn next(&mut self) -> u64 {
         let result = self.s[0]
@@ -229,19 +216,6 @@ mod tests {
         let s2 = Xoshiro256pp::for_stream(99, 1).next_u64();
         assert_eq!(s1, s1b);
         assert_ne!(s1, s2);
-    }
-
-    #[test]
-    fn fill_uniform01_is_draw_order_preserving() {
-        let mut a = Xoshiro256pp::new(77);
-        let mut b = Xoshiro256pp::new(77);
-        let mut batch = [0.0f64; 100];
-        a.fill_uniform01(&mut batch);
-        for (i, &u) in batch.iter().enumerate() {
-            let v = (b.next_u64() >> 11) as f64 * (1.0 / 9007199254740992.0);
-            assert_eq!(u, v, "draw {i}");
-        }
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! bound on the fine error wherever the field is locally smooth
 //! (`|fine − coarse| ≈ 3 × err_fine` by the Richardson argument). This is
 //! the same two-resolution a-posteriori discipline the quadrature layer
-//! uses in `gauss_legendre_checked`.
+//! uses in `gauss_legendre_two_resolution`.
 //!
 //! So that the stride-2 sub-grid shares its nodes with the fine grid,
 //! every axis must have an **odd** number of points (`2m + 1`).

@@ -40,9 +40,8 @@ pub use optimize::{
 };
 pub use memo::LatticeCache;
 pub use quad::{
-    adaptive_simpson, adaptive_simpson_checked, gauss_legendre_checked,
-    gauss_legendre_checked_from, integrate_to_inf, GaussLegendre, QuadResult, GL_CHECK_SEGMENTS,
-    GL_MAX_SEGMENTS,
+    adaptive_simpson, adaptive_simpson_checked, gauss_legendre_two_resolution, integrate_to_inf,
+    GaussLegendre, QuadResult,
 };
 pub use roots::{bisect, brent_root, brent_root_from, newton_safeguarded};
 pub use sum::NeumaierSum;

@@ -255,84 +255,56 @@ impl GaussLegendre {
     }
 }
 
-/// Coarse segment count used by [`gauss_legendre_checked`]; the fine
-/// pass doubles it, so the a-posteriori error estimate compares two
-/// genuinely different discretizations.
-pub const GL_CHECK_SEGMENTS: usize = 2;
+/// Smallest coarse segment count of [`gauss_legendre_two_resolution`];
+/// the fine pass doubles it, so the a-posteriori error estimate compares
+/// two genuinely different discretizations.
+const GL_CHECK_SEGMENTS: usize = 2;
 
-/// Coarse-segment ceiling accepted by [`gauss_legendre_checked_from`].
-/// Past this the fixed-order budget stops being meaningfully cheaper
-/// than the adaptive integrator, so callers asking for more resolution
-/// are clamped here and the a-posteriori check decides the rest.
-pub const GL_MAX_SEGMENTS: usize = 16;
+/// Coarse-segment ceiling of [`gauss_legendre_two_resolution`]. Past
+/// this the fixed-order budget stops being meaningfully cheaper than the
+/// adaptive integrator, so callers asking for more resolution are
+/// clamped here and the a-posteriori check decides the rest.
+const GL_MAX_SEGMENTS: usize = 16;
 
-/// Fixed-cost quadrature for smooth integrands: composite Gauss–Legendre
-/// at two resolutions (`GL_CHECK_SEGMENTS` and twice that many
-/// segments), accepting the fine estimate when the two agree within
-/// `gl_tol` (absolute, plus the same amount per unit of magnitude). When
-/// the panels disagree — a kink, an endpoint singularity, a feature the
-/// node spacings sample differently — falls back to
-/// [`adaptive_simpson_checked`] at `fallback_tol`, so a genuinely hard
-/// integrand surfaces as a typed error instead of a silently wrong
-/// number.
+/// Fixed-cost quadrature for smooth integrands with an a-posteriori
+/// check: composite Gauss–Legendre over `[a, b]` at `k` and `2k` equal
+/// segments, `k = segments` clamped to `2..=16`. Returns the fine
+/// estimate when it is finite and the two agree within
+/// `tol·(1 + |fine|)`; `None` otherwise — a kink, an endpoint
+/// singularity, a feature the two node sets sample differently — and
+/// the caller takes its slower path. `Some(0.0)` when `a == b`.
 ///
-/// The agreement check can only see what at least one resolution
-/// samples: a feature narrow enough that *both* node sets step over it
-/// entirely passes undetected (the `_blind_to_fully_aliased_` test pins
-/// this down). That is inherent to any fixed-sample a-posteriori check —
-/// callers that know their integrand carries a feature narrower than
-/// `(b − a) / GL_CHECK_SEGMENTS` — a CDF shoulder inside a wide window,
-/// say — must size the panels to the feature via
-/// [`gauss_legendre_checked_from`] rather than rely on the fallback
-/// triggering.
+/// `segments` is a hint that sizes the panels to the narrowest feature
+/// the caller knows about. The agreement check can only see what at
+/// least one resolution samples: a feature narrow enough that *both*
+/// node sets step over it entirely passes undetected (the
+/// `_blind_to_fully_aliased_` test pins this down). That is inherent to
+/// any fixed-sample a-posteriori check, so a caller whose integrand
+/// carries a feature narrower than `(b − a) / 2` — a CDF shoulder inside
+/// a wide window, say — must ask for enough segments that the feature
+/// spans one. The solver derives the hint from the checkpoint law's
+/// central-quantile width (see `resq_core`), which keeps its integrands
+/// — a smooth density times a sharp CDF shoulder — on this fixed-cost
+/// path.
 ///
-/// Cost on the accepting path is `3 · GL_CHECK_SEGMENTS · order(gl)`
-/// evaluations — for the solver's order-20 rule an order of magnitude
-/// below the adaptive integrator's forced-refinement floor.
-pub fn gauss_legendre_checked<F: FnMut(f64) -> f64>(
-    gl: &GaussLegendre,
-    f: F,
-    a: f64,
-    b: f64,
-    gl_tol: f64,
-    fallback_tol: f64,
-) -> Result<QuadResult, crate::NumericsError> {
-    gauss_legendre_checked_from(gl, f, a, b, GL_CHECK_SEGMENTS, gl_tol, fallback_tol)
-}
-
-/// [`gauss_legendre_checked`] with a caller-chosen coarse segment count
-/// (clamped to `GL_CHECK_SEGMENTS..=GL_MAX_SEGMENTS`; the fine pass
-/// doubles it). The a-posteriori agreement check and the adaptive
-/// fallback are unchanged — the segment count is a *hint* that sizes the
-/// panels to the narrowest feature the caller knows about, so that the
-/// two resolutions sample it rather than alias it. The solver derives
-/// the hint from the checkpoint law's central-quantile width (see
-/// `resq_core`), which is what keeps its `E(n)` integrand — a smooth
-/// density times a sharp CDF shoulder — on the fixed-cost path.
-pub fn gauss_legendre_checked_from<F: FnMut(f64) -> f64>(
+/// Cost is `3·k·order(gl)` evaluations — for the solver's order-20 rule
+/// at `k = 2` an order of magnitude below the adaptive integrator's
+/// forced-refinement floor.
+pub fn gauss_legendre_two_resolution<F: FnMut(f64) -> f64>(
     gl: &GaussLegendre,
     mut f: F,
     a: f64,
     b: f64,
     segments: usize,
-    gl_tol: f64,
-    fallback_tol: f64,
-) -> Result<QuadResult, crate::NumericsError> {
+    tol: f64,
+) -> Option<f64> {
     if a == b {
-        return Ok(QuadResult::exact(0.0));
+        return Some(0.0);
     }
     let segments = segments.clamp(GL_CHECK_SEGMENTS, GL_MAX_SEGMENTS);
     let coarse = gl.integrate_composite(&mut f, a, b, segments);
     let fine = gl.integrate_composite(&mut f, a, b, 2 * segments);
-    let err = (fine - coarse).abs();
-    if fine.is_finite() && err <= gl_tol * (1.0 + fine.abs()) {
-        return Ok(QuadResult {
-            value: fine,
-            error: err,
-            evals: 3 * segments * gl.order(),
-        });
-    }
-    adaptive_simpson_checked(f, a, b, fallback_tol)
+    (fine.is_finite() && (fine - coarse).abs() <= tol * (1.0 + fine.abs())).then_some(fine)
 }
 
 /// Integrates `f` over the semi-infinite interval `[a, ∞)` by the rational
@@ -515,22 +487,41 @@ mod tests {
         let _ = GaussLegendre::new(0);
     }
 
+    /// Runs [`gauss_legendre_two_resolution`] and counts its integrand
+    /// evaluations.
+    fn two_resolution_counted(
+        gl: &GaussLegendre,
+        f: impl Fn(f64) -> f64,
+        a: f64,
+        b: f64,
+        segments: usize,
+        tol: f64,
+    ) -> (Option<f64>, usize) {
+        let mut evals = 0;
+        let counted = |x: f64| {
+            evals += 1;
+            f(x)
+        };
+        let value = gauss_legendre_two_resolution(gl, counted, a, b, segments, tol);
+        (value, evals)
+    }
+
     #[test]
     fn gl_checked_accepts_smooth_integrand_cheaply() {
         let gl = GaussLegendre::new(20);
         let f = |x: f64| (-0.5 * (x - 3.0) * (x - 3.0)).exp() * x;
-        let fast = gauss_legendre_checked(&gl, f, 0.0, 8.0, 1e-9, 1e-11).unwrap();
+        let (fast, evals) = two_resolution_counted(&gl, f, 0.0, 8.0, GL_CHECK_SEGMENTS, 1e-9);
+        let fast = fast.expect("smooth integrand passes the check");
         let reference = adaptive_simpson(f, 0.0, 8.0, 1e-12);
         assert!(
-            (fast.value - reference.value).abs() < 1e-9,
-            "{} vs {}",
-            fast.value,
+            (fast - reference.value).abs() < 1e-9,
+            "{fast} vs {}",
             reference.value
         );
         // The accepting path must cost the fixed GL budget, far below
         // adaptive Simpson's forced-refinement floor.
-        assert_eq!(fast.evals, 3 * GL_CHECK_SEGMENTS * 20);
-        assert!(fast.evals < reference.evals / 2, "{} vs {}", fast.evals, reference.evals);
+        assert_eq!(evals, 3 * GL_CHECK_SEGMENTS * 20);
+        assert!(evals < reference.evals / 2, "{evals} vs {}", reference.evals);
     }
 
     #[test]
@@ -543,36 +534,39 @@ mod tests {
         let gl = GaussLegendre::new(20);
         let f = |x: f64| 1.0 / (1.0 + ((x - 7.0) / 0.1).exp());
         let reference = adaptive_simpson(f, 0.0, 10.0, 1e-12);
-        let hinted =
-            gauss_legendre_checked_from(&gl, f, 0.0, 10.0, GL_MAX_SEGMENTS, 1e-9, 1e-12).unwrap();
+        let (hinted, evals) = two_resolution_counted(&gl, f, 0.0, 10.0, GL_MAX_SEGMENTS, 1e-9);
+        let hinted = hinted.expect("the hinted panels resolve the shoulder");
         assert!(
-            (hinted.value - reference.value).abs() < 1e-7,
-            "{} vs {}",
-            hinted.value,
+            (hinted - reference.value).abs() < 1e-7,
+            "{hinted} vs {}",
             reference.value
         );
-        // Fixed GL budget at the hinted resolution, no adaptive fallback.
-        assert_eq!(hinted.evals, 3 * GL_MAX_SEGMENTS * 20);
-        assert!(hinted.evals < reference.evals, "{} vs {}", hinted.evals, reference.evals);
+        // Fixed GL budget at the hinted resolution.
+        assert_eq!(evals, 3 * GL_MAX_SEGMENTS * 20);
+        assert!(evals < reference.evals, "{evals} vs {}", reference.evals);
         // Out-of-range hints clamp rather than panic or over-spend.
-        let clamped =
-            gauss_legendre_checked_from(&gl, f, 0.0, 10.0, 1024, 1e-9, 1e-12).unwrap();
-        assert_eq!(clamped.evals, 3 * GL_MAX_SEGMENTS * 20);
+        for huge in [1024, usize::MAX] {
+            let (clamped, evals) = two_resolution_counted(&gl, f, 0.0, 10.0, huge, 1e-9);
+            assert_eq!(clamped, Some(hinted));
+            assert_eq!(evals, 3 * GL_MAX_SEGMENTS * 20);
+        }
     }
 
     #[test]
-    fn gl_checked_falls_back_on_hard_integrand() {
+    fn gl_checked_rejects_hard_integrand() {
         // A spike far narrower than even the finest hinted panels: the
-        // resolutions disagree once at least one node lands on it, the
-        // fallback adaptive pass takes over and still gets it right.
+        // resolutions disagree once at least one node lands on it, and
+        // the check leaves the integral to the caller's slower path,
+        // where adaptive Simpson gets it right.
         let gl = GaussLegendre::new(20);
         let sigma = 1e-3;
         let f = |x: f64| (-(x - 0.7) * (x - 0.7) / (2.0 * sigma * sigma)).exp();
-        let r =
-            gauss_legendre_checked_from(&gl, f, 0.0, 10.0, GL_MAX_SEGMENTS, 1e-9, 1e-12).unwrap();
+        let (r, evals) = two_resolution_counted(&gl, f, 0.0, 10.0, GL_MAX_SEGMENTS, 1e-9);
+        assert_eq!(r, None);
+        assert_eq!(evals, 3 * GL_MAX_SEGMENTS * 20);
+        let slow = adaptive_simpson(f, 0.0, 10.0, 1e-12).value;
         let want = sigma * (2.0 * std::f64::consts::PI).sqrt();
-        assert!(((r.value - want) / want).abs() < 1e-6, "got {}", r.value);
-        assert!(r.evals > 3 * GL_MAX_SEGMENTS * 20, "fallback did not run");
+        assert!(((slow - want) / want).abs() < 1e-6, "got {slow}");
     }
 
     #[test]
@@ -583,33 +577,32 @@ mod tests {
         // node of the 2- and 4-segment panels steps over, yielding
         // 0 ≈ 0). This is inherent to any fixed-sample a-posteriori
         // check and is exactly why callers that know their narrowest
-        // feature must size the panels with
-        // `gauss_legendre_checked_from` — as the solver does with the
-        // checkpoint law's CDF-shoulder width.
+        // feature must size the panels with the `segments` hint — as the
+        // solver does with the checkpoint law's CDF-shoulder width.
         let gl = GaussLegendre::new(20);
         let sigma = 1e-3;
         let f = |x: f64| (-(x - 0.7) * (x - 0.7) / (2.0 * sigma * sigma)).exp();
-        let blind = gauss_legendre_checked(&gl, f, 0.0, 10.0, 1e-9, 1e-12).unwrap();
-        assert_eq!(blind.value, 0.0, "aliasing contract changed — update the docs");
-        assert_eq!(blind.evals, 3 * GL_CHECK_SEGMENTS * 20);
+        let (blind, evals) = two_resolution_counted(&gl, f, 0.0, 10.0, GL_CHECK_SEGMENTS, 1e-9);
+        assert_eq!(blind, Some(0.0), "aliasing contract changed — update the docs");
+        assert_eq!(evals, 3 * GL_CHECK_SEGMENTS * 20);
     }
 
     #[test]
-    fn gl_checked_surfaces_nonfinite_as_error() {
+    fn gl_checked_rejects_non_integrable_pole() {
         // Asymmetric interval around the pole so the panel sums cannot
-        // cancel to a spurious agreement: the resolutions disagree, the
-        // adaptive fallback runs, and its non-convergence surfaces as a
-        // typed error.
+        // cancel to a spurious agreement: the resolutions disagree and
+        // the check does not pass the integral.
         let gl = GaussLegendre::new(8);
-        let r = gauss_legendre_checked(&gl, |x: f64| 1.0 / (x - 0.5), 0.0, 0.91, 1e-12, 1e-12);
-        assert!(r.is_err(), "non-integrable integrand must not pass");
+        let f = |x: f64| 1.0 / (x - 0.5);
+        let r = gauss_legendre_two_resolution(&gl, f, 0.0, 0.91, GL_CHECK_SEGMENTS, 1e-12);
+        assert_eq!(r, None, "non-integrable integrand must not pass");
     }
 
     #[test]
     fn gl_checked_zero_width() {
         let gl = GaussLegendre::new(8);
-        let r = gauss_legendre_checked(&gl, |x: f64| x, 2.0, 2.0, 1e-9, 1e-11).unwrap();
-        assert_eq!(r.value, 0.0);
-        assert_eq!(r.evals, 0);
+        let (r, evals) = two_resolution_counted(&gl, |x: f64| x, 2.0, 2.0, GL_CHECK_SEGMENTS, 1e-9);
+        assert_eq!(r, Some(0.0));
+        assert_eq!(evals, 0);
     }
 }

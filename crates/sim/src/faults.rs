@@ -48,8 +48,8 @@ use resq_core::{CheckpointReliability, CoreError, RetryPolicy};
 use resq_dist::{Exponential, Sample, Xoshiro256pp};
 
 /// Converts one RNG word to a `[0, 1)` uniform with the workspace's
-/// canonical 53-bit recipe (bit-identical to
-/// `Xoshiro256pp::fill_uniform01`).
+/// canonical 53-bit recipe (bit-identical to the uniform draw every
+/// `resq_dist` sampler is built on, `traits::uniform01` there).
 #[inline]
 fn u01(rng: &mut dyn RngCore) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / 9007199254740992.0)
