@@ -23,14 +23,14 @@ use resq::sim::{
     run_trials_batched, BatchScratch, FaultyOutcome, FaultyWorkflowSim, MonteCarloConfig,
     ReliabilityInjector, WorkflowSim,
 };
-use resq::dist::{Sample, Uniform};
+use resq::dist::{DynLaw, Sample, Uniform};
 use resq::{
     AnswerSource, CheckpointReliability, ConvolutionStatic, DynamicStrategy, LatticeSpec,
     LawFamily, PolicyLattice, PolicyQuery, Preemptible, SolveCache, StaticStrategy, TaskParams,
 };
 use resq_cli::args::{ArgError, Args};
 use resq_cli::serve::{self, DecisionService, LoadOptions, LoadProto};
-use resq_cli::spec::{parse_law, parse_retry, DynLaw, LawSpec};
+use resq_cli::spec::{parse_law, parse_retry, LawSpec};
 use resq_cli::{
     BENCH_ACTIONS, LATTICE_ACTIONS, LATTICE_FAMILIES, LOAD_PROTOS, METRICS_FORMATS, OBS_ACTIONS,
     USAGE,
@@ -1430,7 +1430,7 @@ fn learn(args: &Args) -> Result<(), ArgError> {
     .map_err(|e| ArgError(e.to_string()))?;
     let (plan, pess) = learned.plan(r).map_err(|e| ArgError(e.to_string()))?;
     println!("trace             : {} completed checkpoints", learned.observations);
-    println!("fitted family     : {:?}", learned.model.family());
+    println!("fitted family     : {:?}", learned.family);
     println!("  mean / sd       : {:.4} / {:.4}", learned.model.mean(), learned.model.variance().sqrt());
     println!("  KS statistic    : {:.4} (p = {:.3e})", learned.ks_statistic, learned.ks_p_value);
     println!("support [a, b]    : [{:.4}, {:.4}]", learned.support.0, learned.support.1);
@@ -1440,7 +1440,7 @@ fn learn(args: &Args) -> Result<(), ArgError> {
     obs.emit(
         Event::new(event_type::RUN_FINISHED)
             .u64("observations", learned.observations as u64)
-            .str("family", format!("{:?}", learned.model.family()))
+            .str("family", format!("{:?}", learned.family))
             .f64("ks_statistic", learned.ks_statistic)
             .f64("lead_time", plan.lead_time)
             .f64("expected_work", plan.expected_work),

@@ -40,6 +40,7 @@
 
 use crate::args::ArgError;
 use resq::core::lattice::{solve_exact, CKPT_SIGMA_RATIO};
+use resq::dist::SplitMix64;
 use resq::obs::http::{self, FrameHandler, Handler, Request, Response};
 use resq::obs::json::{self, write_escaped, write_f64, JsonValue};
 use resq::obs::metrics::{
@@ -897,16 +898,6 @@ fn read_http_response(stream: &mut TcpStream) -> std::io::Result<(u16, Option<u6
     Ok((status, retry_after, body))
 }
 
-/// SplitMix64 step for the retry-jitter PRNG (self-contained: the load
-/// client must not perturb any workload RNG stream).
-fn jitter_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// What one attempt at one request produced.
 enum Attempt {
     /// `200`/ok answer whose body passed the (optional) expected-body
@@ -1030,7 +1021,10 @@ pub fn run_load(opts: &LoadOptions) -> Result<LoadReport, String> {
         let deadline = opts.deadline;
         let expect = opts.expect_body.clone();
         let slow_every = opts.slow_every;
-        let mut rng = opts.seed ^ (conn_idx as u64).wrapping_mul(0x9E3779B97F4A7C15);
+        // The retry-jitter PRNG: the connection's own stream, so the load
+        // client perturbs no workload RNG stream.
+        let mut rng =
+            SplitMix64::new(opts.seed ^ (conn_idx as u64).wrapping_mul(0x9E3779B97F4A7C15));
         handles.push(std::thread::spawn(
             move || -> Result<(Vec<f64>, u64, u64, u64), String> {
                 let thread_start = Instant::now();
@@ -1108,7 +1102,7 @@ pub fn run_load(opts: &LoadOptions) -> Result<LoadReport, String> {
                             let exp = backoff_ms.max(1)
                                 << (attempts as u32 - 1).min(6);
                             Duration::from_millis(
-                                exp.min(1000) + jitter_next(&mut rng) % backoff_ms.max(1),
+                                exp.min(1000) + rng.next() % backoff_ms.max(1),
                             )
                         });
                         let wait = match deadline {

@@ -2,142 +2,15 @@
 //! `normal:3,0.5`, `exponential:0.5`, `lognormal:1,0.35`, `gamma:1,0.5`,
 //! `poisson:3`, optionally truncated with `@a,b` (`normal:3.5,1@1,7.5`)
 //! or half-truncated with `@0,` (`normal:5,0.4@0,` — the paper's
-//! `N_{[0,∞)}`). Parsed laws are wrapped in [`DynLaw`], which implements
-//! the real `resq` traits so they plug straight into `Preemptible`,
-//! `DynamicStrategy`, `ConvolutionStatic` and the simulators, and
-//! answers every one of them exactly as the law it wraps.
+//! `N_{[0,∞)}`). Parsed laws are wrapped in the library's type-erased
+//! [`DynLaw`], so they plug straight into `Preemptible`,
+//! `DynamicStrategy`, `ConvolutionStatic` and the simulators, and answer
+//! every one of them exactly as the law they wrap.
 
 use crate::args::ArgError;
-use rand::RngCore;
 use resq::dist::{
-    Continuous, Distribution, Exponential, Gamma, LogNormal, Normal, Poisson, Sample, Truncated,
-    Uniform,
+    Continuous, DynLaw, Exponential, Gamma, LogNormal, Normal, Poisson, Sample, Truncated, Uniform,
 };
-
-/// Object-safe bundle of everything a type-erased law must provide.
-pub trait ErasedLaw: Send + Sync {
-    /// Density.
-    fn pdf(&self, x: f64) -> f64;
-    /// CDF.
-    fn cdf(&self, x: f64) -> f64;
-    /// Survival function.
-    fn sf(&self, x: f64) -> f64;
-    /// Quantile.
-    fn quantile(&self, p: f64) -> f64;
-    /// Support.
-    fn support(&self) -> (f64, f64);
-    /// Log-density.
-    fn ln_pdf(&self, x: f64) -> f64;
-    /// Partial expectation `E[X·1{X ≤ x}]`, when in closed form.
-    fn partial_mean(&self, x: f64) -> Option<f64>;
-    /// Upper partial expectation `E[X·1{X > x}]`, when in closed form.
-    fn upper_partial_mean(&self, x: f64) -> Option<f64>;
-    /// Mean.
-    fn mean(&self) -> f64;
-    /// Variance.
-    fn variance(&self) -> f64;
-    /// Draw one variate.
-    fn sample(&self, rng: &mut dyn RngCore) -> f64;
-    /// Fill a slice with variates via the law's batch kernel —
-    /// [`Sample::sample_batch_mono`] with `R = dyn RngCore`; keeps
-    /// `simulate`'s batched trials from degrading to one virtual call
-    /// per draw.
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]);
-}
-
-impl<D: Continuous + Sample + Send + Sync> ErasedLaw for D {
-    fn pdf(&self, x: f64) -> f64 {
-        Continuous::pdf(self, x)
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        Continuous::cdf(self, x)
-    }
-    fn sf(&self, x: f64) -> f64 {
-        Continuous::sf(self, x)
-    }
-    fn quantile(&self, p: f64) -> f64 {
-        Continuous::quantile(self, p)
-    }
-    fn support(&self) -> (f64, f64) {
-        Continuous::support(self)
-    }
-    fn ln_pdf(&self, x: f64) -> f64 {
-        Continuous::ln_pdf(self, x)
-    }
-    fn partial_mean(&self, x: f64) -> Option<f64> {
-        Continuous::partial_mean(self, x)
-    }
-    fn upper_partial_mean(&self, x: f64) -> Option<f64> {
-        Continuous::upper_partial_mean(self, x)
-    }
-    fn mean(&self) -> f64 {
-        Distribution::mean(self)
-    }
-    fn variance(&self) -> f64 {
-        Distribution::variance(self)
-    }
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        Sample::sample(self, rng)
-    }
-    fn sample_batch(&self, rng: &mut dyn RngCore, out: &mut [f64]) {
-        Sample::sample_batch_mono(self, rng, out)
-    }
-}
-
-/// A type-erased continuous law implementing the `resq` traits, so CLI
-/// strings flow into the library's strongly-typed API.
-pub struct DynLaw(pub Box<dyn ErasedLaw>);
-
-impl Distribution for DynLaw {
-    fn mean(&self) -> f64 {
-        self.0.mean()
-    }
-    fn variance(&self) -> f64 {
-        self.0.variance()
-    }
-}
-
-impl Continuous for DynLaw {
-    fn pdf(&self, x: f64) -> f64 {
-        self.0.pdf(x)
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        self.0.cdf(x)
-    }
-    fn sf(&self, x: f64) -> f64 {
-        self.0.sf(x)
-    }
-    fn quantile(&self, p: f64) -> f64 {
-        self.0.quantile(p)
-    }
-    fn support(&self) -> (f64, f64) {
-        self.0.support()
-    }
-    fn ln_pdf(&self, x: f64) -> f64 {
-        self.0.ln_pdf(x)
-    }
-    fn partial_mean(&self, x: f64) -> Option<f64> {
-        self.0.partial_mean(x)
-    }
-    fn upper_partial_mean(&self, x: f64) -> Option<f64> {
-        self.0.upper_partial_mean(x)
-    }
-}
-
-impl Sample for DynLaw {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.0.sample(rng)
-    }
-    fn sample_batch_mono<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        let mut rng = rng;
-        self.0.sample_batch(&mut rng, out)
-    }
-}
-
-/// `TaskDuration` comes from the library's blanket impl over this
-/// marker, so `plan-dynamic` runs the same §4.3 kernels, convergence
-/// check and scan certificates on a CLI law as on the law it wraps.
-impl resq::core::workflow::task_law::ContinuousTask for DynLaw {}
 
 /// A parsed law: continuous (possibly truncated) or Poisson.
 pub enum LawSpec {
@@ -168,13 +41,13 @@ fn parse_params(raw: &str, n: usize, what: &str) -> Result<Vec<f64>, ArgError> {
 
 fn boxed<D>(law: D, trunc: Option<(f64, f64)>) -> Result<DynLaw, ArgError>
 where
-    D: Continuous + Sample + Send + Sync + 'static,
+    D: Continuous + Sample + std::fmt::Debug + Send + Sync + 'static,
 {
     match trunc {
-        None => Ok(DynLaw(Box::new(law))),
+        None => Ok(DynLaw::new(law)),
         Some((lo, hi)) => {
             let t = Truncated::new(law, lo, hi).map_err(|e| err(e.to_string()))?;
-            Ok(DynLaw(Box::new(t)))
+            Ok(DynLaw::new(t))
         }
     }
 }

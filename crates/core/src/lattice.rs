@@ -56,6 +56,7 @@ use resq_numerics::{for_each_cell_probe, for_each_node, grid_max, GridSpec, NdAx
 use resq_obs::metrics::{
     LATTICE_FALLBACKS_TOTAL, LATTICE_LOOKUP_HITS_TOTAL, LATTICE_LOOKUP_MISSES_TOTAL,
 };
+use resq_obs::tracectx::{fnv1a, FNV_OFFSET};
 use resq_obs::{json, span, span_name, RunManifest};
 use std::path::{Path, PathBuf};
 
@@ -748,14 +749,6 @@ impl std::fmt::Display for LatticeError {
 
 impl std::error::Error for LatticeError {}
 
-/// 64-bit FNV-1a over the canonical payload bytes.
-fn fnv1a(state: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *state ^= b as u64;
-        *state = state.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// A precomputed policy lattice: four scalar fields (`X_opt`, `n_opt`,
 /// `E(n_opt)`, `W_int`) on a shared normalized parameter grid, plus the
 /// query logic described in the module docs.
@@ -937,23 +930,23 @@ impl PolicyLattice {
         })
     }
 
+    /// 64-bit FNV-1a over the canonical payload bytes.
     fn compute_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-        fnv1a(&mut h, self.family.name().as_bytes());
-        fnv1a(&mut h, &self.ckpt_sigma_ratio.to_bits().to_le_bytes());
-        fnv1a(&mut h, &self.tolerance.to_bits().to_le_bytes());
+        let mut h = fnv1a(FNV_OFFSET, self.family.name().as_bytes());
+        h = fnv1a(h, &self.ckpt_sigma_ratio.to_bits().to_le_bytes());
+        h = fnv1a(h, &self.tolerance.to_bits().to_le_bytes());
         for (name, a) in self.axis_names.iter().zip(self.x_opt.axes()) {
-            fnv1a(&mut h, name.as_bytes());
-            fnv1a(&mut h, &a.lo.to_bits().to_le_bytes());
-            fnv1a(&mut h, &a.hi.to_bits().to_le_bytes());
-            fnv1a(&mut h, &(a.points as u64).to_le_bytes());
+            h = fnv1a(h, name.as_bytes());
+            h = fnv1a(h, &a.lo.to_bits().to_le_bytes());
+            h = fnv1a(h, &a.hi.to_bits().to_le_bytes());
+            h = fnv1a(h, &(a.points as u64).to_le_bytes());
         }
         for &b in &self.cell_ok {
-            fnv1a(&mut h, &[b as u8]);
+            h = fnv1a(h, &[b as u8]);
         }
         for field in [&self.x_opt, &self.n_opt, &self.e_n_opt, &self.w_int] {
             for v in field.values() {
-                fnv1a(&mut h, &v.to_bits().to_le_bytes());
+                h = fnv1a(h, &v.to_bits().to_le_bytes());
             }
         }
         h

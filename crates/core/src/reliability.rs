@@ -112,11 +112,6 @@ impl CheckpointReliability {
             Self::DurationHazard { rate } => (-rate * c.max(0.0)).exp(),
         }
     }
-
-    /// True for [`CheckpointReliability::Reliable`].
-    pub fn is_reliable(&self) -> bool {
-        matches!(self, Self::Reliable)
-    }
 }
 
 /// What to do after a checkpoint attempt fails.

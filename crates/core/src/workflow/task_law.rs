@@ -10,7 +10,7 @@
 //! * for **every continuous law** marked [`ContinuousTask`], by one
 //!   blanket impl over the law's density, CDF and partial mean — this
 //!   covers the paper's truncated Normal and Gamma instantiations and
-//!   the CLI's type-erased laws, and
+//!   type-erased `DynLaw` (CLI, fitted and learned laws), and
 //! * for **Poisson** via the paper's finite sum.
 
 use crate::solve_cache::{segments_for_window, FAST_GL_TOL};
@@ -96,6 +96,7 @@ impl ContinuousTask for resq_dist::LogNormal {}
 impl ContinuousTask for resq_dist::Gamma {}
 impl ContinuousTask for resq_dist::Weibull {}
 impl ContinuousTask for resq_dist::Constant {}
+impl ContinuousTask for resq_dist::DynLaw {}
 impl<D: Continuous + Sample> ContinuousTask for resq_dist::Truncated<D> {}
 
 /// Absolute tolerance of the exact `E[W_{+1}]` quadrature.

@@ -19,6 +19,8 @@
 //!   [`Constant`]).
 //! * The generic truncation adaptor [`Truncated`] implementing the
 //!   paper's §3.1 construction `F_C(x) = (F(x) − F(a)) / (F(b) − F(a))`.
+//! * [`DynLaw`], the one type-erased continuous law: CLI law strings,
+//!   fitted models and learned models all arrive in it.
 //! * [`Empirical`] distributions and [`fit`] — maximum-likelihood /
 //!   moment estimators for every family, used to learn `D_C` from traces
 //!   of previous checkpoints as the paper suggests.
@@ -30,6 +32,7 @@
 
 pub mod beta;
 pub mod constant;
+pub mod dyn_law;
 pub mod empirical;
 pub mod exponential;
 pub mod fit;
@@ -50,9 +53,10 @@ pub(crate) mod ziggurat;
 
 pub use beta::Beta;
 pub use constant::Constant;
+pub use dyn_law::DynLaw;
 pub use empirical::Empirical;
 pub use exponential::Exponential;
-pub use fit::{fit_best, FitError, FittedModel, ModelFamily};
+pub use fit::{fit_best, fit_family, FitError, ModelFamily};
 pub use gamma::Gamma;
 pub use kstest::{ks_statistic, ks_test, KsOutcome};
 pub use lognormal::LogNormal;

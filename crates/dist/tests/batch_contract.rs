@@ -11,8 +11,8 @@
 
 use rand::RngCore;
 use resq_dist::{
-    Beta, Constant, Continuous, Empirical, Exponential, FittedModel, Gamma, LogNormal, Mixture,
-    Normal, Pareto, Poisson, Sample, Triangular, Truncated, Uniform, Weibull, Xoshiro256pp,
+    Beta, Constant, Continuous, DynLaw, Empirical, Exponential, Gamma, LogNormal, Mixture, Normal,
+    Pareto, Poisson, Sample, Triangular, Truncated, Uniform, Weibull, Xoshiro256pp,
 };
 
 const LENGTHS: [usize; 8] = [0, 1, 7, 8, 63, 64, 65, 200];
@@ -102,8 +102,13 @@ fn untruncated_samplers_batch_like_repeated_scalar_draws() {
         .unwrap(),
     );
     check(
-        "fitted model",
-        &FittedModel::LogNormal(LogNormal::new(1.0, 0.35).unwrap()),
+        "type-erased lognormal",
+        &DynLaw::new(LogNormal::new(1.0, 0.35).unwrap()),
+    );
+    // The erased batch entry point must reach the truncated kernel.
+    check(
+        "type-erased N_[0,∞)(5, 0.4²)",
+        &DynLaw::new(Truncated::above(Normal::new(5.0, 0.4).unwrap(), 0.0).unwrap()),
     );
 }
 

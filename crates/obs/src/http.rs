@@ -339,13 +339,6 @@ impl Server {
         self.local_addr
     }
 
-    /// The stop flag; setting it true makes the accept loop wind down.
-    /// A signal handler can flip this, then the owner calls
-    /// [`Server::stop`] to join.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        self.stop.clone()
-    }
-
     /// Stops accepting, drains the workers (in-flight requests get their
     /// responses), joins every thread.
     pub fn stop(mut self) {

@@ -540,19 +540,6 @@ pub static ALL_GAUGES: &[&Gauge] = &[&DECIDE_QUEUE_DEPTH];
 /// Every registered histogram, in display order.
 pub static ALL_HISTOGRAMS: &[&Histogram] = &[&MC_WORKER_TRIALS];
 
-/// Resets every registered metric (tests; CLI per-run deltas).
-pub fn reset_all() {
-    for c in ALL_COUNTERS {
-        c.reset();
-    }
-    for g in ALL_GAUGES {
-        g.reset();
-    }
-    for h in ALL_HISTOGRAMS {
-        h.reset();
-    }
-}
-
 /// Snapshot of all counters as `(name, value)` pairs.
 pub fn snapshot() -> Vec<(&'static str, u64)> {
     ALL_COUNTERS.iter().map(|c| (c.name(), c.get())).collect()
@@ -861,6 +848,23 @@ pub fn format_json() -> String {
     format_json_from(&Snapshot::capture(), &span::current().snapshot())
 }
 
+/// Appends the non-empty buckets as `[lower_bound,count]` pairs and
+/// closes the enclosing array and object.
+fn write_json_buckets(out: &mut String, buckets: &[u64; HISTOGRAM_BUCKETS]) {
+    let mut first = true;
+    for (j, &n) in buckets.iter().enumerate() {
+        if n == 0 {
+            continue;
+        }
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        out.push_str(&format!("[{},{n}]", bucket_lower_bound(j)));
+    }
+    out.push_str("]}");
+}
+
 /// [`format_json`] rendered from an already-captured [`Snapshot`] and
 /// span snapshot (the HTTP `/metrics.json` endpoint's entry point).
 pub fn format_json_from(snap: &Snapshot, spans: &[span::SpanStats]) -> String {
@@ -895,18 +899,7 @@ pub fn format_json_from(snap: &Snapshot, spans: &[span::SpanStats]) -> String {
             h.quantile(0.90),
             h.quantile(0.99),
         ));
-        let mut first = true;
-        for (j, &n) in h.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("[{},{n}]", bucket_lower_bound(j)));
-        }
-        out.push_str("]}");
+        write_json_buckets(&mut out, &h.buckets);
     }
     out.push_str("},\"spans\":{");
     for (i, s) in spans.iter().enumerate() {
@@ -923,18 +916,7 @@ pub fn format_json_from(snap: &Snapshot, spans: &[span::SpanStats]) -> String {
             s.quantile_nanos(0.90),
             s.quantile_nanos(0.99),
         ));
-        let mut first = true;
-        for (j, &n) in s.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("[{},{n}]", bucket_lower_bound(j)));
-        }
-        out.push_str("]}");
+        write_json_buckets(&mut out, &s.buckets);
     }
     out.push_str("}}");
     out

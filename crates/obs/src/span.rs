@@ -32,7 +32,7 @@
 //! `resq_sim::run_trials_observed`). See the worked example on
 //! [`Span`].
 
-use crate::metrics::HISTOGRAM_BUCKETS;
+use crate::metrics::{bucket_index, HISTOGRAM_BUCKETS};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -134,12 +134,7 @@ impl SpanStats {
     fn record(&mut self, nanos: u64) {
         self.count += 1;
         self.total_nanos = self.total_nanos.saturating_add(nanos);
-        let bucket = if nanos == 0 {
-            0
-        } else {
-            ((64 - nanos.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-        };
-        self.buckets[bucket] += 1;
+        self.buckets[bucket_index(nanos)] += 1;
     }
 
     /// Mean nanoseconds per closure (0 when never closed).

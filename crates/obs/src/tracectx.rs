@@ -33,12 +33,16 @@ use crate::span::SpanRegistry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the state [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into the 64-bit FNV-1a state `hash`: start from
+/// [`FNV_OFFSET`] and feed the fields in a fixed order. The workspace's
+/// one fingerprint hash (run ids here, policy-lattice artifacts in
+/// `resq-core`).
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
     for b in bytes {
         h ^= u64::from(*b);
