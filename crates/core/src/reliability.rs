@@ -505,8 +505,9 @@ impl<C: Continuous> RetryPreemptible<C> {
 }
 
 /// The retry schedule as a §4 checkpoint: it fits in `c` seconds with
-/// probability `S(c)`. Support and shoulder are the single write's, and
-/// `S` is defined up to the model's own `R`.
+/// probability `S(c)`. Support and shoulder are the single write's, `S`
+/// is defined up to the model's own `R`, and where the success lattice
+/// serves `S` its grid is the fit's.
 impl<C: Continuous> CheckpointFit for RetryPreemptible<C> {
     fn fit_probability(&self, c: f64) -> f64 {
         self.success_within(c)
@@ -522,6 +523,13 @@ impl<C: Continuous> CheckpointFit for RetryPreemptible<C> {
 
     fn fit_horizon(&self) -> f64 {
         self.r
+    }
+
+    fn fit_grid(&self) -> Option<f64> {
+        match &self.profile {
+            Profile::Lattice(l) => Some(l.h),
+            Profile::Exact | Profile::Scaled(_) => None,
+        }
     }
 }
 

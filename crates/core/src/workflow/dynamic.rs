@@ -92,8 +92,7 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
     /// `E[W_{+1}](w)`: expected saved work when running exactly one more
     /// task before checkpointing.
     pub fn expect_one_more(&self, w: f64) -> f64 {
-        self.task
-            .expected_one_more(w.max(0.0), self.r, &|c| self.ckpt.fit_probability(c))
+        self.task.expected_one_more(w.max(0.0), self.r, &self.ckpt)
     }
 
     /// The §4.3 decision rule: checkpoint iff `E[W_C] ≥ E[W_{+1}]`.
@@ -140,10 +139,9 @@ impl<X: TaskDuration, C: CheckpointFit> DynamicStrategy<X, C> {
     fn scan(&self, fit: &LatticeCache, cache: &SolveCache) -> Result<Option<f64>, CoreError> {
         let fast = FastScan::new(self, fit, cache.gl());
         let clearly_negative = |w: f64| fast.sure_fit_negative(w) || fast.quadrature_negative(w);
-        let ckpt_cdf = |c: f64| self.ckpt.fit_probability(c);
         let one_more = |w: f64| {
             self.task
-                .expected_one_more_checked(w.max(0.0), self.r, &ckpt_cdf)
+                .expected_one_more_checked(w.max(0.0), self.r, &self.ckpt)
         };
         scan_threshold(
             self.r,
@@ -494,18 +492,18 @@ mod tests {
     }
 
     impl<X: TaskDuration> TaskDuration for Counting<X> {
-        fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64 {
+        fn expected_one_more(&self, w: f64, r: f64, ckpt: &dyn CheckpointFit) -> f64 {
             self.exact_ws.borrow_mut().push(w);
-            self.inner.expected_one_more(w, r, ckpt_cdf)
+            self.inner.expected_one_more(w, r, ckpt)
         }
         fn expected_one_more_checked(
             &self,
             w: f64,
             r: f64,
-            ckpt_cdf: &dyn Fn(f64) -> f64,
+            ckpt: &dyn CheckpointFit,
         ) -> Result<f64, CoreError> {
             self.exact_ws.borrow_mut().push(w);
-            self.inner.expected_one_more_checked(w, r, ckpt_cdf)
+            self.inner.expected_one_more_checked(w, r, ckpt)
         }
         fn expected_one_more_fast(
             &self,

@@ -24,7 +24,7 @@
 
 use crate::error::CoreError;
 use crate::solve_cache::{fit_lattice, segments_for_window, SolveCache, FAST_GL_TOL};
-use crate::workflow::fit::{validate_checkpoint, CheckpointFit};
+use crate::workflow::fit::{fit_breakpoints, validate_checkpoint, CheckpointFit};
 use crate::workflow::sum_law::IidSum;
 use resq_numerics::{
     grid_max, grid_max_bracketed, round_to_better_integer, Extremum, GaussLegendre, GridSpec,
@@ -121,9 +121,9 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
     }
 
     /// `E(y)` with its error estimate: the finite sum for discrete task
-    /// laws (exact), adaptive Simpson otherwise. The one evaluation
-    /// behind [`StaticStrategy::expected_work_relaxed`] and its checked
-    /// form.
+    /// laws (exact), adaptive Gauss–Kronrod otherwise, panels cut at the
+    /// nodes of the fit's grid. The one evaluation behind
+    /// [`StaticStrategy::expected_work_relaxed`] and its checked form.
     fn relaxed(&self, y: f64) -> QuadResult {
         if !(y > 0.0) {
             return QuadResult::exact(0.0);
@@ -147,11 +147,12 @@ impl<T: IidSum, C: CheckpointFit> StaticStrategy<T, C> {
         if hi <= lo {
             return QuadResult::exact(0.0);
         }
-        resq_numerics::adaptive_simpson(
+        resq_numerics::adaptive_gauss_kronrod(
             |x| x * self.ckpt.fit_probability(self.r - x) * self.tasks.sum_density(y, x),
             lo,
             hi,
             QUAD_TOL,
+            &fit_breakpoints(&self.ckpt, self.r, lo, hi),
         )
     }
 

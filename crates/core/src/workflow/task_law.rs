@@ -14,6 +14,7 @@
 //! * for **Poisson** via the paper's finite sum.
 
 use crate::solve_cache::{segments_for_window, FAST_GL_TOL};
+use crate::workflow::fit::{fit_breakpoints, CheckpointFit};
 use resq_dist::{Continuous, Discrete, Distribution, Poisson, Sample};
 use resq_numerics::{GaussLegendre, LatticeCache, NeumaierSum, QuadResult};
 
@@ -23,8 +24,10 @@ use resq_numerics::{GaussLegendre, LatticeCache, NeumaierSum, QuadResult};
 pub trait TaskDuration: Sample + Distribution {
     /// `E[(X + w)·P(C ≤ budget − X)·1[X ≤ budget]]` where
     /// `budget = R − w` — the expected work saved when running exactly one
-    /// more task and then checkpointing. `ckpt_cdf` is `c ↦ P(C ≤ c)`.
-    fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64;
+    /// more task and then checkpointing. `ckpt` gives `P(C ≤ c)`
+    /// ([`CheckpointFit::fit_probability`]) and the grid it is
+    /// interpolated on, if any ([`CheckpointFit::fit_grid`]).
+    fn expected_one_more(&self, w: f64, r: f64, ckpt: &dyn CheckpointFit) -> f64;
 
     /// [`TaskDuration::expected_one_more`] through the
     /// convergence-checked integrator: identical value when quadrature
@@ -35,9 +38,9 @@ pub trait TaskDuration: Sample + Distribution {
         &self,
         w: f64,
         r: f64,
-        ckpt_cdf: &dyn Fn(f64) -> f64,
+        ckpt: &dyn CheckpointFit,
     ) -> Result<f64, crate::error::CoreError> {
-        Ok(self.expected_one_more(w, r, ckpt_cdf))
+        Ok(self.expected_one_more(w, r, ckpt))
     }
 
     /// Fast approximation of [`TaskDuration::expected_one_more`]: the
@@ -138,40 +141,38 @@ fn one_more_window<D: Continuous>(task: &D, w: f64, r: f64) -> Option<(f64, f64)
     (hi > lo).then_some((lo, hi))
 }
 
-/// `E[W_{+1}]` by adaptive quadrature with its error estimate: the one
+/// `E[W_{+1}]` by adaptive Gauss–Kronrod quadrature with its error
+/// estimate, panels cut at the nodes of the fit's grid: the one
 /// evaluation behind [`TaskDuration::expected_one_more`] and its checked
 /// form for a continuous law.
-fn one_more_quad<D: Continuous>(
-    task: &D,
-    w: f64,
-    r: f64,
-    ckpt_cdf: &dyn Fn(f64) -> f64,
-) -> QuadResult {
-    match one_more_window(task, w, r) {
-        Some((lo, hi)) => resq_numerics::adaptive_simpson(
-            one_more_integrand(task, w, r - w, ckpt_cdf),
-            lo,
-            hi,
-            ONE_MORE_TOL,
-        ),
-        None => QuadResult::exact(0.0),
-    }
+fn one_more_quad<D: Continuous>(task: &D, w: f64, r: f64, ckpt: &dyn CheckpointFit) -> QuadResult {
+    let Some((lo, hi)) = one_more_window(task, w, r) else {
+        return QuadResult::exact(0.0);
+    };
+    let budget = r - w;
+    resq_numerics::adaptive_gauss_kronrod(
+        one_more_integrand(task, w, budget, |c| ckpt.fit_probability(c)),
+        lo,
+        hi,
+        ONE_MORE_TOL,
+        &fit_breakpoints(ckpt, budget, lo, hi),
+    )
 }
 
 /// The §4.3 integral `∫_0^{R−w} (x + w)·P(C ≤ R−w−x)·f_X(x) dx` against
 /// the law's density; the sure-fit bound from its CDF and partial mean.
 impl<D: ContinuousTask> TaskDuration for D {
-    fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64 {
-        one_more_quad(self, w, r, ckpt_cdf).value
+    fn expected_one_more(&self, w: f64, r: f64, ckpt: &dyn CheckpointFit) -> f64 {
+        one_more_quad(self, w, r, ckpt).value
     }
 
     fn expected_one_more_checked(
         &self,
         w: f64,
         r: f64,
-        ckpt_cdf: &dyn Fn(f64) -> f64,
+        ckpt: &dyn CheckpointFit,
     ) -> Result<f64, crate::error::CoreError> {
-        Ok(one_more_quad(self, w, r, ckpt_cdf)
+        Ok(one_more_quad(self, w, r, ckpt)
             .converged(ONE_MORE_TOL)?
             .value)
     }
@@ -218,22 +219,28 @@ impl<D: ContinuousTask> TaskDuration for D {
     }
 }
 
+/// The Poisson §4.3 sum `Σ_j (j + w)·P(C ≤ R−w−j)·pmf(j)` with the fit
+/// probability `fit`, exact or lattice-served.
+fn poisson_one_more(task: &Poisson, w: f64, r: f64, fit: impl Fn(f64) -> f64) -> f64 {
+    let budget = r - w;
+    if budget <= 0.0 {
+        return 0.0;
+    }
+    let jmax = budget.floor() as u64;
+    let mut acc = NeumaierSum::new();
+    for j in 0..=jmax {
+        let jf = j as f64;
+        let p = fit(budget - jf);
+        if p > 0.0 {
+            acc.add((jf + w) * p * task.pmf(j));
+        }
+    }
+    acc.value()
+}
+
 impl TaskDuration for Poisson {
-    fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64 {
-        let budget = r - w;
-        if budget <= 0.0 {
-            return 0.0;
-        }
-        let jmax = budget.floor() as u64;
-        let mut acc = NeumaierSum::new();
-        for j in 0..=jmax {
-            let jf = j as f64;
-            let p = ckpt_cdf(budget - jf);
-            if p > 0.0 {
-                acc.add((jf + w) * p * self.pmf(j));
-            }
-        }
-        acc.value()
+    fn expected_one_more(&self, w: f64, r: f64, ckpt: &dyn CheckpointFit) -> f64 {
+        poisson_one_more(self, w, r, |c| ckpt.fit_probability(c))
     }
 
     fn expected_one_more_fast(
@@ -247,7 +254,7 @@ impl TaskDuration for Poisson {
         // The finite sum needs no quadrature — the win is serving the
         // checkpoint CDF from the lattice instead of the full tail
         // computation at every integer point.
-        Some(self.expected_one_more(w, r, &|c| fit.eval(c)))
+        Some(poisson_one_more(self, w, r, |c| fit.eval(c)))
     }
 
     /// `w·P(X ≤ ⌊q⌋) + λ·P(X ≤ ⌊q⌋ − 1)`: `j·pmf(j) = λ·pmf(j − 1)`.
@@ -266,15 +273,14 @@ mod tests {
     use super::*;
     use resq_dist::{Normal, Truncated, Xoshiro256pp};
 
-    fn ckpt_cdf(mu_c: f64, sigma_c: f64) -> impl Fn(f64) -> f64 {
-        let t = Truncated::above(Normal::new(mu_c, sigma_c).unwrap(), 0.0).unwrap();
-        move |c: f64| if c <= 0.0 { 0.0 } else { t.cdf(c) }
+    fn ckpt(mu_c: f64, sigma_c: f64) -> Truncated<Normal> {
+        Truncated::above(Normal::new(mu_c, sigma_c).unwrap(), 0.0).unwrap()
     }
 
     #[test]
     fn zero_budget_returns_zero() {
         let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
-        let g = ckpt_cdf(5.0, 0.4);
+        let g = ckpt(5.0, 0.4);
         assert_eq!(task.expected_one_more(29.0, 29.0, &g), 0.0);
         assert_eq!(task.expected_one_more(30.0, 29.0, &g), 0.0);
     }
@@ -284,7 +290,7 @@ mod tests {
         // With a huge budget, the checkpoint always fits:
         // E[W_{+1}] → w + E[X].
         let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
-        let g = ckpt_cdf(5.0, 0.4);
+        let g = ckpt(5.0, 0.4);
         let v = task.expected_one_more(10.0, 1000.0, &g);
         assert!((v - 13.0).abs() < 1e-6, "got {v}");
     }
@@ -292,7 +298,7 @@ mod tests {
     #[test]
     fn poisson_far_from_deadline() {
         let task = Poisson::new(3.0).unwrap();
-        let g = ckpt_cdf(5.0, 0.4);
+        let g = ckpt(5.0, 0.4);
         let v = task.expected_one_more(10.0, 1000.0, &g);
         assert!((v - 13.0).abs() < 1e-9, "got {v}");
     }
@@ -300,7 +306,7 @@ mod tests {
     #[test]
     fn tight_budget_shrinks_expectation() {
         let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
-        let g = ckpt_cdf(5.0, 0.4);
+        let g = ckpt(5.0, 0.4);
         // As w approaches R, the one-more-task expectation collapses.
         let loose = task.expected_one_more(15.0, 29.0, &g);
         let tight = task.expected_one_more(25.0, 29.0, &g);
@@ -311,7 +317,7 @@ mod tests {
     #[test]
     fn checked_one_more_is_bit_identical_to_reference() {
         let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
-        let g = ckpt_cdf(5.0, 0.4);
+        let g = ckpt(5.0, 0.4);
         for k in 0..29 {
             let w = k as f64;
             assert_eq!(
@@ -332,7 +338,7 @@ mod tests {
             4096,
         );
         let gl = GaussLegendre::new(20);
-        let g = ckpt_cdf(5.0, 0.4);
+        let g = ckpt(5.0, 0.4);
 
         let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
         let poisson = Poisson::new(3.0).unwrap();
