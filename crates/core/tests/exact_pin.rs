@@ -141,7 +141,7 @@ const SOLVES: [(&[u64], u64); 4] = [
             10, 3, 5, 3, 6, 3, 3, 3, 3, 4, 3, 5, 5, 2, 3, 4, 4, 5, 5, 4, 6, 12, 5, 6, 14, 8, 6, 9,
             3, 3, 3, 3, 3, 4, 4, 2, 4, 2, 3, 4, 2, 3, 2, 3, 5, 6, 2, 2, 2, 2, 3,
         ],
-        0x3642_f412_c036_ff38,
+        0x05d4_2efa_5f18_c6d0,
     ),
     // exponential
     (
@@ -150,7 +150,7 @@ const SOLVES: [(&[u64], u64); 4] = [
             3, 6, 6, 9, 3, 12, 12, 3, 2, 8, 4, 4, 4, 11, 3, 2, 2, 10, 2, 2, 2, 2, 5, 2, 5, 2, 7, 9,
             3, 2, 4, 5, 4, 4, 4, 2, 2, 5, 2, 2, 2, 4, 2, 3, 2, 2, 2, 3, 2, 3, 2, 5,
         ],
-        0xb815_9008_2e54_3389,
+        0x2b2a_794e_b1cf_5a34,
     ),
     // normal
     (
@@ -159,7 +159,7 @@ const SOLVES: [(&[u64], u64); 4] = [
             3, 5, 5, 3, 3, 10, 6, 4, 3, 5, 6, 3, 9, 5, 2, 7, 2, 6, 3, 2, 3, 4, 9, 7, 2, 6, 4, 2, 3,
             9, 4, 3, 3, 5, 16, 3, 7, 3, 5, 2, 4, 9, 2, 3, 6, 2, 4, 6, 2, 4, 3, 2, 4,
         ],
-        0xd6bc_9b2e_3813_3d5c,
+        0x5ab5_cd3e_26ef_c00a,
     ),
     // lognormal
     (
@@ -168,7 +168,7 @@ const SOLVES: [(&[u64], u64); 4] = [
             3, 6, 5, 3, 9, 3, 3, 4, 8, 5, 4, 3, 4, 2, 9, 16, 2, 4, 5, 4, 10, 8, 3, 6, 3, 5, 14, 4,
             7, 2, 5, 7, 9, 3, 4, 3, 2, 2, 3, 6, 2, 5, 4, 2, 4, 2, 2, 3, 3, 2, 3,
         ],
-        0x5309_0097_15b2_0657,
+        0xb731_adb4_65e2_8b9f,
     ),
 ];
 

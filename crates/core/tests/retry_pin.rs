@@ -83,20 +83,20 @@ const W_INT: [(&str, [u64; 5]); 3] = [
         "fig8",
         [
             0x403443d21ff81ab3,
-            0x4030f6894f27ccae,
-            0x402eecd85b2788ad,
-            0x403016031d6d6b10,
+            0x4030f6894f27cc80,
+            0x402eecd85b2788b0,
+            0x403016031d6d6ae5,
             0x403443d21ff81ab3,
         ],
     ),
     (
         "fig9",
         [
-            0x4019c599e73de722,
-            0x401832becfc94eae,
-            0x401305ac14654d89,
-            0x4018de22627b53f2,
-            0x4019c599e73de722,
+            0x4019c599e73de721,
+            0x401832becfc3b8a1,
+            0x401305ac146c1892,
+            0x4018de22627b5320,
+            0x4019c599e73de720,
         ],
     ),
     (
@@ -117,21 +117,21 @@ const PLANS: [(&str, [(f64, u64, u64); 5]); 3] = [
     (
         "fig5",
         [
-            (7.383416815962667, 7, 0x4034f3d2ddd28030),
-            (7.230626164138144, 7, 0x403184edd112f187),
-            (5.956784992139044, 6, 0x4029b0c61edf45b8),
-            (6.172556849913449, 6, 0x402dd0277b2fa9b3),
-            (7.383416816349822, 7, 0x402d555a69c04d10),
+            (7.383416815962667, 7, 0x4034f3d2ddd2802d),
+            (7.230626164138144, 7, 0x403184edd112efc6),
+            (5.956784992139044, 6, 0x4029b0c61edf2fd4),
+            (6.172556849913449, 6, 0x402dd0277b2f8ed8),
+            (7.383416816349822, 7, 0x402d555a69c04d0b),
         ],
     ),
     (
         "fig6",
         [
-            (11.728172571961561, 12, 0x40133d7c8ae10e9b),
-            (11.201771748864473, 11, 0x40113fdfaf4853d5),
-            (10.33824865608681, 10, 0x40080ac1eb904ee4),
-            (11.273558258070882, 11, 0x4011710481689343),
-            (11.728172436360769, 12, 0x400aefae5c07e13f),
+            (11.728172571961561, 12, 0x40133d7c8ae10e99),
+            (11.201771748864473, 11, 0x40113fdfaf2bbf5d),
+            (10.33824865608681, 10, 0x40080ac1efd31b60),
+            (11.273558258070882, 11, 0x40117104816091d9),
+            (11.728172436360769, 12, 0x400aefae5c07e13c),
         ],
     ),
     (
