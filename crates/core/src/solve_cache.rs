@@ -16,7 +16,7 @@
 //!
 //! Both planners integrate over the lattice with one check,
 //! [`resq_numerics::gauss_legendre_two_resolution`] at this module's
-//! order ([`FAST_GL_ORDER`]) and tolerance ([`FAST_GL_TOL`]), on panels
+//! order (`FAST_GL_ORDER`) and tolerance (`FAST_GL_TOL`), on panels
 //! sized by `segments_for_window`. When its two resolutions disagree the
 //! static objective integrates that stretch by adaptive Simpson instead,
 //! and the dynamic scan decides that point on its exact path.

@@ -132,6 +132,42 @@ impl<D: Continuous> Continuous for Mixture<D> {
         }
         (lo, hi)
     }
+
+    /// Log-sum-exp of `ln wᵢ + ln fᵢ(x)` over the components, so a point
+    /// deep in one component's tail keeps that component's log density
+    /// where `ln Σ wᵢ·fᵢ(x)` would underflow to `−∞`.
+    fn ln_pdf(&self, x: f64) -> f64 {
+        let (top, sum) = self
+            .components
+            .iter()
+            .map(|(w, d)| w.ln() + d.ln_pdf(x))
+            .fold((f64::NEG_INFINITY, 0.0), |(top, sum), t| {
+                if t == f64::NEG_INFINITY {
+                    (top, sum)
+                } else if t > top {
+                    (t, sum * (top - t).exp() + 1.0)
+                } else {
+                    (top, sum + (t - top).exp())
+                }
+            });
+        top + sum.ln()
+    }
+
+    /// `Σ wᵢ·E[Xᵢ·1{Xᵢ ≤ x}]` when every component has a closed form.
+    fn partial_mean(&self, x: f64) -> Option<f64> {
+        self.components
+            .iter()
+            .map(|(w, d)| d.partial_mean(x).map(|m| w * m))
+            .sum()
+    }
+
+    /// `Σ wᵢ·E[Xᵢ·1{Xᵢ > x}]`, as tail-accurate as the components'.
+    fn upper_partial_mean(&self, x: f64) -> Option<f64> {
+        self.components
+            .iter()
+            .map(|(w, d)| d.upper_partial_mean(x).map(|m| w * m))
+            .sum()
+    }
 }
 
 impl<D: Continuous + Sample> Sample for Mixture<D> {
@@ -264,7 +300,7 @@ const SQRT_2PI: f64 = 2.506_628_274_631_000_5;
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256pp;
-    use crate::{Truncated, Uniform};
+    use crate::{DynLaw, Truncated, Uniform};
 
     fn bimodal() -> Mixture<Normal> {
         Mixture::new(vec![
@@ -324,6 +360,63 @@ mod tests {
             .filter(|_| m.sample(&mut rng) < 6.5)
             .count() as f64 / n as f64;
         assert!((low - 0.6).abs() < 0.01, "low-mode fraction {low}");
+    }
+
+    /// The mixture the flexible trace learner falls back to.
+    fn learned() -> Mixture<Normal> {
+        Mixture::new(vec![
+            (0.7, Normal::new(4.0, 0.3).unwrap()),
+            (0.3, Normal::new(9.0, 0.5).unwrap()),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn ln_pdf_stays_finite_deep_in_a_tail() {
+        let m = learned();
+        // 40 σ above the second mode: the density underflows, its log
+        // is the second component's, ≈ ln 0.3 − 800.23.
+        assert_eq!(m.pdf(29.0), 0.0);
+        let got = m.ln_pdf(29.0);
+        let want = 0.3f64.ln() + Normal::new(9.0, 0.5).unwrap().ln_pdf(29.0);
+        assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        assert!((got - (0.3f64.ln() - 800.23)).abs() < 0.01, "{got}");
+        // Where the density is representable, the two forms agree.
+        for x in [2.0, 4.0, 6.5, 9.0, 12.0] {
+            let (got, want) = (m.ln_pdf(x), m.pdf(x).ln());
+            assert!((got - want).abs() < 1e-12 * want.abs().max(1.0), "x={x}");
+        }
+        let far = Mixture::new(vec![(1.0, Uniform::new(0.0, 1.0).unwrap())]).unwrap();
+        assert_eq!(far.ln_pdf(2.0), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn partial_means_come_from_the_components() {
+        let m = learned();
+        let want = 0.7 * Normal::new(4.0, 0.3).unwrap().partial_mean(5.0).unwrap()
+            + 0.3 * Normal::new(9.0, 0.5).unwrap().partial_mean(5.0).unwrap();
+        assert_eq!(m.partial_mean(5.0), Some(want));
+        let upper = m.upper_partial_mean(5.0).unwrap();
+        assert!((m.partial_mean(5.0).unwrap() + upper - m.mean()).abs() < 1e-12);
+        // A truncated mixture takes its mean from the closed form.
+        let t = Truncated::new(m, 3.0, 10.0).unwrap();
+        let closed = t
+            .partial_mean(10.0)
+            .expect("closed form through the mixture");
+        assert_eq!(t.mean(), closed);
+        let quadrature = resq_numerics::adaptive_simpson(|x| x * t.pdf(x), 3.0, 10.0, 1e-12);
+        assert!(
+            (closed - quadrature.value).abs() < 1e-10,
+            "{closed} vs {quadrature:?}"
+        );
+        // One component without a closed form leaves the mixture without one.
+        let mixed = Mixture::new(vec![
+            (0.5, DynLaw::new(Normal::new(4.0, 0.3).unwrap())),
+            (0.5, DynLaw::new(crate::Weibull::new(2.0, 3.0).unwrap())),
+        ])
+        .unwrap();
+        assert_eq!(mixed.partial_mean(5.0), None);
+        assert_eq!(mixed.upper_partial_mean(5.0), None);
     }
 
     #[test]

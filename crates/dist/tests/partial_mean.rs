@@ -15,7 +15,7 @@
 //! the parent's, where only the upper-tail form keeps its digits.
 
 use resq_dist::{
-    Continuous, Distribution, Exponential, Gamma, LogNormal, Normal, Truncated, Uniform,
+    Continuous, Distribution, Exponential, Gamma, LogNormal, Mixture, Normal, Truncated, Uniform,
 };
 use resq_numerics::adaptive_simpson;
 
@@ -175,6 +175,19 @@ fn gamma_matches_the_reference_for_shapes_below_and_above_one() {
             check(&law, law.mean(), 0.0, &[mode], &xs);
         }
     }
+}
+
+#[test]
+fn normal_mixture_matches_the_reference() {
+    // The flexible trace learner's Gaussian-mixture fallback.
+    let law = Mixture::new(vec![
+        (0.7, Normal::new(4.0, 0.3).unwrap()),
+        (0.3, Normal::new(9.0, 0.5).unwrap()),
+    ])
+    .unwrap();
+    let mut xs = probes(&law);
+    xs.push(5.0);
+    check(&law, law.mean(), 4.0 - 41.0 * 0.3, &[4.0, 9.0], &xs);
 }
 
 #[test]
