@@ -139,7 +139,7 @@ impl<D: Continuous> Distribution for Truncated<D> {
         if b.is_infinite() {
             resq_numerics::integrate_to_inf(|x| x * self.pdf(x), a, 1e-11).value
         } else {
-            resq_numerics::adaptive_simpson(|x| x * self.pdf(x), a, b, 1e-11).value
+            resq_numerics::adaptive_gauss_kronrod(|x| x * self.pdf(x), a, b, 1e-11, &[]).value
         }
     }
 
@@ -150,7 +150,7 @@ impl<D: Continuous> Distribution for Truncated<D> {
         if b.is_infinite() {
             resq_numerics::integrate_to_inf(integrand, a, 1e-11).value
         } else {
-            resq_numerics::adaptive_simpson(integrand, a, b, 1e-11).value
+            resq_numerics::adaptive_gauss_kronrod(integrand, a, b, 1e-11, &[]).value
         }
     }
 }
