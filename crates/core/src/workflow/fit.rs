@@ -16,6 +16,11 @@ use resq_dist::Continuous;
 pub trait CheckpointFit {
     /// Probability that the checkpoint completes within `c` seconds; 0
     /// when `c ≤ 0`.
+    ///
+    /// It must never decrease as `c` grows, as a CDF or a retry model's
+    /// success profile does: the planners' fit tables stop evaluating at
+    /// its first exact 1 and take 1 from there on
+    /// ([`resq_numerics::tabulate_cdf`], which debug builds check).
     fn fit_probability(&self, c: f64) -> f64;
 
     /// Support `(lo, hi)` of one write's duration. The planners reject

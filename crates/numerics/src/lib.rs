@@ -41,7 +41,7 @@ pub use optimize::{
     brent_max, brent_min, grid_max, grid_max_bracketed, integer_argmax, round_to_better_integer,
     Extremum, GridSpec,
 };
-pub use memo::LatticeCache;
+pub use memo::{tabulate_cdf, LatticeCache};
 pub use quad::{
     adaptive_gauss_kronrod, adaptive_simpson, adaptive_simpson_checked,
     gauss_legendre_two_resolution, integrate_to_inf, GaussLegendre, QuadResult,
