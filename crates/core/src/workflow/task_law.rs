@@ -43,22 +43,29 @@ pub trait TaskDuration: Sample + Distribution {
         Ok(self.expected_one_more(w, r, ckpt))
     }
 
-    /// Fast approximation of [`TaskDuration::expected_one_more`]: the
+    /// Fast approximation of the part of [`TaskDuration::expected_one_more`]
+    /// over tasks longer than `from`, `E[(X + w)·P(C ≤ R − w − X)·1[from <
+    /// X ≤ R − w]]` (`from = −∞` for the whole expectation): the
     /// checkpoint CDF served from a precomputed lattice over `[0, R]`
     /// and fixed-order Gauss–Legendre quadrature with a two-resolution
-    /// agreement check. `feature` is the narrowest integrand feature the
-    /// caller knows about (the checkpoint law's CDF-shoulder width,
-    /// already min-combined with [`TaskDuration::fast_kernel_feature`])
-    /// and sizes the quadrature panels so the check resolutions sample
-    /// that feature instead of aliasing it. Returns `None` when the law
-    /// has no fast kernel or the resolutions disagree — callers fall
-    /// back to the exact path. This is a *search/bracketing* accelerator
-    /// only; decisions and reported values must come from the exact path
-    /// (see `DynamicStrategy::threshold`).
+    /// agreement check. The scan passes `from = q` when the fit is 1 for
+    /// every task `x ≤ q`, and adds the closed form
+    /// [`TaskDuration::expected_one_more_sure_fit`] for those tasks.
+    /// `feature` is the narrowest integrand feature the caller knows
+    /// about (the checkpoint law's CDF-shoulder width, already
+    /// min-combined with [`TaskDuration::fast_kernel_feature`]) and sizes
+    /// the quadrature panels on the integrated stretch so the check
+    /// resolutions sample that feature instead of aliasing it. Returns
+    /// `None` when the law has no fast kernel or the resolutions
+    /// disagree — callers fall back to the exact path. This is a
+    /// *search/bracketing* accelerator only; decisions and reported
+    /// values must come from the exact path (see
+    /// `DynamicStrategy::threshold`).
     fn expected_one_more_fast(
         &self,
         _w: f64,
         _r: f64,
+        _from: f64,
         _fit: &LatticeCache,
         _gl: &GaussLegendre,
         _feature: f64,
@@ -178,14 +185,16 @@ impl<D: ContinuousTask> TaskDuration for D {
     }
 
     /// Lattice-served checkpoint CDF plus the two-resolution
-    /// Gauss–Legendre check ([`resq_numerics::gauss_legendre_two_resolution`]),
-    /// panels sized so a `feature`-wide structure spans at least one
-    /// segment. `None` when the resolutions disagree beyond
-    /// `FAST_GL_TOL`: the caller uses the exact path for that point.
+    /// Gauss–Legendre check ([`resq_numerics::gauss_legendre_two_resolution`])
+    /// over the window from `from` on, panels sized so a `feature`-wide
+    /// structure spans at least one segment of it. `None` when the
+    /// resolutions disagree beyond `FAST_GL_TOL`: the caller uses the
+    /// exact path for that point.
     fn expected_one_more_fast(
         &self,
         w: f64,
         r: f64,
+        from: f64,
         fit: &LatticeCache,
         gl: &GaussLegendre,
         feature: f64,
@@ -193,6 +202,10 @@ impl<D: ContinuousTask> TaskDuration for D {
         let Some((lo, hi)) = one_more_window(self, w, r) else {
             return Some(0.0);
         };
+        let lo = lo.max(from);
+        if lo >= hi {
+            return Some(0.0);
+        }
         resq_numerics::gauss_legendre_two_resolution(
             gl,
             one_more_integrand(self, w, r - w, |c| fit.eval(c)),
@@ -219,16 +232,22 @@ impl<D: ContinuousTask> TaskDuration for D {
     }
 }
 
-/// The Poisson §4.3 sum `Σ_j (j + w)·P(C ≤ R−w−j)·pmf(j)` with the fit
-/// probability `fit`, exact or lattice-served.
-fn poisson_one_more(task: &Poisson, w: f64, r: f64, fit: impl Fn(f64) -> f64) -> f64 {
+/// The Poisson §4.3 sum `Σ_j (j + w)·P(C ≤ R−w−j)·pmf(j)` over
+/// `j ≥ first` with the fit probability `fit`, exact or lattice-served.
+fn poisson_one_more(
+    task: &Poisson,
+    w: f64,
+    r: f64,
+    first: u64,
+    fit: impl Fn(f64) -> f64,
+) -> f64 {
     let budget = r - w;
     if budget <= 0.0 {
         return 0.0;
     }
     let jmax = budget.floor() as u64;
     let mut acc = NeumaierSum::new();
-    for j in 0..=jmax {
+    for j in first..=jmax {
         let jf = j as f64;
         let p = fit(budget - jf);
         if p > 0.0 {
@@ -240,21 +259,24 @@ fn poisson_one_more(task: &Poisson, w: f64, r: f64, fit: impl Fn(f64) -> f64) ->
 
 impl TaskDuration for Poisson {
     fn expected_one_more(&self, w: f64, r: f64, ckpt: &dyn CheckpointFit) -> f64 {
-        poisson_one_more(self, w, r, |c| ckpt.fit_probability(c))
+        poisson_one_more(self, w, r, 0, |c| ckpt.fit_probability(c))
     }
 
     fn expected_one_more_fast(
         &self,
         w: f64,
         r: f64,
+        from: f64,
         fit: &LatticeCache,
         _gl: &GaussLegendre,
         _feature: f64,
     ) -> Option<f64> {
         // The finite sum needs no quadrature — the win is serving the
         // checkpoint CDF from the lattice instead of the full tail
-        // computation at every integer point.
-        Some(poisson_one_more(self, w, r, |c| fit.eval(c)))
+        // computation at every integer point. Tasks longer than `from`
+        // are the counts from ⌊from⌋ + 1 on.
+        let first = if from < 0.0 { 0 } else { from.floor() as u64 + 1 };
+        Some(poisson_one_more(self, w, r, first, |c| fit.eval(c)))
     }
 
     /// `w·P(X ≤ ⌊q⌋) + λ·P(X ≤ ⌊q⌋ − 1)`: `j·pmf(j) = λ·pmf(j − 1)`.
@@ -344,17 +366,28 @@ mod tests {
         let poisson = Poisson::new(3.0).unwrap();
         let feature = (law.quantile(0.999) - law.quantile(0.001))
             .min(task.fast_kernel_feature().expect("continuous law has a fast kernel"));
+        // The fit is exactly 1 for tasks up to q = 29 − w − one.
+        let one = fit.saturation_nodes().1.expect("a CDF lattice saturates");
         for k in 0..58 {
             let w = 0.5 * k as f64;
-            if let Some(fast) = task.expected_one_more_fast(w, 29.0, &fit, &gl, feature) {
-                let exact = task.expected_one_more(w, 29.0, &g);
+            let q = 29.0 - w - one;
+            let exact = task.expected_one_more(w, 29.0, &g);
+            let whole = task.expected_one_more_fast(w, 29.0, f64::NEG_INFINITY, &fit, &gl, feature);
+            if let Some(fast) = whole {
                 assert!((fast - exact).abs() < 5e-4, "w = {w}: {fast} vs {exact}");
             }
-            let pfast = poisson
-                .expected_one_more_fast(w, 29.0, &fit, &gl, feature)
-                .expect("finite sum always available");
+            let sure = task.expected_one_more_sure_fit(w, q).unwrap();
+            if let Some(shoulder) = task.expected_one_more_fast(w, 29.0, q, &fit, &gl, feature) {
+                let fast = sure + shoulder;
+                assert!((fast - exact).abs() < 5e-4, "w = {w}: {fast} vs {exact}");
+            }
             let pexact = poisson.expected_one_more(w, 29.0, &g);
-            assert!((pfast - pexact).abs() < 5e-4, "w = {w}: {pfast} vs {pexact}");
+            let pwhole = poisson.expected_one_more_fast(w, 29.0, f64::NEG_INFINITY, &fit, &gl, feature);
+            let pshoulder = poisson.expected_one_more_fast(w, 29.0, q, &fit, &gl, feature);
+            let psure = poisson.expected_one_more_sure_fit(w, q).unwrap();
+            for pfast in [pwhole.unwrap(), psure + pshoulder.unwrap()] {
+                assert!((pfast - pexact).abs() < 5e-4, "w = {w}: {pfast} vs {pexact}");
+            }
         }
     }
 
