@@ -145,14 +145,17 @@ impl Default for GridSpec {
 /// exactly on an endpoint). This is [`grid_max_bracketed`] with no
 /// bracket: every grid point is evaluated.
 pub fn grid_max<F: FnMut(f64) -> f64>(f: F, a: f64, b: f64, spec: GridSpec) -> Extremum {
-    grid_max_bracketed(f, |_| (f64::NEG_INFINITY, f64::INFINITY), a, b, spec)
+    grid_max_bracketed(f, |_, _| (f64::NEG_INFINITY, f64::INFINITY), a, b, spec)
 }
 
 /// [`grid_max`] that evaluates `f` only at grid points that can win.
 ///
-/// `bounds(x)` brackets the objective: `lower ≤ f(x) ≤ upper`. Every
-/// grid point's bracket is computed first, and the largest `lower` is the
-/// bar: the maximum is at least that. Grid points are then visited in
+/// `bounds(x, bar)` brackets the objective: `lower ≤ f(x) ≤ upper`. Every
+/// grid point's bracket is computed first, in grid order, and the largest
+/// `lower` is the bar: the maximum is at least that. `bounds` is handed
+/// the bar so far, so it can stop tightening a bracket once its `upper`
+/// is below that: such a point is skipped whatever its bracket, and its
+/// `lower` cannot raise the bar. Grid points are then visited in
 /// order of decreasing `upper`, and `f` is evaluated until the next
 /// `upper` falls below the bar or the best value evaluated so far; no
 /// point from there on can reach it. If the best evaluated value ends
@@ -167,7 +170,7 @@ pub fn grid_max<F: FnMut(f64) -> f64>(f: F, a: f64, b: f64, spec: GridSpec) -> E
 pub fn grid_max_bracketed<F, B>(mut f: F, mut bounds: B, a: f64, b: f64, spec: GridSpec) -> Extremum
 where
     F: FnMut(f64) -> f64,
-    B: FnMut(f64) -> (f64, f64),
+    B: FnMut(f64, f64) -> (f64, f64),
 {
     assert!(a <= b, "invalid interval [{a}, {b}]");
     let n = spec.points.max(3);
@@ -180,7 +183,7 @@ where
     let uppers: Vec<f64> = xs
         .iter()
         .map(|&x| {
-            let (lower, upper) = bounds(x);
+            let (lower, upper) = bounds(x, bar);
             if lower > bar {
                 bar = lower;
             }
@@ -349,7 +352,7 @@ mod tests {
     /// Runs [`grid_max_bracketed`] and counts the objective's calls.
     fn bracketed_counting(
         f: impl Fn(f64) -> f64,
-        bounds: impl FnMut(f64) -> (f64, f64),
+        bounds: impl FnMut(f64, f64) -> (f64, f64),
         a: f64,
         b: f64,
     ) -> (Extremum, usize) {
@@ -385,14 +388,26 @@ mod tests {
         let full = grid_max(f, 0.0, 6.0, GridSpec::default());
         for (name, scale) in [("tight", 0.0), ("loose", 1.0), ("very loose", 10.0)] {
             let bounds = |x: f64| (f(x) - scale * slack(x), f(x) + scale * slack(x));
-            let (e, calls) = bracketed_counting(f, bounds, 0.0, 6.0);
+            let (e, calls) = bracketed_counting(f, |x, _| bounds(x), 0.0, 6.0);
             assert_eq!(bits(e), bits(full), "{name}");
             if scale <= 1.0 {
                 assert!(calls < 128, "{name}: {calls} calls");
             }
+            // A bracket that stays loose wherever its loose upper bound
+            // is already below the bar evaluates the same points.
+            let lazy = |x: f64, bar: f64| {
+                let loose = (f(x) - 2.0, f(x) + 2.0);
+                if loose.1 < bar {
+                    loose
+                } else {
+                    bounds(x)
+                }
+            };
+            let (lazy_e, lazy_calls) = bracketed_counting(f, lazy, 0.0, 6.0);
+            assert_eq!((bits(lazy_e), lazy_calls), (bits(e), calls), "{name}");
         }
         // An always-open bracket evaluates every grid point.
-        let open = |_: f64| (f64::NEG_INFINITY, f64::INFINITY);
+        let open = |_: f64, _: f64| (f64::NEG_INFINITY, f64::INFINITY);
         let (e, calls) = bracketed_counting(f, open, 0.0, 6.0);
         assert_eq!(bits(e), bits(full));
         assert!(calls >= 256, "{calls} calls");
@@ -412,12 +427,12 @@ mod tests {
         let full = grid_max(f, 0.0, 6.0, GridSpec::default());
         // Exact brackets, where later tied points are skipped only if
         // the search wrongly treated "not above the best" as "below".
-        let (e, _) = bracketed_counting(f, |x| (f(x), f(x)), 0.0, 6.0);
+        let (e, _) = bracketed_counting(f, |x, _| (f(x), f(x)), 0.0, 6.0);
         assert_eq!(bits(e), bits(full));
         // Brackets that rank the later tied points first: the first one's
         // upper bound only equals the best value by then, which is not
         // below it, so it is still evaluated and still wins.
-        let bounds = |x: f64| (f(x), f(x) + 0.1 * (x - 2.0).max(0.0));
+        let bounds = |x: f64, _| (f(x), f(x) + 0.1 * (x - 2.0).max(0.0));
         let (e, _) = bracketed_counting(f, bounds, 0.0, 6.0);
         assert_eq!(bits(e), bits(full));
     }
@@ -436,7 +451,7 @@ mod tests {
                 -(x - 4.0) * (x - 4.0)
             }
         };
-        let bounds = |x: f64| {
+        let bounds = |x: f64, _| {
             if x == bar_x {
                 (10.0, 11.0)
             } else {
@@ -449,7 +464,7 @@ mod tests {
         assert!(calls >= 256, "{calls} calls");
         // A violated lower bound elsewhere falls back the same way.
         let f = |x: f64| -(x - 4.0) * (x - 4.0);
-        let bounds = |x: f64| {
+        let bounds = |x: f64, _| {
             if x == xs[10] {
                 (5.0, 6.0)
             } else {
@@ -463,7 +478,7 @@ mod tests {
 
     #[test]
     fn bracketed_search_on_a_degenerate_interval() {
-        let (e, calls) = bracketed_counting(|x| x * x, |_| (100.0, 100.0), 3.0, 3.0);
+        let (e, calls) = bracketed_counting(|x| x * x, |_, _| (100.0, 100.0), 3.0, 3.0);
         assert_eq!(
             bits(e),
             bits(grid_max(|x| x * x, 3.0, 3.0, GridSpec::default()))
