@@ -44,7 +44,7 @@ pub use optimize::{
 pub use memo::{tabulate_cdf, LatticeCache};
 pub use quad::{
     adaptive_gauss_kronrod, adaptive_simpson, adaptive_simpson_checked,
-    gauss_legendre_two_resolution, integrate_to_inf, GaussLegendre, QuadResult,
+    gauss_legendre_two_resolution, integrate_to_inf, GaussLegendre, QuadResult, TwoResolutionNodes,
 };
 pub use roots::{bisect, brent_root, brent_root_from, newton_safeguarded};
 pub use sum::NeumaierSum;

@@ -151,23 +151,58 @@ pub fn grid_max<F: FnMut(f64) -> f64>(f: F, a: f64, b: f64, spec: GridSpec) -> E
 /// [`grid_max`] that evaluates `f` only at grid points that can win.
 ///
 /// `bounds(x, bar)` brackets the objective: `lower ≤ f(x) ≤ upper`. Every
-/// grid point's bracket is computed first, in grid order, and the largest
-/// `lower` is the bar: the maximum is at least that. `bounds` is handed
-/// the bar so far, so it can stop tightening a bracket once its `upper`
-/// is below that: such a point is skipped whatever its bracket, and its
-/// `lower` cannot raise the bar. Grid points are then visited in
-/// order of decreasing `upper`, and `f` is evaluated until the next
-/// `upper` falls below the bar or the best value evaluated so far; no
-/// point from there on can reach it. If the best evaluated value ends
-/// below the bar (a NaN where a bound promised a value, or a violated
-/// lower bound), the skipped points are evaluated as well.
+/// grid point's bracket is computed first, every 16th grid point's
+/// before the rest, and the largest `lower` is the bar: the maximum is
+/// at least that. `bounds` is handed the bar so far, so it can stop
+/// tightening a bracket once its `upper` is below that: such a point is
+/// skipped whatever its bracket, and its `lower` cannot raise the bar.
+/// The coarse points come first so the bar is high before most brackets
+/// are computed. Grid points are then visited in order of decreasing
+/// `upper`, and `f` is evaluated until the next `upper` falls below the
+/// bar or the best value evaluated so far; no point from there on can
+/// reach it. If the best evaluated value ends below the bar (a NaN
+/// where a bound promised a value, or a violated lower bound), the
+/// skipped points are evaluated as well.
 ///
 /// With valid upper bounds the result is bit-identical to the full scan:
 /// a skipped point's value lies strictly below the best, so the best
 /// grid point (the first on ties) and the Brent refinement around it are
-/// the same. A NaN bound counts as open. The `OPTIMIZER_ITERATIONS`
-/// counter counts the grid points actually evaluated.
-pub fn grid_max_bracketed<F, B>(mut f: F, mut bounds: B, a: f64, b: f64, spec: GridSpec) -> Extremum
+/// the same. If `bounds` loosens a bracket only where its loose `upper`
+/// is below the bar it is handed, the final bar, the evaluated points
+/// and the result do not depend on the order the brackets are computed
+/// in. A NaN bound counts as open. The `OPTIMIZER_ITERATIONS` counter
+/// counts the grid points actually evaluated.
+pub fn grid_max_bracketed<F, B>(f: F, bounds: B, a: f64, b: f64, spec: GridSpec) -> Extremum
+where
+    F: FnMut(f64) -> f64,
+    B: FnMut(f64, f64) -> (f64, f64),
+{
+    let order = bar_first(spec.points.max(3));
+    let (e, evaluated) = grid_max_bracketed_in(f, bounds, a, b, spec, order);
+    resq_obs::metrics::OPTIMIZER_ITERATIONS.add(evaluated as u64);
+    e
+}
+
+/// The order [`grid_max_bracketed`] computes brackets in over `n` grid
+/// points: every 16th point, then the rest, each in grid order.
+fn bar_first(n: usize) -> impl Iterator<Item = usize> {
+    const STRIDE: usize = 16;
+    (0..n)
+        .step_by(STRIDE)
+        .chain((0..n).filter(|i| i % STRIDE != 0))
+}
+
+/// [`grid_max_bracketed`] with the brackets computed in `order`, a
+/// permutation of the grid's indices; also returns how many grid points
+/// it evaluated.
+fn grid_max_bracketed_in<F, B>(
+    mut f: F,
+    mut bounds: B,
+    a: f64,
+    b: f64,
+    spec: GridSpec,
+    order: impl Iterator<Item = usize>,
+) -> (Extremum, usize)
 where
     F: FnMut(f64) -> f64,
     B: FnMut(f64, f64) -> (f64, f64),
@@ -176,24 +211,20 @@ where
     let n = spec.points.max(3);
     if a == b {
         let value = f(a);
-        return Extremum { x: a, value };
+        return (Extremum { x: a, value }, 0);
     }
     let xs = crate::linspace(a, b, n);
     let mut bar = f64::NEG_INFINITY;
-    let uppers: Vec<f64> = xs
-        .iter()
-        .map(|&x| {
-            let (lower, upper) = bounds(x, bar);
-            if lower > bar {
-                bar = lower;
-            }
-            if upper.is_nan() {
-                f64::INFINITY
-            } else {
-                upper
-            }
-        })
-        .collect();
+    let mut uppers = vec![f64::INFINITY; n];
+    for i in order {
+        let (lower, upper) = bounds(xs[i], bar);
+        if lower > bar {
+            bar = lower;
+        }
+        if !upper.is_nan() {
+            uppers[i] = upper;
+        }
+    }
     // Best-first: a stable sort keeps grid order among equal bounds.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| uppers[j].total_cmp(&uppers[i]));
@@ -218,7 +249,6 @@ where
         }
         evaluated = n;
     }
-    resq_obs::metrics::OPTIMIZER_ITERATIONS.add(evaluated as u64);
     let mut best_i = 0usize;
     best_v = f64::NEG_INFINITY;
     for (i, &v) in fs.iter().enumerate() {
@@ -231,14 +261,15 @@ where
     let lo = xs[best_i.saturating_sub(1)];
     let hi = xs[(best_i + 1).min(n - 1)];
     let refined = brent_max(&mut f, lo, hi, spec.xtol);
-    if refined.value >= best_v {
+    let e = if refined.value >= best_v {
         refined
     } else {
         Extremum {
             x: xs[best_i],
             value: best_v,
         }
-    }
+    };
+    (e, evaluated)
 }
 
 /// Picks the integer in `[lo, hi]` maximizing `f`, as the paper does for
@@ -411,6 +442,57 @@ mod tests {
         let (e, calls) = bracketed_counting(f, open, 0.0, 6.0);
         assert_eq!(bits(e), bits(full));
         assert!(calls >= 256, "{calls} calls");
+    }
+
+    #[test]
+    fn bar_first_order_matches_grid_order() {
+        // Brackets that stay loose wherever their loose upper bound is
+        // already below the bar they are handed. Computed in grid order
+        // or bar-first, they leave the same bar, so the search evaluates
+        // the same points, counts the same iterations and returns the
+        // same bits; bar-first leaves more of them loose.
+        let f = |x: f64| {
+            (-(x - 1.0) * (x - 1.0) / 0.05).exp()
+                + 1.02 * (-(x - 3.3) * (x - 3.3) / 0.02).exp()
+                + 0.98 * (-(x - 5.2) * (x - 5.2) / 0.1).exp()
+                + 0.01 * x
+        };
+        let tight = |x: f64| 0.05 * (1.0 + (7.0 * x).sin().abs());
+        let n = GridSpec::default().points;
+        let run = |order: Vec<usize>| {
+            let mut evaluated = Vec::new();
+            let mut loose = 0;
+            let (e, count) = grid_max_bracketed_in(
+                |x| {
+                    evaluated.push(x.to_bits());
+                    f(x)
+                },
+                |x, bar| {
+                    if f(x) + 0.3 < bar {
+                        loose += 1;
+                        (f(x) - 0.3, f(x) + 0.3)
+                    } else {
+                        (f(x) - tight(x), f(x) + tight(x))
+                    }
+                },
+                0.0,
+                6.0,
+                GridSpec::default(),
+                order.into_iter(),
+            );
+            evaluated.sort_unstable();
+            ((bits(e), evaluated, count), loose)
+        };
+        let (in_grid_order, loose_in_grid_order) = run((0..n).collect());
+        let (in_bar_first, loose_bar_first) = run(bar_first(n).collect());
+        assert_eq!(in_bar_first, in_grid_order);
+        assert!(
+            loose_bar_first > loose_in_grid_order,
+            "{loose_bar_first} vs {loose_in_grid_order}"
+        );
+        let mut order: Vec<usize> = bar_first(n).collect();
+        order.sort_unstable();
+        assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

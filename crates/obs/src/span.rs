@@ -169,12 +169,17 @@ impl SpanRegistry {
         Arc::new(Self::default())
     }
 
-    /// Records one closure of `path` taking `nanos`.
+    /// Records one closure of `path` taking `nanos`. Only the first
+    /// closure of a path allocates its key.
     pub fn record(&self, path: &str, nanos: u64) {
         let mut map = self.inner.lock().expect("span registry poisoned");
-        map.entry(path.to_string())
-            .or_insert_with(|| SpanStats::new(path))
-            .record(nanos);
+        match map.get_mut(path) {
+            Some(stats) => stats.record(nanos),
+            None => map
+                .entry(path.to_string())
+                .or_insert_with(|| SpanStats::new(path))
+                .record(nanos),
+        }
     }
 
     /// Snapshot of every recorded path, sorted by path.
