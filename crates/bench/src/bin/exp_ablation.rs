@@ -24,7 +24,10 @@ fn main() {
     let analytic = StaticStrategy::new(task, ckpt(2.0, 0.4), 10.0).unwrap();
     let want = analytic.expected_work(12);
     let mut rows = Vec::new();
-    println!("   {:>6} {:>14} {:>12} {:>8}", "grid", "E(12)", "abs error", "n_opt");
+    println!(
+        "   {:>6} {:>14} {:>12} {:>8}",
+        "grid", "E(12)", "abs error", "n_opt"
+    );
     for grid in [128usize, 256, 512, 1024, 2048, 4096] {
         let conv = ConvolutionStatic::new(&task, ckpt(2.0, 0.4), 10.0, grid).unwrap();
         let got = conv.expected_work_upto(12)[11];
@@ -34,7 +37,12 @@ fn main() {
             (got - want).abs(),
             plan.n_opt
         );
-        rows.push(vec![grid as f64, got, (got - want).abs(), plan.n_opt as f64]);
+        rows.push(vec![
+            grid as f64,
+            got,
+            (got - want).abs(),
+            plan.n_opt as f64,
+        ]);
     }
     println!("   analytic reference E(12) = {want:.6}\n");
     write_csv(
@@ -57,7 +65,13 @@ fn main() {
         rows.push(vec![r, w]);
     }
     println!("   (R − W_int stays ≈ μ + μ_C + safety margin — the strategy's reserve)\n");
-    write_csv(&dir.join("exp_ablation_threshold.csv"), "exp_ablation", &["r", "w_int"], rows).unwrap();
+    write_csv(
+        &dir.join("exp_ablation_threshold.csv"),
+        "exp_ablation",
+        &["r", "w_int"],
+        rows,
+    )
+    .unwrap();
 
     // --- 3. Static-strategy relaxation granularity ----------------------
     println!("== ablation 3: continuous relaxation vs integer scan (Fig-5 parameters)");
@@ -67,12 +81,21 @@ fn main() {
     println!("   {:>4} {:>12}", "n", "E(n)");
     for n in 1..=12u64 {
         let e = s.expected_work(n);
-        println!("   {n:>4} {e:>12.4}{}", if n == plan.n_opt { "  <- n_opt" } else { "" });
+        println!(
+            "   {n:>4} {e:>12.4}{}",
+            if n == plan.n_opt { "  <- n_opt" } else { "" }
+        );
         rows.push(vec![n as f64, e]);
     }
     println!(
         "   relaxation y_opt = {:.3}; rounding to the better neighbour reproduces n_opt = {}",
         plan.y_opt, plan.n_opt
     );
-    write_csv(&dir.join("exp_ablation_en.csv"), "exp_ablation", &["n", "e_n"], rows).unwrap();
+    write_csv(
+        &dir.join("exp_ablation_en.csv"),
+        "exp_ablation",
+        &["n", "e_n"],
+        rows,
+    )
+    .unwrap();
 }

@@ -22,13 +22,25 @@ fn main() {
         let p = i as f64 / 40.0;
         let u = uni.optimize_with_min_success(p).unwrap();
         let n = nor.optimize_with_min_success(p).unwrap();
-        rows.push(vec![p, u.expected_work, u.lead_time, n.expected_work, n.lead_time]);
+        rows.push(vec![
+            p,
+            u.expected_work,
+            u.lead_time,
+            n.expected_work,
+            n.lead_time,
+        ]);
     }
     let csv = results_dir().join("exp_risk_frontier.csv");
     write_csv(
         &csv,
         "exp_risk_frontier",
-        &["min_success", "uniform_ew", "uniform_lead", "normal_ew", "normal_lead"],
+        &[
+            "min_success",
+            "uniform_ew",
+            "uniform_lead",
+            "normal_ew",
+            "normal_lead",
+        ],
         rows.clone(),
     )
     .unwrap();

@@ -39,7 +39,9 @@
 use resq::core::policy::ThresholdWorkflowPolicy;
 use resq::dist::{Normal, Truncated, Uniform};
 use resq::sim::stats::quantile;
-use resq::sim::{run_trials_batched, run_trials_observed, BatchScratch, MonteCarloConfig, WorkflowSim};
+use resq::sim::{
+    run_trials_batched, run_trials_observed, BatchScratch, MonteCarloConfig, WorkflowSim,
+};
 use resq::{DynamicStrategy, LatticeSpec, LawFamily, Preemptible, SolveCache, StaticStrategy};
 use resq_dist::Poisson;
 use resq_numerics::{adaptive_simpson, brent_root};
@@ -186,7 +188,11 @@ impl Gate {
     /// it (a baseline row without `--baseline`), one skip when a
     /// report's mode or the host rules it out, else one outcome per entry.
     fn evaluate(&self, report: &Report, baseline: Option<&Report>) -> Vec<Outcome> {
-        let outcome = |verdict, detail| Outcome { gate: self.name, verdict, detail };
+        let outcome = |verdict, detail| Outcome {
+            gate: self.name,
+            verdict,
+            detail,
+        };
         let reports = match (self.limit, baseline) {
             (Limit::TimesBaseline(_), None) => return Vec::new(),
             (Limit::TimesBaseline(_), Some(base)) => vec![report, base],
@@ -238,7 +244,11 @@ impl Gate {
         report: &Report,
         baseline: Option<&Report>,
     ) -> Option<(Verdict, String)> {
-        let find = |name: &str| report.entry(name).expect("check() requires every named entry");
+        let find = |name: &str| {
+            report
+                .entry(name)
+                .expect("check() requires every named entry")
+        };
         let over = self.over.map(find);
         let (factor, against) = match self.limit {
             Limit::Fixed(limit) => (limit, None),
@@ -428,8 +438,13 @@ fn serve_scrape_entry(smoke: bool) -> Entry {
     };
     let mut entry = mc_entry("serve_scrape", 1, smoke, true);
     stop.store(true, Ordering::Relaxed);
-    let scrapes = scraper.join().expect("serve_scrape: scraper thread panicked");
-    assert!(scrapes > 0, "serve_scrape: scraper never completed a request");
+    let scrapes = scraper
+        .join()
+        .expect("serve_scrape: scraper thread panicked");
+    assert!(
+        scrapes > 0,
+        "serve_scrape: scraper never completed a request"
+    );
     server.stop();
     entry.degraded = host_parallelism() < 2;
     entry
@@ -494,43 +509,76 @@ fn collect(smoke: bool) -> Vec<Entry> {
     let n_threads = host_parallelism();
     let mut entries = Vec::new();
 
-    entries.push(time_entry("quad/adaptive_simpson", scaled(400, smoke), 1, || {
-        let r = adaptive_simpson(|x| (-0.5 * x * x).exp() * (1.0 + x).ln_1p(), 0.0, 8.0, 1e-10);
-        black_box(r.value);
-    }));
+    entries.push(time_entry(
+        "quad/adaptive_simpson",
+        scaled(400, smoke),
+        1,
+        || {
+            let r = adaptive_simpson(
+                |x| (-0.5 * x * x).exp() * (1.0 + x).ln_1p(),
+                0.0,
+                8.0,
+                1e-10,
+            );
+            black_box(r.value);
+        },
+    ));
 
-    entries.push(time_entry("roots/brent_root", scaled(2000, smoke), 1, || {
-        let r = brent_root(|x| x.exp() - 3.0 * x, 0.0, 1.0, 1e-12);
-        black_box(r.unwrap());
-    }));
+    entries.push(time_entry(
+        "roots/brent_root",
+        scaled(2000, smoke),
+        1,
+        || {
+            let r = brent_root(|x| x.exp() - 3.0 * x, 0.0, 1.0, 1e-12);
+            black_box(r.unwrap());
+        },
+    ));
 
-    entries.push(time_entry("specfun/lambert_w", scaled(20_000, smoke), 1, || {
-        black_box(lambert_w0(black_box(1.5)));
-        black_box(lambert_wm1(black_box(-0.2)));
-    }));
+    entries.push(time_entry(
+        "specfun/lambert_w",
+        scaled(20_000, smoke),
+        1,
+        || {
+            black_box(lambert_w0(black_box(1.5)));
+            black_box(lambert_wm1(black_box(-0.2)));
+        },
+    ));
 
-    entries.push(time_entry("solve/preemptible", scaled(40, smoke), 1, || {
-        let law = Uniform::new(1.0, 7.5).unwrap();
-        let model = Preemptible::new(law, 10.0).unwrap();
-        black_box(model.optimize().expected_work);
-    }));
+    entries.push(time_entry(
+        "solve/preemptible",
+        scaled(40, smoke),
+        1,
+        || {
+            let law = Uniform::new(1.0, 7.5).unwrap();
+            let model = Preemptible::new(law, 10.0).unwrap();
+            black_box(model.optimize().expected_work);
+        },
+    ));
 
     // A fresh strategy every iteration: what one solve costs.
     entries.push(time_entry("solve/static", scaled(40, smoke), 1, || {
         let task = Poisson::new(3.0).unwrap();
         let ckpt = Truncated::above(Normal::new(5.0, 0.4).unwrap(), 0.0).unwrap();
-        let plan = StaticStrategy::new(task, ckpt, 29.0).unwrap().optimize().unwrap();
-        black_box(plan.n_opt);
-    }));
-
-    entries.push(time_entry("solve/static_normal", scaled(40, smoke), 1, || {
-        let ckpt = Truncated::above(Normal::new(5.0, 0.4).unwrap(), 0.0).unwrap();
-        let plan = StaticStrategy::new(Normal::new(3.0, 0.5).unwrap(), ckpt, 30.0)
+        let plan = StaticStrategy::new(task, ckpt, 29.0)
             .unwrap()
             .optimize()
             .unwrap();
         black_box(plan.n_opt);
     }));
+
+    entries.push(time_entry(
+        "solve/static_normal",
+        scaled(40, smoke),
+        1,
+        || {
+            let ckpt = Truncated::above(Normal::new(5.0, 0.4).unwrap(), 0.0).unwrap();
+            let plan = StaticStrategy::new(Normal::new(3.0, 0.5).unwrap(), ckpt, 30.0)
+                .unwrap()
+                .optimize()
+                .unwrap();
+            black_box(plan.n_opt);
+        },
+    ));
 
     entries.push(time_entry("solve/dynamic", scaled(40, smoke), 1, || {
         let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
@@ -553,11 +601,16 @@ fn collect(smoke: bool) -> Vec<Entry> {
         assert!(!queries.is_empty(), "no served lattice queries to time");
         let mut cache = SolveCache::new();
         let mut i = 0usize;
-        time_entry("solve/lattice_lookup", scaled(20_000, smoke), 1, move || {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            black_box(lattice.query(q, &mut cache).expect("timed query").n_opt);
-        })
+        time_entry(
+            "solve/lattice_lookup",
+            scaled(20_000, smoke),
+            1,
+            move || {
+                let q = &queries[i % queries.len()];
+                i += 1;
+                black_box(lattice.query(q, &mut cache).expect("timed query").n_opt);
+            },
+        )
     });
 
     entries.push(mc_entry("mc/threads_1", 1, smoke, false));
@@ -566,7 +619,12 @@ fn collect(smoke: bool) -> Vec<Entry> {
 
     entries.push(mc_entry("mc_batched/threads_1", 1, smoke, true));
     entries.push(mc_entry("mc_batched/threads_2", 2, smoke, true));
-    entries.push(mc_entry("mc_batched/threads_max", n_threads.max(2), smoke, true));
+    entries.push(mc_entry(
+        "mc_batched/threads_max",
+        n_threads.max(2),
+        smoke,
+        true,
+    ));
 
     entries.push(serve_scrape_entry(smoke));
 
@@ -608,8 +666,14 @@ fn render(entries: &[Entry], mode: &str, wall_time_secs: f64) -> String {
             ", \"iters\": {}, \"threads\": {}, \"degraded\": {}, \"total_nanos\": {}, \
              \"nanos_per_iter\": {:.1}, \"p50_nanos\": {:.1}, \"p90_nanos\": {:.1}, \
              \"p99_nanos\": {:.1}",
-            e.iters, e.threads, e.degraded, e.total_nanos, e.nanos_per_iter, e.p50_nanos,
-            e.p90_nanos, e.p99_nanos
+            e.iters,
+            e.threads,
+            e.degraded,
+            e.total_nanos,
+            e.nanos_per_iter,
+            e.p50_nanos,
+            e.p90_nanos,
+            e.p99_nanos
         ));
         if let Some(pe) = e.parallel_efficiency {
             row.push_str(&format!(", \"parallel_efficiency\": {pe:.4}"));
@@ -659,8 +723,7 @@ impl Report {
 /// the thread-sweep entries), v5's boolean `degraded`, and the
 /// provenance block with `available_parallelism`.
 fn load_report(path: &str) -> Result<Report, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let root = json::parse(&text).map_err(|e| format!("`{path}` is not valid JSON: {e}"))?;
     let schema = root
         .get("schema")
@@ -705,17 +768,23 @@ fn load_report(path: &str) -> Result<Report, String> {
         // derived efficiency (other entries must not need it, so it
         // stays optional for them).
         let sweep = name.starts_with("mc/threads_") || name.starts_with("mc_batched/threads_");
-        if sweep && !entry.parallel_efficiency.is_some_and(|pe| pe.is_finite() && pe > 0.0) {
-            return Err(format!("entry `{name}` lacks a positive `parallel_efficiency` (v7)"));
+        if sweep
+            && !entry
+                .parallel_efficiency
+                .is_some_and(|pe| pe.is_finite() && pe > 0.0)
+        {
+            return Err(format!(
+                "entry `{name}` lacks a positive `parallel_efficiency` (v7)"
+            ));
         }
         if entry.iters == 0 || entry.threads == 0 {
-            return Err(format!("entry `{name}` ran zero iterations or claims zero threads"));
+            return Err(format!(
+                "entry `{name}` ran zero iterations or claims zero threads"
+            ));
         }
         entries.push(entry);
     }
-    let prov = root
-        .get("provenance")
-        .ok_or("missing `provenance` block")?;
+    let prov = root.get("provenance").ok_or("missing `provenance` block")?;
     for key in ["tool", "mode", "crate_version"] {
         prov.get(key)
             .and_then(|v| v.as_str())
@@ -834,7 +903,9 @@ fn conclude(outcomes: &[Outcome]) -> i32 {
         return 0;
     }
     println!("passed with {} skipped gate(s):", skips.len());
-    skips.iter().for_each(|o| println!("  - {}: {}", o.gate, o.detail));
+    skips
+        .iter()
+        .for_each(|o| println!("  - {}: {}", o.gate, o.detail));
     println!("exit 3: passed-with-skips (0 = all gates ran and passed)");
     3
 }
@@ -943,7 +1014,13 @@ mod tests {
 
     /// `report` with `edit` applied to its entry `name`.
     fn with(mut report: Report, name: &str, edit: impl FnOnce(&mut Entry)) -> Report {
-        edit(report.entries.iter_mut().find(|e| e.name == name).expect("entry to edit"));
+        edit(
+            report
+                .entries
+                .iter_mut()
+                .find(|e| e.name == name)
+                .expect("entry to edit"),
+        );
         report
     }
 
@@ -983,7 +1060,11 @@ mod tests {
         let scalar = degraded(full(), "mc/threads_1");
         assert_outcome(&check(&scalar, None), 3, &["batched-vs-scalar"]);
         let batched = degraded(full(), "mc_batched/threads_1");
-        assert_outcome(&check(&batched, None), 3, &["batched-vs-scalar", "serve_scrape"]);
+        assert_outcome(
+            &check(&batched, None),
+            3,
+            &["batched-vs-scalar", "serve_scrape"],
+        );
     }
 
     #[test]
@@ -998,7 +1079,11 @@ mod tests {
         assert_outcome(&check(&at(4_000_001.0), None), 1, &[]);
         // The row never skips: a degraded entry does not excuse it.
         let excused = degraded(at(4_000_001.0), "mc_batched/threads_1");
-        assert_outcome(&check(&excused, None), 1, &["batched-vs-scalar", "serve_scrape"]);
+        assert_outcome(
+            &check(&excused, None),
+            1,
+            &["batched-vs-scalar", "serve_scrape"],
+        );
     }
 
     #[test]
@@ -1052,7 +1137,11 @@ mod tests {
         let exact = with(full(), "solve/static", |e| e.nanos_per_iter = 125_000.0);
         let outcomes = check(&exact, Some(&base));
         assert_outcome(&outcomes, 0, &[]);
-        assert_eq!(passes(&outcomes, "regression"), 2, "one pass per solve/* entry");
+        assert_eq!(
+            passes(&outcomes, "regression"),
+            2,
+            "one pass per solve/* entry"
+        );
         let slower = with(full(), "solve/static", |e| e.nanos_per_iter = 125_001.0);
         assert_outcome(&check(&slower, Some(&base)), 1, &[]);
         let fresh = degraded(full(), "solve/static");
@@ -1156,7 +1245,10 @@ mod tests {
         assert_outcome(&check(&report, None), 3, &skipped);
         let outcomes = check(&report, Some(&report));
         assert_outcome(&outcomes, 3, &skipped);
-        let solvers = report.entries.iter().filter(|e| e.name.starts_with("solve/"));
+        let solvers = report
+            .entries
+            .iter()
+            .filter(|e| e.name.starts_with("solve/"));
         assert_eq!(passes(&outcomes, "regression"), solvers.count());
     }
 
@@ -1166,7 +1258,10 @@ mod tests {
         let doc = std::fs::read_to_string(path).expect("docs/OPERATIONS.md");
         for g in GATES {
             let row = format!("| `{}` |", g.name);
-            assert!(doc.contains(&row), "docs/OPERATIONS.md has no gate table row {row}");
+            assert!(
+                doc.contains(&row),
+                "docs/OPERATIONS.md has no gate table row {row}"
+            );
         }
     }
 }

@@ -17,9 +17,7 @@ use resq::sim::{
 };
 use resq::traces::learn::LearnConfig;
 use resq::traces::{learn_checkpoint_law, SyntheticTrace};
-use resq::{
-    CampaignModel, DynamicStrategy, FixedLeadPolicy, Preemptible, StaticStrategy,
-};
+use resq::{CampaignModel, DynamicStrategy, FixedLeadPolicy, Preemptible, StaticStrategy};
 
 fn ckpt(mu_c: f64, sigma_c: f64) -> Truncated<Normal> {
     Truncated::above(Normal::new(mu_c, sigma_c).unwrap(), 0.0).unwrap()
@@ -66,7 +64,13 @@ pub fn exp_gain_sweep() -> FigureResult {
         ]);
     }
     let csv = results_dir().join("exp_gain_sweep.csv");
-    write_csv(&csv, "exp_gain_sweep", &["r_over_b", "gain_uniform", "gain_trunc_normal"], rows.clone()).unwrap();
+    write_csv(
+        &csv,
+        "exp_gain_sweep",
+        &["r_over_b", "gain_uniform", "gain_trunc_normal"],
+        rows.clone(),
+    )
+    .unwrap();
 
     // Anchors: no gain in the saturated regime; substantial gain when R
     // is tight (the paper's 25% case is Fig 1(a): R/b = 10/7.5 = 1.33).
@@ -113,15 +117,19 @@ pub fn exp_policy_mc(trials: u64) -> FigureResult {
         task,
         ckpt: c,
     };
-    let static_strategy =
-        StaticStrategy::new(Normal::new(3.0, 0.5).unwrap(), c, r).unwrap();
+    let static_strategy = StaticStrategy::new(Normal::new(3.0, 0.5).unwrap(), c, r).unwrap();
     let static_plan = static_strategy.optimize().unwrap();
     let dynamic = DynamicStrategy::new(task, c, r).unwrap();
     let w_int = dynamic.threshold().unwrap().unwrap();
 
     let s_static = run_trials(cfg, |_, rng| {
-        sim.run_once(&StaticWorkflowPolicy { n_opt: static_plan.n_opt }, rng)
-            .work_saved
+        sim.run_once(
+            &StaticWorkflowPolicy {
+                n_opt: static_plan.n_opt,
+            },
+            rng,
+        )
+        .work_saved
     });
     let s_dynamic = run_trials(cfg, |_, rng| {
         sim.run_once(&ThresholdWorkflowPolicy { threshold: w_int }, rng)
@@ -217,8 +225,13 @@ pub fn exp_dynamic_vs_static(trials: u64) -> FigureResult {
             threads: 0,
         };
         let s_static = run_trials(cfg, |_, rng| {
-            sim.run_once(&StaticWorkflowPolicy { n_opt: static_plan.n_opt }, rng)
-                .work_saved
+            sim.run_once(
+                &StaticWorkflowPolicy {
+                    n_opt: static_plan.n_opt,
+                },
+                rng,
+            )
+            .work_saved
         });
         let s_dynamic = run_trials(cfg, |_, rng| {
             sim.run_once(&ThresholdWorkflowPolicy { threshold: w_int }, rng)
@@ -234,7 +247,13 @@ pub fn exp_dynamic_vs_static(trials: u64) -> FigureResult {
         rows.push(vec![sigma, s_static.mean, s_dynamic.mean, gain]);
     }
     let csv = results_dir().join("exp_dynamic_vs_static.csv");
-    write_csv(&csv, "exp_dynamic_vs_static", &["sigma", "static_mean", "dynamic_mean", "gain"], rows).unwrap();
+    write_csv(
+        &csv,
+        "exp_dynamic_vs_static",
+        &["sigma", "static_mean", "dynamic_mean", "gain"],
+        rows,
+    )
+    .unwrap();
 
     FigureResult {
         id: "exp_dynamic_vs_static".into(),
@@ -306,8 +325,7 @@ pub fn exp_campaign(trials: u64) -> FigureResult {
                 let res = run_trials(cfg_mc, |_, rng| {
                     sim.run_once(&config, &policy, rng).reservations as f64
                 });
-                let cost =
-                    run_trials(cfg_mc, |_, rng| sim.run_once(&config, &policy, rng).cost);
+                let cost = run_trials(cfg_mc, |_, rng| sim.run_once(&config, &policy, rng).cost);
                 rows.push(vec![pi as f64, bi as f64, ri as f64, res.mean, cost.mean]);
                 res_means[pi][bi][ri] = res.mean;
             }
@@ -329,8 +347,7 @@ pub fn exp_campaign(trials: u64) -> FigureResult {
             Anchor::new(
                 "dynamic threshold: continuation ~ no-op",
                 0.0,
-                (res_means[0][0][0] - res_means[0][0][1]).abs()
-                    / res_means[0][0][0].max(1e-9),
+                (res_means[0][0][0] - res_means[0][0][1]).abs() / res_means[0][0][0].max(1e-9),
                 0.05,
             ),
             Anchor::new(
@@ -366,9 +383,8 @@ pub fn exp_trace_learning() -> FigureResult {
         let Ok((plan, _)) = learned.plan(r) else {
             continue;
         };
-        let achieved = ref_model.expected_work(
-            plan.lead_time.clamp(ref_model.checkpoint_bounds().0, r),
-        );
+        let achieved =
+            ref_model.expected_work(plan.lead_time.clamp(ref_model.checkpoint_bounds().0, r));
         let regret = ((ref_plan.expected_work - achieved) / ref_plan.expected_work).max(0.0);
         if n == 10000 {
             regret_large = regret;
@@ -376,7 +392,13 @@ pub fn exp_trace_learning() -> FigureResult {
         rows.push(vec![n as f64, plan.lead_time, regret]);
     }
     let csv = results_dir().join("exp_trace_learning.csv");
-    write_csv(&csv, "exp_trace_learning", &["trace_len", "lead_time", "relative_regret"], rows).unwrap();
+    write_csv(
+        &csv,
+        "exp_trace_learning",
+        &["trace_len", "lead_time", "relative_regret"],
+        rows,
+    )
+    .unwrap();
 
     FigureResult {
         id: "exp_trace_learning".into(),
@@ -422,8 +444,7 @@ pub fn exp_general_instance(trials: u64) -> FigureResult {
         let mut w = 0.0;
         let mut n = 0usize;
         loop {
-            let stop = n >= chain.len()
-                || matches!(thresholds[n], Some(t) if w >= t);
+            let stop = n >= chain.len() || matches!(thresholds[n], Some(t) if w >= t);
             if stop {
                 let c = c_law.sample(rng);
                 return if w + c <= r { w } else { 0.0 };
@@ -496,8 +517,7 @@ pub fn exp_general_instance(trials: u64) -> FigureResult {
             Anchor::new(
                 "DP upper-bounds one-step",
                 1.0,
-                (dp.value_at_start >= s_one_step.mean - 4.0 * s_one_step.std_error) as u8
-                    as f64,
+                (dp.value_at_start >= s_one_step.mean - 4.0 * s_one_step.std_error) as u8 as f64,
                 0.0,
             ),
         ],
@@ -590,7 +610,9 @@ pub fn exp_retry_sweep(trials: u64) -> FigureResult {
 
     FigureResult {
         id: "exp_retry_sweep".into(),
-        title: "failure-aware lead time vs failure-free and pessimistic baselines (unreliable writes)".into(),
+        title:
+            "failure-aware lead time vs failure-free and pessimistic baselines (unreliable writes)"
+                .into(),
         anchors: vec![
             Anchor::new("q=0 lead time is the paper X_opt", 5.5, q0_lead, 1e-6),
             Anchor::new(

@@ -18,10 +18,7 @@ fn ckpt(mu_c: f64, sigma_c: f64) -> Truncated<Normal> {
 }
 
 /// Writes the `E[W(X)]` curve of a §3 model over `X ∈ [a, R]`.
-fn expected_work_series<C: Continuous>(
-    model: &Preemptible<C>,
-    points: usize,
-) -> Vec<Vec<f64>> {
+fn expected_work_series<C: Continuous>(model: &Preemptible<C>, points: usize) -> Vec<Vec<f64>> {
     let (a, _) = model.checkpoint_bounds();
     linspace(a, model.reservation(), points)
         .into_iter()
@@ -42,9 +39,25 @@ pub fn fig01() -> FigureResult {
     let m_a = Preemptible::new(Uniform::new(1.0, 7.5).unwrap(), 10.0).unwrap();
     let plan_a = m_a.optimize();
     let csv_a = dir.join("fig01a_uniform.csv");
-    write_csv(&csv_a, "fig01", &["x", "expected_work"], expected_work_series(&m_a, 400)).unwrap();
-    anchors.push(Anchor::new("(a) X_opt = (R+a)/2", 5.5, plan_a.lead_time, 1e-4));
-    anchors.push(Anchor::new("(a) E[W(X_opt)]", 3.1, plan_a.expected_work, 0.05));
+    write_csv(
+        &csv_a,
+        "fig01",
+        &["x", "expected_work"],
+        expected_work_series(&m_a, 400),
+    )
+    .unwrap();
+    anchors.push(Anchor::new(
+        "(a) X_opt = (R+a)/2",
+        5.5,
+        plan_a.lead_time,
+        1e-4,
+    ));
+    anchors.push(Anchor::new(
+        "(a) E[W(X_opt)]",
+        3.1,
+        plan_a.expected_work,
+        0.05,
+    ));
     anchors.push(Anchor::new(
         "(a) pessimistic E[W(b)]",
         2.5,
@@ -67,8 +80,19 @@ pub fn fig01() -> FigureResult {
     // (b) a=1, b=5, R=10.
     let m_b = Preemptible::new(Uniform::new(1.0, 5.0).unwrap(), 10.0).unwrap();
     let csv_b = dir.join("fig01b_uniform.csv");
-    write_csv(&csv_b, "fig01", &["x", "expected_work"], expected_work_series(&m_b, 400)).unwrap();
-    anchors.push(Anchor::new("(b) X_opt = b", 5.0, m_b.optimize().lead_time, 1e-4));
+    write_csv(
+        &csv_b,
+        "fig01",
+        &["x", "expected_work"],
+        expected_work_series(&m_b, 400),
+    )
+    .unwrap();
+    anchors.push(Anchor::new(
+        "(b) X_opt = b",
+        5.0,
+        m_b.optimize().lead_time,
+        1e-4,
+    ));
 
     FigureResult {
         id: "fig01".into(),
@@ -92,10 +116,21 @@ pub fn fig02() -> FigureResult {
     let m_a = Preemptible::new(law_a, 10.0).unwrap();
     let plan_a = m_a.optimize();
     let csv_a = dir.join("fig02a_exponential.csv");
-    write_csv(&csv_a, "fig02", &["x", "expected_work"], expected_work_series(&m_a, 400)).unwrap();
+    write_csv(
+        &csv_a,
+        "fig02",
+        &["x", "expected_work"],
+        expected_work_series(&m_a, 400),
+    )
+    .unwrap();
     let closed_a = closed_form::exponential_x_opt(0.5, 1.0, 5.0, 10.0).unwrap();
     // Paper prints "X_opt ≈ 3.9" (read off the plot); exact formula: 3.82.
-    anchors.push(Anchor::new("(a) X_opt (plot read)", 3.9, plan_a.lead_time, 0.15));
+    anchors.push(Anchor::new(
+        "(a) X_opt (plot read)",
+        3.9,
+        plan_a.lead_time,
+        0.15,
+    ));
     anchors.push(Anchor::new(
         "(a) Lambert-W form = optimizer",
         closed_a,
@@ -107,8 +142,19 @@ pub fn fig02() -> FigureResult {
     let law_b = Truncated::new(Exponential::new(0.5).unwrap(), 1.0, 3.0).unwrap();
     let m_b = Preemptible::new(law_b, 10.0).unwrap();
     let csv_b = dir.join("fig02b_exponential.csv");
-    write_csv(&csv_b, "fig02", &["x", "expected_work"], expected_work_series(&m_b, 400)).unwrap();
-    anchors.push(Anchor::new("(b) X_opt = b", 3.0, m_b.optimize().lead_time, 1e-4));
+    write_csv(
+        &csv_b,
+        "fig02",
+        &["x", "expected_work"],
+        expected_work_series(&m_b, 400),
+    )
+    .unwrap();
+    anchors.push(Anchor::new(
+        "(b) X_opt = b",
+        3.0,
+        m_b.optimize().lead_time,
+        1e-4,
+    ));
     anchors.push(Anchor::new(
         "(b) closed form saturates",
         3.0,
@@ -137,7 +183,13 @@ pub fn fig03() -> FigureResult {
     let m_a = Preemptible::new(law_a, 10.0).unwrap();
     let plan_a = m_a.optimize();
     let csv_a = dir.join("fig03a_normal.csv");
-    write_csv(&csv_a, "fig03", &["x", "expected_work"], expected_work_series(&m_a, 400)).unwrap();
+    write_csv(
+        &csv_a,
+        "fig03",
+        &["x", "expected_work"],
+        expected_work_series(&m_a, 400),
+    )
+    .unwrap();
     let root = closed_form::normal_x_opt(3.5, 1.0, 1.0, 7.5, 10.0).unwrap();
     anchors.push(Anchor::new(
         "(a) optimizer = g' root",
@@ -157,8 +209,19 @@ pub fn fig03() -> FigureResult {
     let law_b = Truncated::new(Normal::new(3.5, 1.0).unwrap(), 1.0, 4.7).unwrap();
     let m_b = Preemptible::new(law_b, 10.0).unwrap();
     let csv_b = dir.join("fig03b_normal.csv");
-    write_csv(&csv_b, "fig03", &["x", "expected_work"], expected_work_series(&m_b, 400)).unwrap();
-    anchors.push(Anchor::new("(b) X_opt = b", 4.7, m_b.optimize().lead_time, 1e-3));
+    write_csv(
+        &csv_b,
+        "fig03",
+        &["x", "expected_work"],
+        expected_work_series(&m_b, 400),
+    )
+    .unwrap();
+    anchors.push(Anchor::new(
+        "(b) X_opt = b",
+        4.7,
+        m_b.optimize().lead_time,
+        1e-3,
+    ));
 
     FigureResult {
         id: "fig03".into(),
@@ -186,7 +249,13 @@ pub fn fig04() -> FigureResult {
     let m_a = Preemptible::new(law_a, 10.0).unwrap();
     let plan_a = m_a.optimize();
     let csv_a = dir.join("fig04a_lognormal.csv");
-    write_csv(&csv_a, "fig04", &["x", "expected_work"], expected_work_series(&m_a, 400)).unwrap();
+    write_csv(
+        &csv_a,
+        "fig04",
+        &["x", "expected_work"],
+        expected_work_series(&m_a, 400),
+    )
+    .unwrap();
     let root = closed_form::lognormal_x_opt(1.0, 0.35, 1.0, 9.0, 10.0).unwrap();
     anchors.push(Anchor::new(
         "(a) optimizer = derivative root",
@@ -205,8 +274,19 @@ pub fn fig04() -> FigureResult {
     let law_b = Truncated::new(LogNormal::new(1.0, 0.35).unwrap(), 1.0, 3.0).unwrap();
     let m_b = Preemptible::new(law_b, 10.0).unwrap();
     let csv_b = dir.join("fig04b_lognormal.csv");
-    write_csv(&csv_b, "fig04", &["x", "expected_work"], expected_work_series(&m_b, 400)).unwrap();
-    anchors.push(Anchor::new("(b) X_opt = b", 3.0, m_b.optimize().lead_time, 1e-3));
+    write_csv(
+        &csv_b,
+        "fig04",
+        &["x", "expected_work"],
+        expected_work_series(&m_b, 400),
+    )
+    .unwrap();
+    anchors.push(Anchor::new(
+        "(b) X_opt = b",
+        3.0,
+        m_b.optimize().lead_time,
+        1e-3,
+    ));
 
     FigureResult {
         id: "fig04".into(),

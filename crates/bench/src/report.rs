@@ -187,8 +187,13 @@ mod tests {
         let dir = std::env::temp_dir().join("resq-bench-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
-        write_csv(&path, "round_trip", &["x", "y"], vec![vec![1.0, 2.0], vec![3.0, 4.0]])
-            .unwrap();
+        write_csv(
+            &path,
+            "round_trip",
+            &["x", "y"],
+            vec![vec![1.0, 2.0], vec![3.0, 4.0]],
+        )
+        .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("x,y\n"));
         assert_eq!(text.lines().count(), 3);

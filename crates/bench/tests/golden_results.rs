@@ -20,10 +20,7 @@ fn committed_results() -> PathBuf {
 
 #[test]
 fn regenerated_analytic_artifacts_are_byte_identical() {
-    let scratch = std::env::temp_dir().join(format!(
-        "resq-golden-results-{}",
-        std::process::id()
-    ));
+    let scratch = std::env::temp_dir().join(format!("resq-golden-results-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).unwrap();
     // Redirect write_csv away from the committed artifacts; the bench
     // binaries honour the same variable, so this is the supported
@@ -58,12 +55,10 @@ fn regenerated_analytic_artifacts_are_byte_identical() {
         let golden_bytes = std::fs::read(&golden)
             .unwrap_or_else(|e| panic!("missing committed golden {golden:?}: {e}"));
         assert_eq!(
-            fresh_bytes,
-            golden_bytes,
+            fresh_bytes, golden_bytes,
             "{}: regenerated {:?} differs from the committed artifact — the \
              fast path leaked into a reported value (exactness discipline broken)",
-            fig.id,
-            name
+            fig.id, name
         );
     }
 

@@ -13,17 +13,17 @@
 //! observability flags (`--log-json`, `--metrics`, `--progress`)
 //! documented in `docs/OBSERVABILITY.md`.
 
+use resq::core::policy::ThresholdWorkflowPolicy;
 use resq::dist::{Distribution, Xoshiro256pp};
+use resq::dist::{DynLaw, Sample, Uniform};
 use resq::obs::{
     chrometrace, event_type, http, metrics::Counter, span, tracectx, Event, JsonlSink, NullSink,
     RunInfo, RunManifest, RunRegistry, RunSink, TraceCtx, TracedSink,
 };
-use resq::core::policy::ThresholdWorkflowPolicy;
 use resq::sim::{
     run_trials_batched, BatchScratch, FaultyOutcome, FaultyWorkflowSim, MonteCarloConfig,
     ReliabilityInjector, WorkflowSim,
 };
-use resq::dist::{DynLaw, Sample, Uniform};
 use resq::{
     AnswerSource, CheckpointReliability, ConvolutionStatic, DynamicStrategy, LatticeSpec,
     LawFamily, PolicyLattice, PolicyQuery, Preemptible, SolveCache, StaticStrategy, TaskParams,
@@ -130,8 +130,7 @@ fn obs_command(args: &Args) -> Result<(), ArgError> {
         ))
     };
     let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read `{path}`: {e}")))
+        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read `{path}`: {e}")))
     };
     match args.positionals.first().map(String::as_str) {
         Some("summarize") => {
@@ -153,7 +152,8 @@ fn obs_command(args: &Args) -> Result<(), ArgError> {
         Some("export-trace") => {
             let path = args.positionals.get(1).ok_or_else(usage)?;
             let text = read(path)?;
-            let export = chrometrace::export(&text).map_err(|e| ArgError(format!("`{path}`: {e}")))?;
+            let export =
+                chrometrace::export(&text).map_err(|e| ArgError(format!("`{path}`: {e}")))?;
             match args.get("out") {
                 Some(out) => {
                     resq::obs::write_atomic(std::path::Path::new(out), export.json.as_bytes())
@@ -229,7 +229,11 @@ impl LogTailer {
             return;
         }
         let mut buf = String::new();
-        if file.take(len - self.offset).read_to_string(&mut buf).is_err() {
+        if file
+            .take(len - self.offset)
+            .read_to_string(&mut buf)
+            .is_err()
+        {
             return;
         }
         self.offset = len;
@@ -272,9 +276,10 @@ impl LogTailer {
                 self.current = Some(info);
             }
             "chunk-progress" => {
-                if let (Some(run), Some(done)) =
-                    (&self.current, row.get("trials_done").and_then(|v| v.as_u64()))
-                {
+                if let (Some(run), Some(done)) = (
+                    &self.current,
+                    row.get("trials_done").and_then(|v| v.as_u64()),
+                ) {
                     run.set_progress(done);
                 }
             }
@@ -417,7 +422,10 @@ fn serve_command(args: &Args) -> Result<(), ArgError> {
             for note in service.reload_from_dir(std::path::Path::new(&lattice_dir)) {
                 eprintln!("lattice           : {note}");
             }
-            eprintln!("reload complete   : {} quarantined", service.quarantined_count());
+            eprintln!(
+                "reload complete   : {} quarantined",
+                service.quarantined_count()
+            );
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
@@ -582,12 +590,9 @@ fn bench_chaos(args: &Args) -> Result<(), ArgError> {
     let requests = args.u64_or("requests", 50)?.max(1) as usize;
     let batch_size = args.u64_or("batch-size", 1)?.max(1) as usize;
     let proto = load_proto(args)?;
-    let spec = args
-        .get("chaos-spec")
-        .map(String::from)
-        .unwrap_or_else(|| {
-            format!("seed={seed},panic=0.05,torn=0.1,flip=0.1,stall=0.03,slow=0.05")
-        });
+    let spec = args.get("chaos-spec").map(String::from).unwrap_or_else(|| {
+        format!("seed={seed},panic=0.05,torn=0.1,flip=0.1,stall=0.03,slow=0.05")
+    });
     let policy = Arc::new(
         resq::obs::chaos::ChaosPolicy::parse(&spec)
             .map_err(|e| ArgError(format!("flag `--chaos-spec`: {e}")))?,
@@ -638,8 +643,14 @@ fn bench_chaos(args: &Args) -> Result<(), ArgError> {
     println!("errors            : {}", report.errors);
     println!("retries           : {}", report.retries);
     println!("corrupt detected  : {}", report.corrupt);
-    println!("workers restarted : {}", delta.counter("workers_restarted_total"));
-    println!("faulted conns     : {} planned", policy.connections_planned());
+    println!(
+        "workers restarted : {}",
+        delta.counter("workers_restarted_total")
+    );
+    println!(
+        "faulted conns     : {} planned",
+        policy.connections_planned()
+    );
     if let Some(inflight) = leaked {
         println!("in-flight at exit : {inflight}");
         if inflight != 0 {
@@ -661,9 +672,7 @@ fn bench_chaos(args: &Args) -> Result<(), ArgError> {
             report.requests, target
         )));
     }
-    println!(
-        "chaos run clean   : {target} requests recovered byte-identical under seed {seed}"
-    );
+    println!("chaos run clean   : {target} requests recovered byte-identical under seed {seed}");
     Ok(())
 }
 
@@ -724,9 +733,11 @@ fn lattice_build(args: &Args) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError("missing required flag `--family`".to_string()))?;
     let mut spec = LatticeSpec::defaults(family);
     if let Some(points) = args.get("points") {
-        let points: usize = points
-            .parse()
-            .map_err(|_| ArgError(format!("flag `--points` expects an integer, got `{points}`")))?;
+        let points: usize = points.parse().map_err(|_| {
+            ArgError(format!(
+                "flag `--points` expects an integer, got `{points}`"
+            ))
+        })?;
         spec = spec.with_points(points);
     }
     spec.ckpt_sigma_ratio = args.f64_or("ckpt-sigma-ratio", spec.ckpt_sigma_ratio)?;
@@ -753,7 +764,10 @@ fn lattice_build(args: &Args) -> Result<(), ArgError> {
         .map_err(|e| ArgError(format!("cannot write `{}`: {e}", path.display())))?;
     println!("family        : {}", family.name());
     for a in lattice.axes() {
-        println!("  axis {:<10} : [{}, {}] x{} nodes (per unit R)", a.name, a.lo, a.hi, a.points);
+        println!(
+            "  axis {:<10} : [{}, {}] x{} nodes (per unit R)",
+            a.name, a.lo, a.hi, a.points
+        );
     }
     println!("grid nodes    : {} (exact solves)", lattice.node_count());
     let (ok, cells) = lattice.cell_coverage();
@@ -800,7 +814,9 @@ fn lattice_query(args: &Args) -> Result<(), ArgError> {
     );
     let mut cache = SolveCache::new();
     let t0 = Instant::now();
-    let a = lattice.query(&q, &mut cache).map_err(|e| ArgError(e.to_string()))?;
+    let a = lattice
+        .query(&q, &mut cache)
+        .map_err(|e| ArgError(e.to_string()))?;
     let micros = t0.elapsed().as_secs_f64() * 1e6;
     println!(
         "artifact          : {} (fingerprint {})",
@@ -814,12 +830,20 @@ fn lattice_query(args: &Args) -> Result<(), ArgError> {
             AnswerSource::Exact => "exact solver (out-of-grid, or error check fell back)",
         }
     );
-    println!("lead time X_opt   : {:.4} s before the end (preemptible, paper §3)", a.x_opt);
-    println!("n_opt             : checkpoint after {} tasks (static, paper §4.2)", a.n_opt);
+    println!(
+        "lead time X_opt   : {:.4} s before the end (preemptible, paper §3)",
+        a.x_opt
+    );
+    println!(
+        "n_opt             : checkpoint after {} tasks (static, paper §4.2)",
+        a.n_opt
+    );
     println!("E[saved work]     : {:.4}", a.expected_work);
     match a.w_int {
         Some(w) => println!("threshold W_int   : {w:.4} (dynamic, paper §4.3)"),
-        None => println!("threshold W_int   : none (reservation too short for a checkpoint to plausibly fit)"),
+        None => println!(
+            "threshold W_int   : none (reservation too short for a checkpoint to plausibly fit)"
+        ),
     }
     println!("answer time       : {micros:.1} µs");
     obs.emit(
@@ -865,7 +889,8 @@ fn lattice_verify(args: &Args) -> Result<(), ArgError> {
     let unit = Uniform::new(0.0, 1.0).expect("unit uniform");
     let axes = lattice.axes();
     let mut cache = SolveCache::new();
-    let (mut served, mut fell_back, mut plateau_off_by_one, mut failures) = (0u64, 0u64, 0u64, 0u64);
+    let (mut served, mut fell_back, mut plateau_off_by_one, mut failures) =
+        (0u64, 0u64, 0u64, 0u64);
     let mut max_rel: f64 = 0.0;
     for i in 0..samples {
         // Random in-grid point, random reservation scale: the exact
@@ -877,7 +902,9 @@ fn lattice_verify(args: &Args) -> Result<(), ArgError> {
             .collect();
         let r = 1.0 + 99.0 * unit.sample(&mut rng);
         let q = lattice.query_for_coords(&coords, r);
-        let got = lattice.query(&q, &mut cache).map_err(|e| ArgError(e.to_string()))?;
+        let got = lattice
+            .query(&q, &mut cache)
+            .map_err(|e| ArgError(e.to_string()))?;
         if got.source == AnswerSource::Exact {
             // The discipline chose the exact path: correct by definition.
             fell_back += 1;
@@ -910,12 +937,18 @@ fn lattice_verify(args: &Args) -> Result<(), ArgError> {
             );
         }
     }
-    println!("artifact          : {} (fingerprint {})", path.display(), lattice.fingerprint());
+    println!(
+        "artifact          : {} (fingerprint {})",
+        path.display(),
+        lattice.fingerprint()
+    );
     println!("samples           : {samples} random in-grid points (seed {seed})");
     println!("served by lattice : {served}");
     println!("exact fallbacks   : {fell_back} (discipline engaged, answers exact)");
     println!("max rel error     : {max_rel:.5} (tolerance {tolerance})");
-    println!("n_opt off-by-one  : {plateau_off_by_one} (plateau boundary, E(n) agrees within tolerance)");
+    println!(
+        "n_opt off-by-one  : {plateau_off_by_one} (plateau boundary, E(n) agrees within tolerance)"
+    );
     obs.emit(
         Event::new(event_type::RUN_FINISHED)
             .u64("served", served)
@@ -1061,16 +1094,29 @@ fn plan_preemptible(args: &Args) -> Result<(), ArgError> {
         .map_err(|e| ArgError(e.to_string()))?;
     let pess = model.pessimistic();
     println!("reservation R         : {r}");
-    println!("checkpoint support    : [{:.4}, {:.4}]", model.checkpoint_bounds().0, model.checkpoint_bounds().1);
-    println!("optimal lead time X   : {:.4} s before the end", plan.lead_time);
+    println!(
+        "checkpoint support    : [{:.4}, {:.4}]",
+        model.checkpoint_bounds().0,
+        model.checkpoint_bounds().1
+    );
+    println!(
+        "optimal lead time X   : {:.4} s before the end",
+        plan.lead_time
+    );
     println!("  expected saved work : {:.4}", plan.expected_work);
     println!("  success probability : {:.4}", plan.success_probability);
-    println!("pessimistic (X = b)   : saves {:.4} (always succeeds)", pess.expected_work);
+    println!(
+        "pessimistic (X = b)   : saves {:.4} (always succeeds)",
+        pess.expected_work
+    );
     println!(
         "gain over pessimistic : {:+.2}%",
         100.0 * (plan.expected_work / pess.expected_work - 1.0)
     );
-    println!("oracle upper bound    : {:.4}", model.oracle_expected_work());
+    println!(
+        "oracle upper bound    : {:.4}",
+        model.oracle_expected_work()
+    );
     if min_success > 0.0 {
         println!("success-probability floor honoured: {min_success}");
     }
@@ -1148,7 +1194,9 @@ fn plan_dynamic(args: &Args) -> Result<(), ArgError> {
             println!("reservation R     : {r}");
             println!("task mean         : {task_mean:.4}");
             println!("threshold W_int   : {w:.4}");
-            println!("rule              : checkpoint at the first task boundary with work >= W_int");
+            println!(
+                "rule              : checkpoint at the first task boundary with work >= W_int"
+            );
             println!("E[W_C](W_int)     : {:.4}", d.expect_checkpoint_now(w));
             obs.emit(
                 Event::new(event_type::RUN_FINISHED)
@@ -1232,8 +1280,8 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
     } else {
         CheckpointReliability::Reliable
     };
-    let injector =
-        ReliabilityInjector::new(reliability, failstop_rate).map_err(|e| ArgError(e.to_string()))?;
+    let injector = ReliabilityInjector::new(reliability, failstop_rate)
+        .map_err(|e| ArgError(e.to_string()))?;
     // The planner's own checks: a trial only ends once the reservation
     // expires or the policy checkpoints, so a non-finite reservation or a
     // task law that never advances the clock would run forever.
@@ -1376,7 +1424,10 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
             "fault model       : write fails w.p. {q}, retry {retry_raw}, fail-stop rate {failstop_rate}"
         );
     }
-    println!("mean saved work   : {:.4}  (95% CI [{lo:.4}, {hi:.4}])", saved.mean);
+    println!(
+        "mean saved work   : {:.4}  (95% CI [{lo:.4}, {hi:.4}])",
+        saved.mean
+    );
     println!("success rate      : {success:.4}");
     if faulty {
         println!("killed by failstop: {killed:.4}");
@@ -1386,7 +1437,9 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
     let resolved_threads = if threads > 0 {
         threads
     } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     };
     let mut manifest = RunManifest::new("resq simulate")
         .config("task", args.require("task")?)
@@ -1402,12 +1455,7 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
             .config("ckpt_attempts_total", ckpt_attempts)
             .config("ckpt_failures_total", ckpt_failures);
     }
-    obs.finish(
-        manifest
-            .seed(seed)
-            .threads(resolved_threads)
-            .trials(trials),
-    )
+    obs.finish(manifest.seed(seed).threads(resolved_threads).trials(trials))
 }
 
 fn learn(args: &Args) -> Result<(), ArgError> {
@@ -1423,20 +1471,34 @@ fn learn(args: &Args) -> Result<(), ArgError> {
     let log = resq::traces::TraceLog::load(std::path::Path::new(path))
         .map_err(|e| ArgError(format!("cannot read trace `{path}`: {e}")))?;
     let durations = log.completed_durations();
-    let learned = resq::traces::learn_checkpoint_law(
-        &durations,
-        resq::traces::learn::LearnConfig::default(),
-    )
-    .map_err(|e| ArgError(e.to_string()))?;
+    let learned =
+        resq::traces::learn_checkpoint_law(&durations, resq::traces::learn::LearnConfig::default())
+            .map_err(|e| ArgError(e.to_string()))?;
     let (plan, pess) = learned.plan(r).map_err(|e| ArgError(e.to_string()))?;
-    println!("trace             : {} completed checkpoints", learned.observations);
+    println!(
+        "trace             : {} completed checkpoints",
+        learned.observations
+    );
     println!("fitted family     : {:?}", learned.family);
-    println!("  mean / sd       : {:.4} / {:.4}", learned.model.mean(), learned.model.variance().sqrt());
-    println!("  KS statistic    : {:.4} (p = {:.3e})", learned.ks_statistic, learned.ks_p_value);
-    println!("support [a, b]    : [{:.4}, {:.4}]", learned.support.0, learned.support.1);
+    println!(
+        "  mean / sd       : {:.4} / {:.4}",
+        learned.model.mean(),
+        learned.model.variance().sqrt()
+    );
+    println!(
+        "  KS statistic    : {:.4} (p = {:.3e})",
+        learned.ks_statistic, learned.ks_p_value
+    );
+    println!(
+        "support [a, b]    : [{:.4}, {:.4}]",
+        learned.support.0, learned.support.1
+    );
     println!("optimal lead time : {:.4} s before the end", plan.lead_time);
     println!("  E[saved work]   : {:.4}", plan.expected_work);
-    println!("pessimistic plan  : lead {:.4}, saves {:.4}", pess.lead_time, pess.expected_work);
+    println!(
+        "pessimistic plan  : lead {:.4}, saves {:.4}",
+        pess.lead_time, pess.expected_work
+    );
     obs.emit(
         Event::new(event_type::RUN_FINISHED)
             .u64("observations", learned.observations as u64)
@@ -1713,7 +1775,13 @@ mod tests {
 
     #[test]
     fn learn_missing_file_is_clean_error() {
-        let e = run_tokens(&["learn", "--trace", "/nonexistent.jsonl", "--reservation", "30"]);
+        let e = run_tokens(&[
+            "learn",
+            "--trace",
+            "/nonexistent.jsonl",
+            "--reservation",
+            "30",
+        ]);
         assert!(e.is_err());
     }
 
@@ -1809,7 +1877,13 @@ mod tests {
         let path = dir.join("lattice_exponential.json");
         let p = path.to_str().unwrap();
         assert!(run_tokens(&[
-            "lattice", "build", p, "--family", "exponential", "--points", "3"
+            "lattice",
+            "build",
+            p,
+            "--family",
+            "exponential",
+            "--points",
+            "3"
         ])
         .is_ok());
         // In-grid query (task mean 0.2, ckpt mean 0.2, R = 1): answered
@@ -1890,7 +1964,10 @@ mod tests {
             "--reservation",
             "1",
         ]);
-        assert!(e.is_err(), "wrong format tag must be a typed error, not a panic");
+        assert!(
+            e.is_err(),
+            "wrong format tag must be a typed error, not a panic"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1901,7 +1978,10 @@ mod tests {
         let empty = dir.join("empty.jsonl");
         std::fs::write(&empty, "").unwrap();
         let e = run_tokens(&["obs", "summarize", empty.to_str().unwrap()]);
-        assert!(e.is_err(), "empty log must be an error, not an all-zeros summary");
+        assert!(
+            e.is_err(),
+            "empty log must be an error, not an all-zeros summary"
+        );
         let garbage = dir.join("garbage.jsonl");
         std::fs::write(&garbage, "not json at all\n{\"no\":\"type\"}\n{torn").unwrap();
         let e = run_tokens(&["obs", "summarize", garbage.to_str().unwrap()]);
@@ -1953,7 +2033,12 @@ mod tests {
         let empty = dir.join("empty.jsonl");
         std::fs::write(&empty, "").unwrap();
         assert!(run_tokens(&["obs", "export-trace", empty.to_str().unwrap()]).is_err());
-        for f in ["run.jsonl", "run.manifest.json", "trace.json", "empty.jsonl"] {
+        for f in [
+            "run.jsonl",
+            "run.manifest.json",
+            "trace.json",
+            "empty.jsonl",
+        ] {
             std::fs::remove_file(dir.join(f)).ok();
         }
     }
@@ -2002,15 +2087,7 @@ mod tests {
     fn bench_serve_runs_an_in_process_load() {
         // Tiny closed loop against the in-process daemon; also checks
         // the --min-throughput gate fires when set impossibly high.
-        assert!(run_tokens(&[
-            "bench",
-            "serve",
-            "--connections",
-            "2",
-            "--requests",
-            "10",
-        ])
-        .is_ok());
+        assert!(run_tokens(&["bench", "serve", "--connections", "2", "--requests", "10",]).is_ok());
         let gated = run_tokens(&[
             "bench",
             "serve",
@@ -2103,7 +2180,10 @@ mod tests {
         // Every row of a run carries the same run_id.
         for line in a.lines() {
             let row = resq::obs::json::parse(line).unwrap();
-            assert_eq!(row.get("run_id").and_then(|v| v.as_str()), Some(ida.as_str()));
+            assert_eq!(
+                row.get("run_id").and_then(|v| v.as_str()),
+                Some(ida.as_str())
+            );
         }
     }
 

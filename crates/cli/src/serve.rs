@@ -48,7 +48,9 @@ use resq::obs::metrics::{
     DECIDE_REQUESTS_TOTAL, DECIDE_TIMEOUTS_TOTAL, LATTICE_QUARANTINED_TOTAL,
 };
 use resq::obs::span::{self, span_name};
-use resq::{AnswerSource, LawFamily, PolicyAnswer, PolicyLattice, PolicyQuery, SolveCache, TaskParams};
+use resq::{
+    AnswerSource, LawFamily, PolicyAnswer, PolicyLattice, PolicyQuery, SolveCache, TaskParams,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -257,7 +259,11 @@ pub fn render_answer(ans: &PolicyAnswer, work: Option<f64>) -> String {
     }
     if let Some(w) = work {
         out.push_str(",\"checkpoint_now\":");
-        out.push_str(if ans.should_checkpoint(w) { "true" } else { "false" });
+        out.push_str(if ans.should_checkpoint(w) {
+            "true"
+        } else {
+            "false"
+        });
     }
     out.push('}');
     out
@@ -271,15 +277,11 @@ enum SlotState {
     /// state for families nobody built a lattice for.
     Absent,
     /// A verified lattice is serving.
-    Loaded {
-        fingerprint: String,
-    },
+    Loaded { fingerprint: String },
     /// An artifact existed but failed verification (torn file, bad
     /// fingerprint, wrong format): quarantined, family answers
     /// exact-only, readiness reports `degraded`.
-    Quarantined {
-        error: String,
-    },
+    Quarantined { error: String },
 }
 
 /// The daemon's shared state: per-family policy lattices (lattice-first
@@ -307,7 +309,8 @@ impl DecisionService {
     /// fall back to exact solves), `shards` exact-solve shards and
     /// an admission cap of `max_inflight` concurrent requests.
     pub fn new(lattices: Vec<PolicyLattice>, shards: usize, max_inflight: usize) -> Self {
-        let mut slots: Vec<Option<Arc<PolicyLattice>>> = LawFamily::ALL.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<Arc<PolicyLattice>>> =
+            LawFamily::ALL.iter().map(|_| None).collect();
         let mut states: Vec<SlotState> = LawFamily::ALL.iter().map(|_| SlotState::Absent).collect();
         for lat in lattices {
             let idx = LawFamily::ALL
@@ -322,7 +325,9 @@ impl DecisionService {
         Self {
             lattices: slots.into_iter().map(RwLock::new).collect(),
             slot_states: Mutex::new(states),
-            shards: (0..shards.max(1)).map(|_| Mutex::new(SolveCache::new())).collect(),
+            shards: (0..shards.max(1))
+                .map(|_| Mutex::new(SolveCache::new()))
+                .collect(),
             next_shard: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             max_inflight: max_inflight.max(1),
@@ -534,7 +539,8 @@ impl DecisionService {
             ckpt_sigma,
             r,
         };
-        q.validate().map_err(|e| DecideError::domain(e.to_string()))?;
+        q.validate()
+            .map_err(|e| DecideError::domain(e.to_string()))?;
         Ok((q, work))
     }
 
@@ -882,13 +888,13 @@ fn read_http_response(stream: &mut TcpStream) -> std::io::Result<(u16, Option<u6
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-        })?;
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
     let header_num = |name: &str| -> Option<u64> {
         head_str.lines().find_map(|l| {
             let (k, v) = l.split_once(':')?;
-            k.trim().eq_ignore_ascii_case(name).then(|| v.trim().parse().ok())?
+            k.trim()
+                .eq_ignore_ascii_case(name)
+                .then(|| v.trim().parse().ok())?
         })
     };
     let len = header_num("content-length").unwrap_or(0) as usize;
@@ -1028,17 +1034,15 @@ pub fn run_load(opts: &LoadOptions) -> Result<LoadReport, String> {
         handles.push(std::thread::spawn(
             move || -> Result<(Vec<f64>, u64, u64, u64), String> {
                 let thread_start = Instant::now();
-                let budget_spent =
-                    |t: &Instant| deadline.is_some_and(|d| t.elapsed() >= d);
+                let budget_spent = |t: &Instant| deadline.is_some_and(|d| t.elapsed() >= d);
                 let connect = |addr: &str| -> std::io::Result<TcpStream> {
                     let stream = TcpStream::connect(addr)?;
                     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
                     stream.set_nodelay(true)?;
                     Ok(stream)
                 };
-                let mut stream: Option<TcpStream> = Some(
-                    connect(&addr).map_err(|e| format!("cannot connect to `{addr}`: {e}"))?,
-                );
+                let mut stream: Option<TcpStream> =
+                    Some(connect(&addr).map_err(|e| format!("cannot connect to `{addr}`: {e}"))?);
                 let expect_bytes = expect.as_deref().map(str::as_bytes);
                 let mut latencies = Vec::with_capacity(requests);
                 let (mut errors, mut retries, mut corrupt) = (0u64, 0u64, 0u64);
@@ -1063,17 +1067,21 @@ pub fn run_load(opts: &LoadOptions) -> Result<LoadReport, String> {
                                         break;
                                     }
                                     retries += 1;
-                                    std::thread::sleep(Duration::from_millis(
-                                        backoff_ms.max(1),
-                                    ));
+                                    std::thread::sleep(Duration::from_millis(backoff_ms.max(1)));
                                     continue;
                                 }
                             },
                         };
                         attempts += 1;
                         let t0 = Instant::now();
-                        let outcome =
-                            attempt_once(s, proto, http_request.as_bytes(), &frame, expect_bytes, slow);
+                        let outcome = attempt_once(
+                            s,
+                            proto,
+                            http_request.as_bytes(),
+                            &frame,
+                            expect_bytes,
+                            slow,
+                        );
                         match outcome {
                             Attempt::Ok => {
                                 latencies.push(t0.elapsed().as_nanos() as f64);
@@ -1099,11 +1107,8 @@ pub fn run_load(opts: &LoadOptions) -> Result<LoadReport, String> {
                             _ => None,
                         };
                         let wait = hinted.unwrap_or_else(|| {
-                            let exp = backoff_ms.max(1)
-                                << (attempts as u32 - 1).min(6);
-                            Duration::from_millis(
-                                exp.min(1000) + rng.next() % backoff_ms.max(1),
-                            )
+                            let exp = backoff_ms.max(1) << (attempts as u32 - 1).min(6);
+                            Duration::from_millis(exp.min(1000) + rng.next() % backoff_ms.max(1))
                         });
                         let wait = match deadline {
                             Some(d) => wait.min(d.saturating_sub(thread_start.elapsed())),
@@ -1164,10 +1169,7 @@ mod tests {
                 mean: 3.0,
                 sigma: 0.5,
             },
-            TaskParams::LogNormal {
-                mean: 2.0,
-                sd: 0.7,
-            },
+            TaskParams::LogNormal { mean: 2.0, sd: 0.7 },
         ] {
             let spec = task_spec(&p);
             let back = task_params(&spec).expect("round-trip parse");
@@ -1176,13 +1178,15 @@ mod tests {
                 (TaskParams::Uniform { lo, hi }, TaskParams::Uniform { lo: l2, hi: h2 }) => {
                     assert!(close(lo, l2) && close(hi, h2))
                 }
-                (
-                    TaskParams::Exponential { mean },
-                    TaskParams::Exponential { mean: m2 },
-                ) => assert!(close(mean, m2)),
+                (TaskParams::Exponential { mean }, TaskParams::Exponential { mean: m2 }) => {
+                    assert!(close(mean, m2))
+                }
                 (
                     TaskParams::Normal { mean, sigma },
-                    TaskParams::Normal { mean: m2, sigma: s2 },
+                    TaskParams::Normal {
+                        mean: m2,
+                        sigma: s2,
+                    },
                 ) => assert!(close(mean, m2) && close(sigma, s2)),
                 (
                     TaskParams::LogNormal { mean, sd },
@@ -1199,11 +1203,17 @@ mod tests {
         for (body, kind) in [
             ("", "parse"),
             ("not json", "parse"),
-            ("[]", "parse"),                   // array into /decide
-            ("{}", "parse"),                   // missing fields
-            ("{\"task\":42}", "parse"),        // task not a string
-            ("{\"task\":\"pareto:1,2\",\"ckpt_mean\":5,\"reservation\":29}", "spec"),
-            ("{\"task\":\"normal:3,0.5@0,\",\"ckpt_mean\":5,\"reservation\":29}", "spec"),
+            ("[]", "parse"),            // array into /decide
+            ("{}", "parse"),            // missing fields
+            ("{\"task\":42}", "parse"), // task not a string
+            (
+                "{\"task\":\"pareto:1,2\",\"ckpt_mean\":5,\"reservation\":29}",
+                "spec",
+            ),
+            (
+                "{\"task\":\"normal:3,0.5@0,\",\"ckpt_mean\":5,\"reservation\":29}",
+                "spec",
+            ),
             (
                 "{\"task\":\"normal:3,0.5\",\"ckpt_mean\":-5,\"reservation\":29}",
                 "domain",
@@ -1237,7 +1247,10 @@ mod tests {
         // Identical queries render identical bytes.
         assert_eq!(items[0].render(), items[2].render());
         // work=25 >= the fig. 8 threshold (~20.3): checkpoint now.
-        assert_eq!(items[0].get("checkpoint_now").and_then(|b| b.as_bool()), Some(true));
+        assert_eq!(
+            items[0].get("checkpoint_now").and_then(|b| b.as_bool()),
+            Some(true)
+        );
     }
 
     #[test]
@@ -1267,7 +1280,8 @@ mod tests {
     #[test]
     fn zero_deadline_yields_typed_timeout() {
         let svc = exact_only_service().with_deadline(Some(Duration::ZERO));
-        let good = "{\"task\":\"normal:3,0.5\",\"ckpt_mean\":5,\"ckpt_sigma\":0.4,\"reservation\":29}";
+        let good =
+            "{\"task\":\"normal:3,0.5\",\"ckpt_mean\":5,\"ckpt_sigma\":0.4,\"reservation\":29}";
         let before = DECIDE_TIMEOUTS_TOTAL.get();
         let err = svc.answer_single(good).expect_err("must time out");
         assert_eq!(err.kind, "timeout");
@@ -1283,7 +1297,9 @@ mod tests {
         };
         for item in &items {
             assert_eq!(
-                item.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+                item.get("error")
+                    .and_then(|e| e.get("kind"))
+                    .and_then(|k| k.as_str()),
                 Some("timeout"),
                 "{out}"
             );
@@ -1293,14 +1309,16 @@ mod tests {
     #[test]
     fn no_deadline_never_times_out() {
         let svc = exact_only_service();
-        let good = "{\"task\":\"normal:3,0.5\",\"ckpt_mean\":5,\"ckpt_sigma\":0.4,\"reservation\":29}";
+        let good =
+            "{\"task\":\"normal:3,0.5\",\"ckpt_mean\":5,\"ckpt_sigma\":0.4,\"reservation\":29}";
         assert!(svc.answer_single(good).is_ok());
     }
 
     #[test]
     fn poisoned_shard_recovers_and_keeps_answering() {
         let svc = DecisionService::new(Vec::new(), 1, 8);
-        let good = "{\"task\":\"normal:3,0.5\",\"ckpt_mean\":5,\"ckpt_sigma\":0.4,\"reservation\":29}";
+        let good =
+            "{\"task\":\"normal:3,0.5\",\"ckpt_mean\":5,\"ckpt_sigma\":0.4,\"reservation\":29}";
         let clean = svc.answer_single(good).expect("clean answer");
         svc.poison_first_shard_for_test();
         // The single shard is poisoned; the next decision must recover
@@ -1343,8 +1361,14 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let before = LATTICE_QUARANTINED_TOTAL.get();
         let notes = svc.reload_from_dir(&dir);
-        assert!(LATTICE_QUARANTINED_TOTAL.get() > before, "quarantine not counted");
-        assert!(svc.lattice(LawFamily::Exponential).is_none(), "tampered lattice still serving");
+        assert!(
+            LATTICE_QUARANTINED_TOTAL.get() > before,
+            "quarantine not counted"
+        );
+        assert!(
+            svc.lattice(LawFamily::Exponential).is_none(),
+            "tampered lattice still serving"
+        );
         assert_eq!(svc.quarantined_count(), 1);
         assert!(
             notes.iter().any(|n| n.contains("QUARANTINED")),
@@ -1357,7 +1381,10 @@ mod tests {
         assert_eq!(parsed.get("status").unwrap().as_str(), Some("degraded"));
         assert_eq!(parsed.get("quarantined").unwrap().as_u64(), Some(1));
         let degraded_answer = svc.answer_single(q).expect("degraded answer");
-        assert_eq!(degraded_answer, exact_answer, "degraded mode diverged from exact");
+        assert_eq!(
+            degraded_answer, exact_answer,
+            "degraded mode diverged from exact"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

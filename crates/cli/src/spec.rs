@@ -84,15 +84,24 @@ pub fn parse_law(raw: &str) -> Result<LawSpec, ArgError> {
     let law = match name {
         "uniform" => {
             let p = parse_params(params, 2, "uniform")?;
-            boxed(Uniform::new(p[0], p[1]).map_err(|e| err(e.to_string()))?, trunc)?
+            boxed(
+                Uniform::new(p[0], p[1]).map_err(|e| err(e.to_string()))?,
+                trunc,
+            )?
         }
         "exponential" | "exp" => {
             let p = parse_params(params, 1, "exponential")?;
-            boxed(Exponential::new(p[0]).map_err(|e| err(e.to_string()))?, trunc)?
+            boxed(
+                Exponential::new(p[0]).map_err(|e| err(e.to_string()))?,
+                trunc,
+            )?
         }
         "normal" => {
             let p = parse_params(params, 2, "normal")?;
-            boxed(Normal::new(p[0], p[1]).map_err(|e| err(e.to_string()))?, trunc)?
+            boxed(
+                Normal::new(p[0], p[1]).map_err(|e| err(e.to_string()))?,
+                trunc,
+            )?
         }
         "lognormal" => {
             let p = parse_params(params, 2, "lognormal")?;
@@ -103,7 +112,10 @@ pub fn parse_law(raw: &str) -> Result<LawSpec, ArgError> {
         }
         "gamma" => {
             let p = parse_params(params, 2, "gamma")?;
-            boxed(Gamma::new(p[0], p[1]).map_err(|e| err(e.to_string()))?, trunc)?
+            boxed(
+                Gamma::new(p[0], p[1]).map_err(|e| err(e.to_string()))?,
+                trunc,
+            )?
         }
         "poisson" => {
             if trunc.is_some() {
@@ -116,8 +128,8 @@ pub fn parse_law(raw: &str) -> Result<LawSpec, ArgError> {
         }
         other => {
             return Err(err(format!(
-                "unknown law `{other}` (expected uniform/exponential/normal/lognormal/gamma/poisson)"
-            )))
+            "unknown law `{other}` (expected uniform/exponential/normal/lognormal/gamma/poisson)"
+        )))
         }
     };
     Ok(LawSpec::Continuous(law))
@@ -183,7 +195,10 @@ mod tests {
             "lognormal:1,0.35",
             "gamma:1,0.5",
         ] {
-            assert!(matches!(parse_law(raw), Ok(LawSpec::Continuous(_))), "{raw}");
+            assert!(
+                matches!(parse_law(raw), Ok(LawSpec::Continuous(_))),
+                "{raw}"
+            );
         }
         assert!(matches!(parse_law("poisson:3"), Ok(LawSpec::Poisson(_))));
     }
@@ -205,7 +220,10 @@ mod tests {
                 delay: 0.5
             }
         );
-        assert_eq!(parse_retry("workon").unwrap(), resq::RetryPolicy::GiveUpAndWorkOn);
+        assert_eq!(
+            parse_retry("workon").unwrap(),
+            resq::RetryPolicy::GiveUpAndWorkOn
+        );
         for bad in [
             "immediate:0",
             "immediate:x",
@@ -285,8 +303,14 @@ mod tests {
         let cases = [
             ("normal:3,0.5@0,", closed_form_bits(&normal)),
             ("lognormal:1,0.35", closed_form_bits(&lognormal)),
-            ("uniform:1,5", closed_form_bits(&Uniform::new(1.0, 5.0).unwrap())),
-            ("gamma:2,1.5", closed_form_bits(&Gamma::new(2.0, 1.5).unwrap())),
+            (
+                "uniform:1,5",
+                closed_form_bits(&Uniform::new(1.0, 5.0).unwrap()),
+            ),
+            (
+                "gamma:2,1.5",
+                closed_form_bits(&Gamma::new(2.0, 1.5).unwrap()),
+            ),
         ];
         for (raw, want) in cases {
             assert_eq!(closed_form_bits(&parsed(raw)), want, "{raw}");

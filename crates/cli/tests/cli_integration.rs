@@ -29,7 +29,11 @@ fn plan_preemptible_reports_the_fig1a_optimum() {
         "--reservation",
         "10",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("5.5000"), "missing X_opt in:\n{text}");
     assert!(text.contains("oracle upper bound"));
@@ -75,7 +79,11 @@ fn plan_dynamic_logs_the_library_threshold_bits() {
         "--log-json",
         log.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = std::fs::read_to_string(&log).unwrap();
     let finished = resq::obs::json::parse(text.lines().last().unwrap()).unwrap();
     let logged = finished.get("threshold").and_then(|t| t.as_f64()).unwrap();
@@ -171,14 +179,21 @@ fn simulate_observability_end_to_end() {
         "--log-json",
         log.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = std::fs::read_to_string(&log).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() > 5, "log too short:\n{text}");
     for line in &lines {
         let row = resq::obs::json::parse(line).expect("log line is valid JSON");
-        let ty = row.get("type").and_then(|t| t.as_str()).expect("row has a type");
+        let ty = row
+            .get("type")
+            .and_then(|t| t.as_str())
+            .expect("row has a type");
         assert!(
             resq::obs::event_type::ALL.contains(&ty),
             "unknown event type {ty}"
@@ -188,13 +203,20 @@ fn simulate_observability_end_to_end() {
     assert!(lines.last().unwrap().contains("\"run-finished\""));
 
     let manifest_path = dir.join("run.manifest.json");
-    let manifest = resq::obs::json::parse(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
-    assert_eq!(manifest.get("tool").unwrap().as_str(), Some("resq simulate"));
+    let manifest =
+        resq::obs::json::parse(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
+    assert_eq!(
+        manifest.get("tool").unwrap().as_str(),
+        Some("resq simulate")
+    );
     assert_eq!(manifest.get("seed").unwrap().as_u64(), Some(42));
     assert_eq!(manifest.get("trials").unwrap().as_u64(), Some(20000));
 
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("mc_trials_run"), "metrics missing from stderr:\n{err}");
+    assert!(
+        err.contains("mc_trials_run"),
+        "metrics missing from stderr:\n{err}"
+    );
     assert!(err.contains("rng_stream_derivations"), "{err}");
 
     std::fs::remove_file(&log).ok();
@@ -231,7 +253,11 @@ fn simulate_fault_injection_logs_retry_outcomes_and_counters() {
         "--log-json",
         log.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = std::fs::read_to_string(&log).unwrap();
     let mut retry_rows = 0usize;
@@ -260,7 +286,10 @@ fn simulate_fault_injection_logs_retry_outcomes_and_counters() {
         resq::obs::json::parse(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
     let config = manifest.get("config").unwrap();
     assert_eq!(config.get("ckpt_fail_prob").unwrap().as_str(), Some("0.3"));
-    assert_eq!(config.get("retry").unwrap().as_str(), Some("backoff:3,0.25"));
+    assert_eq!(
+        config.get("retry").unwrap().as_str(),
+        Some("backoff:3,0.25")
+    );
     assert!(config.get("ckpt_attempts_total").is_some());
     assert!(config.get("ckpt_failures_total").is_some());
 
@@ -335,7 +364,11 @@ const FIG8_LAWS: [&str; 4] = ["--task", "normal:3,0.5@0,", "--ckpt", "normal:5,0
 
 #[test]
 fn simulate_rejects_an_infinite_reservation() {
-    let flags = [&FIG8_LAWS[..], &["--reservation", "inf", "--threshold", "inf"]].concat();
+    let flags = [
+        &FIG8_LAWS[..],
+        &["--reservation", "inf", "--threshold", "inf"],
+    ]
+    .concat();
     assert_simulate_rejects(&flags, "reservation length must be positive and finite");
 }
 
@@ -343,7 +376,14 @@ fn simulate_rejects_an_infinite_reservation() {
 fn simulate_rejects_an_infinite_reservation_under_fault_injection() {
     let flags = [
         &FIG8_LAWS[..],
-        &["--reservation", "inf", "--threshold", "inf", "--ckpt-fail-prob", "0.2"],
+        &[
+            "--reservation",
+            "inf",
+            "--threshold",
+            "inf",
+            "--ckpt-fail-prob",
+            "0.2",
+        ],
     ]
     .concat();
     assert_simulate_rejects(&flags, "reservation length must be positive and finite");
@@ -351,7 +391,11 @@ fn simulate_rejects_an_infinite_reservation_under_fault_injection() {
 
 #[test]
 fn simulate_rejects_a_nan_reservation() {
-    let flags = [&FIG8_LAWS[..], &["--reservation", "nan", "--threshold", "nan"]].concat();
+    let flags = [
+        &FIG8_LAWS[..],
+        &["--reservation", "nan", "--threshold", "nan"],
+    ]
+    .concat();
     assert_simulate_rejects(&flags, "reservation length must be positive and finite");
 }
 
@@ -449,7 +493,13 @@ fn bad_flags_fail_with_usage_on_stderr() {
     assert!(err.contains("--ckpt"), "error should name the flag: {err}");
     assert!(err.contains("USAGE"));
 
-    let out = resq(&["plan-preemptible", "--ckpt", "nonsense:1", "--reservation", "10"]);
+    let out = resq(&[
+        "plan-preemptible",
+        "--ckpt",
+        "nonsense:1",
+        "--reservation",
+        "10",
+    ]);
     assert!(!out.status.success());
 
     let out = resq(&["no-such-command"]);
@@ -476,7 +526,11 @@ fn learn_round_trip_through_a_real_file() {
         "--reservation",
         "30",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("fitted family"));
     assert!(text.contains("Normal"), "family wrong:\n{text}");

@@ -48,7 +48,10 @@ fn assert_typed_json(body: &str, context: &str) {
     match &parsed {
         json::JsonValue::Array(items) => {
             for item in items {
-                assert!(one_is_typed(item), "{context}: untyped batch item in {body}");
+                assert!(
+                    one_is_typed(item),
+                    "{context}: untyped batch item in {body}"
+                );
             }
         }
         v => assert!(one_is_typed(v), "{context}: untyped response {body}"),

@@ -163,11 +163,11 @@ macro_rules! tuple_strategy {
     };
 }
 
-tuple_strategy!(A/a, B/b);
-tuple_strategy!(A/a, B/b, C/c);
-tuple_strategy!(A/a, B/b, C/c, D/d);
-tuple_strategy!(A/a, B/b, C/c, D/d, E/e);
-tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/g);
+tuple_strategy!(A / a, B / b);
+tuple_strategy!(A / a, B / b, C / c);
+tuple_strategy!(A / a, B / b, C / c, D / d);
+tuple_strategy!(A / a, B / b, C / c, D / d, E / e);
+tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / g);
 
 /// Types with a canonical whole-domain strategy (mirror of
 /// `proptest::arbitrary::Arbitrary`, reduced to what the tests use).
@@ -443,16 +443,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "property failed")]
     fn failing_property_panics_with_inputs() {
-        crate::run_proptest(
-            &ProptestConfig::with_cases(8),
-            "always_fails",
-            |rng| {
-                let x = crate::Strategy::generate(&(0.0f64..1.0), rng);
-                (
-                    format!("x = {x:?}"),
-                    Err(TestCaseError::Fail("nope".into())),
-                )
-            },
-        );
+        crate::run_proptest(&ProptestConfig::with_cases(8), "always_fails", |rng| {
+            let x = crate::Strategy::generate(&(0.0f64..1.0), rng);
+            (
+                format!("x = {x:?}"),
+                Err(TestCaseError::Fail("nope".into())),
+            )
+        });
     }
 }

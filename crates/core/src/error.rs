@@ -76,7 +76,10 @@ impl std::fmt::Display for CoreError {
                 "checkpoint support [{a}, {b}] must satisfy 0 < a < b <= R = {r}"
             ),
             Self::NegativeCheckpointSupport { lo } => {
-                write!(f, "checkpoint durations must be >= 0, support starts at {lo}")
+                write!(
+                    f,
+                    "checkpoint durations must be >= 0, support starts at {lo}"
+                )
             }
             Self::ReservationBeyondFitHorizon { r, horizon } => write!(
                 f,

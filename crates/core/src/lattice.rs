@@ -422,8 +422,7 @@ impl LatticeSpec {
 
     fn validate(&self) -> Result<Vec<NdAxis>, CoreError> {
         let names = self.family.axis_names();
-        if self.axes.len() != names.len()
-            || self.axes.iter().zip(names).any(|(a, n)| a.name != *n)
+        if self.axes.len() != names.len() || self.axes.iter().zip(names).any(|(a, n)| a.name != *n)
         {
             return Err(CoreError::InvalidTaskLaw(
                 "lattice axes do not match the family's canonical axis list",
@@ -562,8 +561,7 @@ fn solve_at_unit_r(q: &PolicyQuery, cache: &mut SolveCache) -> Result<PolicyAnsw
             StaticStrategy::new(Normal::new(mean, sigma)?, ckpt, q.r)?.optimize_on(&fit, cache)?
         }
         TaskParams::Uniform { lo, hi } => {
-            ConvolutionStatic::new(&Uniform::new(lo, hi)?, ckpt, q.r, CONV_GRID_CELLS)?
-                .optimize()
+            ConvolutionStatic::new(&Uniform::new(lo, hi)?, ckpt, q.r, CONV_GRID_CELLS)?.optimize()
         }
         TaskParams::LogNormal { mean, sd } => ConvolutionStatic::new(
             &LogNormal::from_mean_sd(mean, sd)?,
@@ -734,10 +732,9 @@ impl std::fmt::Display for LatticeError {
         match self {
             LatticeError::Io(m) => write!(f, "lattice artifact I/O error: {m}"),
             LatticeError::Parse(m) => write!(f, "lattice artifact is not valid JSON: {m}"),
-            LatticeError::Format { found } => write!(
-                f,
-                "lattice artifact format `{found}` is not `{FORMAT}`"
-            ),
+            LatticeError::Format { found } => {
+                write!(f, "lattice artifact format `{found}` is not `{FORMAT}`")
+            }
             LatticeError::Fingerprint { stored, actual } => write!(
                 f,
                 "lattice artifact fingerprint mismatch: stored {stored}, recomputed {actual}"
@@ -844,7 +841,11 @@ impl PolicyLattice {
     /// the two-resolution error check passes, exact solve otherwise.
     /// Runs under the `solve/lattice_lookup` span and tallies
     /// `lattice_lookup_{hits,misses}_total` / `lattice_fallbacks_total`.
-    pub fn query(&self, q: &PolicyQuery, cache: &mut SolveCache) -> Result<PolicyAnswer, CoreError> {
+    pub fn query(
+        &self,
+        q: &PolicyQuery,
+        cache: &mut SolveCache,
+    ) -> Result<PolicyAnswer, CoreError> {
         q.validate()?;
         let _span = span::enter(span_name::SOLVE_LATTICE_LOOKUP);
         let coords = match self.normalize(q) {
@@ -1064,8 +1065,7 @@ impl PolicyLattice {
                 .ok_or_else(|| bad("axis missing `points`"))? as usize;
             axis_names.push(name.to_string());
             nd_axes.push(
-                NdAxis::new(lo, hi, points)
-                    .map_err(|e| bad(&format!("axis `{name}`: {e}")))?,
+                NdAxis::new(lo, hi, points).map_err(|e| bad(&format!("axis `{name}`: {e}")))?,
             );
         }
         let expect_names = family.axis_names();
@@ -1497,6 +1497,9 @@ mod tests {
         let q29 = PolicyQuery { r: 29.0, ..q };
         let a29 = solve_exact(&q29, &mut cache).unwrap();
         let w = a29.w_int.expect("Fig. 8 has a threshold");
-        assert!((w - 20.3).abs() < 0.3, "paper Fig. 8: W_int ≈ 20.3, got {w}");
+        assert!(
+            (w - 20.3).abs() < 0.3,
+            "paper Fig. 8: W_int ≈ 20.3, got {w}"
+        );
     }
 }

@@ -49,12 +49,12 @@ pub mod workflow;
 pub use controller::{ControllerState, ReservationController};
 pub use error::CoreError;
 pub use lattice::{
-    AnswerSource, AxisSpec, LatticeError, LatticeSpec, LawFamily, PolicyAnswer,
-    PolicyLattice, PolicyQuery, TaskParams,
+    AnswerSource, AxisSpec, LatticeError, LatticeSpec, LawFamily, PolicyAnswer, PolicyLattice,
+    PolicyQuery, TaskParams,
 };
 pub use policy::{
-    Action, DynamicWorkflowPolicy, FixedLeadPolicy, PessimisticWorkflowPolicy,
-    PreemptiblePolicy, StaticWorkflowPolicy, WorkflowPolicy,
+    Action, DynamicWorkflowPolicy, FixedLeadPolicy, PessimisticWorkflowPolicy, PreemptiblePolicy,
+    StaticWorkflowPolicy, WorkflowPolicy,
 };
 pub use preemptible::{CheckpointPlan, Preemptible};
 pub use reliability::{

@@ -121,7 +121,12 @@ mod tests {
 
     #[test]
     fn uniform_matches_generic_optimizer() {
-        for &(a, b, r) in &[(1.0, 7.5, 10.0), (1.0, 5.0, 10.0), (0.5, 3.0, 4.0), (2.0, 9.0, 20.0)] {
+        for &(a, b, r) in &[
+            (1.0, 7.5, 10.0),
+            (1.0, 5.0, 10.0),
+            (0.5, 3.0, 4.0),
+            (2.0, 9.0, 20.0),
+        ] {
             let closed = uniform_x_opt(a, b, r).unwrap();
             let m = Preemptible::new(Uniform::new(a, b).unwrap(), r).unwrap();
             let numeric = m.optimize().lead_time;
@@ -193,7 +198,10 @@ mod tests {
         let c = Truncated::new(Normal::new(3.5, 1.0).unwrap(), 1.0, 7.5).unwrap();
         let m = Preemptible::new(c, 10.0).unwrap();
         let numeric = m.optimize().lead_time;
-        assert!((x - numeric).abs() < 1e-5, "closed {x} vs numeric {numeric}");
+        assert!(
+            (x - numeric).abs() < 1e-5,
+            "closed {x} vs numeric {numeric}"
+        );
     }
 
     #[test]

@@ -235,10 +235,18 @@ mod tests {
         // Paper: X_opt = (R+a)/2 = 5.5, E[W] ≈ 3.1, pessimistic 2.5 (80%).
         let m = fig1a();
         let plan = m.optimize();
-        assert!((plan.lead_time - 5.5).abs() < 1e-6, "X_opt {}", plan.lead_time);
+        assert!(
+            (plan.lead_time - 5.5).abs() < 1e-6,
+            "X_opt {}",
+            plan.lead_time
+        );
         let expected = (5.5 - 1.0) / 6.5 * 4.5; // (X−a)/(b−a) · (R−X) ≈ 3.115
         assert!((plan.expected_work - expected).abs() < 1e-9);
-        assert!((plan.expected_work - 3.1).abs() < 0.05, "E[W] {}", plan.expected_work);
+        assert!(
+            (plan.expected_work - 3.1).abs() < 0.05,
+            "E[W] {}",
+            plan.expected_work
+        );
         let pess = m.pessimistic();
         assert!((pess.expected_work - 2.5).abs() < 1e-12);
         assert!((pess.success_probability - 1.0).abs() < 1e-12);
@@ -251,7 +259,11 @@ mod tests {
         // Figure 1(b): Uniform on [1, 5], R = 10 → X_opt = b = 5.
         let m = Preemptible::new(Uniform::new(1.0, 5.0).unwrap(), 10.0).unwrap();
         let plan = m.optimize();
-        assert!((plan.lead_time - 5.0).abs() < 1e-6, "X_opt {}", plan.lead_time);
+        assert!(
+            (plan.lead_time - 5.0).abs() < 1e-6,
+            "X_opt {}",
+            plan.lead_time
+        );
         assert!((plan.expected_work - 5.0).abs() < 1e-9);
         assert!((m.pessimistic_efficiency() - 1.0).abs() < 1e-9);
     }

@@ -268,9 +268,7 @@ impl SuccessLattice {
         let mut s = q.clone();
         // ready[i]: defective CDF of the start time of the next attempt
         // (all previous attempts failed, backoff elapsed).
-        let mut ready: Vec<f64> = (0..=n)
-            .map(|i| interp(&hf, i as f64 * h - delay))
-            .collect();
+        let mut ready: Vec<f64> = (0..=n).map(|i| interp(&hf, i as f64 * h - delay)).collect();
         for _attempt in 2..=attempts.min(MAX_LATTICE_ATTEMPTS) {
             if ready[n] < 1e-12 {
                 break;
@@ -627,15 +625,21 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_parameters() {
-        assert!(CheckpointReliability::PerAttempt { p: 0.0 }.validate().is_err());
-        assert!(CheckpointReliability::PerAttempt { p: 1.5 }.validate().is_err());
+        assert!(CheckpointReliability::PerAttempt { p: 0.0 }
+            .validate()
+            .is_err());
+        assert!(CheckpointReliability::PerAttempt { p: 1.5 }
+            .validate()
+            .is_err());
         assert!(CheckpointReliability::PerAttempt { p: f64::NAN }
             .validate()
             .is_err());
         assert!(CheckpointReliability::DurationHazard { rate: -1.0 }
             .validate()
             .is_err());
-        assert!(RetryPolicy::Immediate { max_attempts: 0 }.validate().is_err());
+        assert!(RetryPolicy::Immediate { max_attempts: 0 }
+            .validate()
+            .is_err());
         assert!(RetryPolicy::Backoff {
             max_attempts: 2,
             delay: -0.5

@@ -127,8 +127,8 @@ impl CampaignModel {
             return None;
         }
         let first = expected_work_per_reservation;
-        let later = expected_work_per_reservation * (self.reservation - self.recovery)
-            / self.reservation;
+        let later =
+            expected_work_per_reservation * (self.reservation - self.recovery) / self.reservation;
         if self.total_work <= first {
             return Some(1);
         }
@@ -170,14 +170,10 @@ mod tests {
     #[test]
     fn construction_validates() {
         assert!(model().reservation == 30.0);
-        assert!(CampaignModel::new(
-            0.0,
-            1.0,
-            10.0,
-            BillingModel::PerUse,
-            ContinuationRule::Drop
-        )
-        .is_err());
+        assert!(
+            CampaignModel::new(0.0, 1.0, 10.0, BillingModel::PerUse, ContinuationRule::Drop)
+                .is_err()
+        );
         // Recovery must leave usable time.
         assert!(CampaignModel::new(
             10.0,

@@ -68,10 +68,7 @@ impl<C: Continuous> Preemptible<C> {
     /// `min_success = 0` recovers the unconstrained optimum;
     /// `min_success = 1` recovers the pessimistic plan. Errors on levels
     /// outside `[0, 1]`.
-    pub fn optimize_with_min_success(
-        &self,
-        min_success: f64,
-    ) -> Result<CheckpointPlan, CoreError> {
+    pub fn optimize_with_min_success(&self, min_success: f64) -> Result<CheckpointPlan, CoreError> {
         if !(0.0..=1.0).contains(&min_success) || min_success.is_nan() {
             return Err(CoreError::InvalidParameter {
                 name: "min_success",
@@ -119,7 +116,10 @@ mod tests {
         let m = fig1a();
         for &x in &[2.0, 4.0, 5.5, 7.0] {
             let p = m.risk_profile(x);
-            assert!((p.expected_work - m.expected_work(x)).abs() < 1e-12, "x={x}");
+            assert!(
+                (p.expected_work - m.expected_work(x)).abs() < 1e-12,
+                "x={x}"
+            );
             assert!(
                 (p.variance
                     - p.success_probability

@@ -288,9 +288,9 @@ impl<'a, X: TaskDuration, C: CheckpointFit> FastScan<'a, X, C> {
     fn one_more_fast(&self, w: f64, sure: Option<(f64, f64)>) -> Option<f64> {
         let d = self.strategy;
         let (from, lower) = sure.unwrap_or((f64::NEG_INFINITY, 0.0));
-        let shoulder = d
-            .task
-            .expected_one_more_fast(w, d.r, from, self.fit, self.gl, self.feature)?;
+        let shoulder =
+            d.task
+                .expected_one_more_fast(w, d.r, from, self.fit, self.gl, self.feature)?;
         Some(lower + shoulder)
     }
 }
@@ -591,7 +591,8 @@ mod tests {
             feature: f64,
         ) -> Option<f64> {
             self.kernel_calls.set(self.kernel_calls.get() + 1);
-            self.inner.expected_one_more_fast(w, r, from, fit, gl, feature)
+            self.inner
+                .expected_one_more_fast(w, r, from, fit, gl, feature)
         }
         fn fast_kernel_feature(&self) -> Option<f64> {
             self.inner.fast_kernel_feature()
@@ -618,9 +619,18 @@ mod tests {
     fn threshold_integrates_each_deciding_w_once() {
         let (un, ex, ln) = decide_laws();
         let cases = [
-            ("fig8", counted_threshold(trunc_normal_task(3.0, 0.5), ckpt(5.0, 0.4), 29.0)),
-            ("fig9", counted_threshold(Gamma::new(1.0, 0.5).unwrap(), ckpt(2.0, 0.4), 10.0)),
-            ("fig10", counted_threshold(Poisson::new(3.0).unwrap(), ckpt(5.0, 0.4), 29.0)),
+            (
+                "fig8",
+                counted_threshold(trunc_normal_task(3.0, 0.5), ckpt(5.0, 0.4), 29.0),
+            ),
+            (
+                "fig9",
+                counted_threshold(Gamma::new(1.0, 0.5).unwrap(), ckpt(2.0, 0.4), 10.0),
+            ),
+            (
+                "fig10",
+                counted_threshold(Poisson::new(3.0).unwrap(), ckpt(5.0, 0.4), 29.0),
+            ),
             ("uniform", counted_threshold(un, ckpt(3.0, 0.24), 29.0)),
             ("exponential", counted_threshold(ex, ckpt(2.9, 0.232), 29.0)),
             ("lognormal", counted_threshold(ln, ckpt(5.0, 0.4), 29.0)),
@@ -630,12 +640,19 @@ mod tests {
             let mut bits: Vec<u64> = ws.iter().map(|w| w.to_bits()).collect();
             bits.sort_unstable();
             bits.dedup();
-            assert_eq!(bits.len(), ws.len(), "{name}: a w was integrated twice: {ws:?}");
+            assert_eq!(
+                bits.len(),
+                ws.len(),
+                "{name}: a w was integrated twice: {ws:?}"
+            );
         }
         // Fig. 8's first scan point is fast-certified negative, so the
         // widest and costliest integral, the w = 0 seed, never runs.
         let (_, fig8_ws) = &cases[0].1;
-        assert!(!fig8_ws.contains(&0.0), "fig8 integrated the w = 0 seed: {fig8_ws:?}");
+        assert!(
+            !fig8_ws.contains(&0.0),
+            "fig8 integrated the w = 0 seed: {fig8_ws:?}"
+        );
     }
 
     /// Sweeps `w` over `[0, R]` (401 points and the 96 scan points) and
@@ -654,12 +671,18 @@ mod tests {
         let cache = SolveCache::new();
         let fit = fit_lattice(d.checkpoint_law(), d.reservation());
         let fast = FastScan::new(d, &fit, cache.gl());
-        let one = fast.sure_fit_from.expect("a checkpoint law's fit saturates");
-        assert!(!fast.layers.is_empty(), "{name}: no layer below the saturation node");
+        let one = fast
+            .sure_fit_from
+            .expect("a checkpoint law's fit saturates");
+        assert!(
+            !fast.layers.is_empty(),
+            "{name}: no layer below the saturation node"
+        );
         let r = d.reservation();
         let by_closed_form = |w: f64| {
             let now = d.expect_checkpoint_now(w);
-            fast.sure_fit(w).is_some_and(|(_, lower)| now - lower < -fast.guard)
+            fast.sure_fit(w)
+                .is_some_and(|(_, lower)| now - lower < -fast.guard)
         };
         let by_layer_cake =
             |w: f64| fast.layer_cake(w, d.expect_checkpoint_now(w), fast.sure_fit(w));
@@ -674,21 +697,36 @@ mod tests {
         for w in sweep.chain(scan.iter().copied()) {
             let exact = d.expect_one_more(w);
             if let Some(lower) = d.task().expected_one_more_sure_fit(w, r - w - one) {
-                assert!(lower <= exact + 1e-9, "{name} w = {w}: bound {lower} > {exact}");
+                assert!(
+                    lower <= exact + 1e-9,
+                    "{name} w = {w}: bound {lower} > {exact}"
+                );
             }
             let diff = d.expect_checkpoint_now(w) - exact;
             if by_closed_form(w) {
                 closed_form += 1;
-                assert!(diff < 0.0, "{name} w = {w}: the closed form certified {diff}");
-                assert!(by_layer_cake(w), "{name} w = {w}: the layer cake starts there");
+                assert!(
+                    diff < 0.0,
+                    "{name} w = {w}: the closed form certified {diff}"
+                );
+                assert!(
+                    by_layer_cake(w),
+                    "{name} w = {w}: the layer cake starts there"
+                );
             }
             if by_layer_cake(w) {
                 layer_cake += 1;
-                assert!(diff < 0.0, "{name} w = {w}: the layer cake certified {diff}");
+                assert!(
+                    diff < 0.0,
+                    "{name} w = {w}: the layer cake certified {diff}"
+                );
             }
             if by_quadrature(w) {
                 quadrature += 1;
-                assert!(diff < 0.0, "{name} w = {w}: the quadrature certified {diff}");
+                assert!(
+                    diff < 0.0,
+                    "{name} w = {w}: the quadrature certified {diff}"
+                );
             }
             assert_eq!(fast.negative(w), by_layer_cake(w) || by_quadrature(w));
         }
@@ -738,7 +776,10 @@ mod tests {
         let w_int = fig8.threshold().unwrap().expect("threshold exists");
         let below = (w_int / (29.0 / 96.0)) as usize;
         let calls = fig8.task().kernel_calls.get();
-        assert!(3 * calls < below, "fig8: quadrature ran at {calls} of {below} points");
+        assert!(
+            3 * calls < below,
+            "fig8: quadrature ran at {calls} of {below} points"
+        );
     }
 
     #[test]

@@ -130,7 +130,8 @@ impl IidSum for Gamma {
             return 0.0;
         }
         let shape = y * self.shape();
-        let v = ((shape - 1.0) * x.ln() - x / self.scale()
+        let v = ((shape - 1.0) * x.ln()
+            - x / self.scale()
             - ln_gamma(shape)
             - shape * self.scale().ln())
         .exp();
@@ -302,7 +303,11 @@ mod tests {
         let task = Normal::new(3.0, 0.5).unwrap();
         let (lo, hi) = task.sum_bounds(7.4);
         let mass = resq_numerics::adaptive_simpson(|x| task.sum_density(7.4, x), lo, hi, 1e-11);
-        assert!((mass.value - 1.0).abs() < 1e-8, "normal mass {}", mass.value);
+        assert!(
+            (mass.value - 1.0).abs() < 1e-8,
+            "normal mass {}",
+            mass.value
+        );
 
         let task = Gamma::new(1.0, 0.5).unwrap();
         let (lo, hi) = task.sum_bounds(11.8);
@@ -311,7 +316,9 @@ mod tests {
 
         let task = Poisson::new(3.0).unwrap();
         let (_, hi) = task.sum_bounds(5.98);
-        let mass: f64 = (0..=hi as u64).map(|j| task.sum_density(5.98, j as f64)).sum();
+        let mass: f64 = (0..=hi as u64)
+            .map(|j| task.sum_density(5.98, j as f64))
+            .sum();
         assert!((mass - 1.0).abs() < 1e-9, "poisson mass {mass}");
     }
 

@@ -158,10 +158,7 @@ proptest! {
 /// The reference §4.2 search: identical grid and rounding rule, but every
 /// objective evaluation goes through the exact adaptive-Simpson path
 /// (`expected_work_relaxed` / `expected_work`).
-fn reference_static_plan<T, C>(
-    s: &StaticStrategy<T, C>,
-    task_mean: f64,
-) -> (u64, f64)
+fn reference_static_plan<T, C>(s: &StaticStrategy<T, C>, task_mean: f64) -> (u64, f64)
 where
     T: resq_core::workflow::sum_law::IidSum,
     C: Continuous,

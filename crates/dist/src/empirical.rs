@@ -178,6 +178,9 @@ mod tests {
             let idx = data.iter().position(|&d| d == x).expect("foreign sample");
             seen[idx] = true;
         }
-        assert!(seen.iter().all(|&s| s), "all values should appear: {seen:?}");
+        assert!(
+            seen.iter().all(|&s| s),
+            "all values should appear: {seen:?}"
+        );
     }
 }

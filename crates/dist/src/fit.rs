@@ -151,7 +151,9 @@ pub fn fit_normal(data: &[f64]) -> Result<Normal, FitError> {
 pub fn fit_lognormal(data: &[f64]) -> Result<LogNormal, FitError> {
     check_data(data, 2)?;
     if data.iter().any(|&x| x <= 0.0) {
-        return Err(FitError::UnsupportedData("LogNormal requires positive data"));
+        return Err(FitError::UnsupportedData(
+            "LogNormal requires positive data",
+        ));
     }
     let logs: Vec<f64> = data.iter().map(|x| x.ln()).collect();
     let (mu, var) = sample_mean_var(&logs);

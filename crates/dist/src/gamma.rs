@@ -102,7 +102,8 @@ impl Continuous for Gamma {
         if x < 0.0 || (x == 0.0 && self.shape > 1.0) {
             return f64::NEG_INFINITY;
         }
-        (self.shape - 1.0) * x.ln() - x / self.scale
+        (self.shape - 1.0) * x.ln()
+            - x / self.scale
             - ln_gamma(self.shape)
             - self.shape * self.scale.ln()
     }
@@ -252,7 +253,10 @@ mod tests {
         for &probe in &[0.1, 0.25, 0.5, 1.0, 2.0] {
             let emp = xs.iter().filter(|&&x| x <= probe).count() as f64 / n as f64;
             let ana = g.cdf(probe);
-            assert!((emp - ana).abs() < 0.01, "probe {probe}: emp {emp} vs {ana}");
+            assert!(
+                (emp - ana).abs() < 0.01,
+                "probe {probe}: emp {emp} vs {ana}"
+            );
         }
     }
 }

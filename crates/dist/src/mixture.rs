@@ -356,9 +356,7 @@ mod tests {
         let m = bimodal();
         let mut rng = Xoshiro256pp::new(5);
         let n = 100_000;
-        let low = (0..n)
-            .filter(|_| m.sample(&mut rng) < 6.5)
-            .count() as f64 / n as f64;
+        let low = (0..n).filter(|_| m.sample(&mut rng) < 6.5).count() as f64 / n as f64;
         assert!((low - 0.6).abs() < 0.01, "low-mode fraction {low}");
     }
 

@@ -25,7 +25,10 @@ impl Triangular {
             return Err(DistError::EmptyInterval { lo: a, hi: b });
         }
         if !(a..=b).contains(&c) {
-            return Err(DistError::ParameterOutOfRange { name: "mode", value: c });
+            return Err(DistError::ParameterOutOfRange {
+                name: "mode",
+                value: c,
+            });
         }
         Ok(Self { a, b, c })
     }
@@ -121,7 +124,7 @@ mod tests {
         assert!(Triangular::new(1.0, 0.5, 7.5).is_err()); // mode below a
         assert!(Triangular::new(1.0, 8.0, 7.5).is_err()); // mode above b
         assert!(Triangular::new(7.5, 3.0, 1.0).is_err()); // inverted
-        // Edge modes are allowed.
+                                                          // Edge modes are allowed.
         assert!(Triangular::new(1.0, 1.0, 7.5).is_ok());
         assert!(Triangular::new(1.0, 7.5, 7.5).is_ok());
     }
@@ -130,8 +133,7 @@ mod tests {
     fn moments() {
         let t = Triangular::new(1.0, 3.0, 7.5).unwrap();
         assert!((t.mean() - (1.0 + 3.0 + 7.5) / 3.0).abs() < 1e-15);
-        let want_var =
-            (1.0 + 9.0 + 56.25 - 3.0 - 7.5 - 22.5) / 18.0;
+        let want_var = (1.0 + 9.0 + 56.25 - 3.0 - 7.5 - 22.5) / 18.0;
         assert!((t.variance() - want_var).abs() < 1e-12);
     }
 

@@ -166,6 +166,10 @@ mod tests {
         let n = 200_000;
         let xs = w.sample_vec(&mut rng, n);
         let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!((mean - w.mean()).abs() < 0.02, "mean {mean} vs {}", w.mean());
+        assert!(
+            (mean - w.mean()).abs() < 0.02,
+            "mean {mean} vs {}",
+            w.mean()
+        );
     }
 }

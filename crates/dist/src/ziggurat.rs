@@ -48,7 +48,7 @@
 //! loops on the same stream (proved in tests here and in
 //! `tests/determinism.rs`).
 
-use crate::traits::{uniform01_open_left, u64_to_uniform01};
+use crate::traits::{u64_to_uniform01, uniform01_open_left};
 use rand::RngCore;
 use std::sync::OnceLock;
 
@@ -313,8 +313,9 @@ mod tests {
                 self.i += 1;
                 // Perturb so the tail loop cannot cycle forever on a
                 // rejecting pair.
-                self.words[self.i % len] =
-                    w.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(self.i as u64);
+                self.words[self.i % len] = w
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(self.i as u64);
                 w
             }
             fn fill_bytes(&mut self, dest: &mut [u8]) {

@@ -23,7 +23,17 @@ use resq_numerics::adaptive_simpson;
 const BUDGET: f64 = 1e-12;
 
 /// Probe quantiles: both tails, the shoulders and the median.
-const PROBES: [f64; 9] = [1e-9, 1e-4, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-4, 1.0 - 1e-9];
+const PROBES: [f64; 9] = [
+    1e-9,
+    1e-4,
+    0.01,
+    0.2,
+    0.5,
+    0.8,
+    0.99,
+    1.0 - 1e-4,
+    1.0 - 1e-9,
+];
 
 /// Checks `law`'s partial means at `xs` against the reference integral
 /// from `bottom` (the support's lower end, or a point below which the
@@ -39,7 +49,10 @@ fn check<D: Continuous + std::fmt::Debug>(
     let tol = 1e-2 * BUDGET * scale;
     for &x in xs.iter().filter(|&&x| x <= bottom) {
         let got = law.partial_mean(x).expect("closed form");
-        assert!(got.abs() <= BUDGET * scale, "{law:?}: partial_mean({x}) = {got}");
+        assert!(
+            got.abs() <= BUDGET * scale,
+            "{law:?}: partial_mean({x}) = {got}"
+        );
     }
     let mut knots: Vec<f64> = splits
         .iter()
@@ -89,7 +102,13 @@ fn probes<D: Continuous>(law: &D) -> Vec<f64> {
 
 #[test]
 fn normal_matches_the_reference_for_z_in_minus_40_to_40() {
-    for (mu, sigma) in [(0.0, 1.0), (3.0, 0.5), (-2.0, 3.0), (100.0, 0.1), (0.25, 2e-3)] {
+    for (mu, sigma) in [
+        (0.0, 1.0),
+        (3.0, 0.5),
+        (-2.0, 3.0),
+        (100.0, 0.1),
+        (0.25, 2e-3),
+    ] {
         let law = Normal::new(mu, sigma).unwrap();
         let xs: Vec<f64> = (-8..=8).map(|k| mu + 5.0 * k as f64 * sigma).collect();
         let abs_mean = sigma * 2.0 * resq_specfun::norm_pdf(mu / sigma)
@@ -144,7 +163,11 @@ fn uniform_matches_the_reference_below_inside_and_above_its_support() {
             .iter()
             .map(|t| a + t * w)
             .collect();
-        let abs_mean = if a >= 0.0 { law.mean() } else { (a * a + b * b) / (2.0 * w) };
+        let abs_mean = if a >= 0.0 {
+            law.mean()
+        } else {
+            (a * a + b * b) / (2.0 * w)
+        };
         check(&law, abs_mean, a - w, &[a, b], &xs);
     }
 }

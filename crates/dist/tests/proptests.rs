@@ -18,7 +18,10 @@ fn check_continuous_axioms<D: Continuous>(d: &D, probes: &[f64]) -> Result<(), T
             prop_assert!(c >= prev_c - 1e-12, "cdf not monotone at {x}");
         }
         prop_assert!(d.pdf(x) >= 0.0, "pdf({x}) < 0");
-        prop_assert!((d.cdf(x) + d.sf(x) - 1.0).abs() < 1e-9, "cdf+sf != 1 at {x}");
+        prop_assert!(
+            (d.cdf(x) + d.sf(x) - 1.0).abs() < 1e-9,
+            "cdf+sf != 1 at {x}"
+        );
         prev_x = x;
         prev_c = c;
     }
@@ -44,7 +47,10 @@ fn check_samples_in_support<D: Continuous + Sample>(
     let (lo, hi) = d.support();
     for _ in 0..64 {
         let x = d.sample(rng);
-        prop_assert!(x >= lo - 1e-12 && x <= hi + 1e-12, "sample {x} outside [{lo},{hi}]");
+        prop_assert!(
+            x >= lo - 1e-12 && x <= hi + 1e-12,
+            "sample {x} outside [{lo},{hi}]"
+        );
     }
     Ok(())
 }

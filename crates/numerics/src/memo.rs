@@ -218,7 +218,10 @@ mod tests {
         }
         // h shrinks 16× → error shrinks ~256×. The absolute bound is
         // h²·max|f″|/8 = (30/4096)²·0.49/8 ≈ 3.3e-6.
-        assert!(worst_fine < worst_coarse / 100.0, "{worst_fine} vs {worst_coarse}");
+        assert!(
+            worst_fine < worst_coarse / 100.0,
+            "{worst_fine} vs {worst_coarse}"
+        );
         assert!(worst_fine < 5e-6, "worst_fine = {worst_fine}");
     }
 

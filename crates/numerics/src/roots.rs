@@ -141,11 +141,7 @@ pub fn brent_root_from<F: FnMut(f64) -> f64>(
         }
         a = b;
         fa = fb;
-        b += if d.abs() > tol1 {
-            d
-        } else {
-            tol1.copysign(xm)
-        };
+        b += if d.abs() > tol1 { d } else { tol1.copysign(xm) };
         fb = f(b);
         if (fb > 0.0) == (fc > 0.0) {
             c = a;
@@ -251,7 +247,12 @@ mod tests {
             (&|x: f64| x * x - 2.0, 0.0, 2.0, std::f64::consts::SQRT_2),
             (&|x: f64| x.cos() - x, 0.0, 1.0, 0.7390851332151607),
             (&|x: f64| x.exp() - 3.0, 0.0, 2.0, 3.0f64.ln()),
-            (&|x: f64| x.powi(3) - 2.0 * x - 5.0, 2.0, 3.0, 2.0945514815423265),
+            (
+                &|x: f64| x.powi(3) - 2.0 * x - 5.0,
+                2.0,
+                3.0,
+                2.0945514815423265,
+            ),
         ];
         for (f, a, b, want) in cases {
             let r = brent_root(f, *a, *b, 1e-14).unwrap();
@@ -280,7 +281,10 @@ mod tests {
             1e-14,
         )
         .unwrap();
-        assert!(!probes.contains(&0.0) && !probes.contains(&1.0), "{probes:?}");
+        assert!(
+            !probes.contains(&0.0) && !probes.contains(&1.0),
+            "{probes:?}"
+        );
         let both_ends = brent_root(f, 0.0, 1.0, 1e-14).unwrap();
         assert_eq!(r.to_bits(), both_ends.to_bits());
         assert_eq!(

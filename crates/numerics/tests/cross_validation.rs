@@ -66,13 +66,8 @@ fn incomplete_beta_equals_partial_integral() {
     // I_x(a,b)·B(a,b) = ∫_0^x t^{a−1}(1−t)^{b−1} dt (a, b ≥ 1 to keep the
     // integrand bounded for plain Simpson).
     for &(a, b, x) in &[(2.0, 3.0, 0.4), (1.5, 1.5, 0.7), (4.0, 2.0, 0.25)] {
-        let quad = adaptive_simpson(
-            |t| t.powf(a - 1.0) * (1.0 - t).powf(b - 1.0),
-            0.0,
-            x,
-            1e-13,
-        )
-        .value;
+        let quad =
+            adaptive_simpson(|t| t.powf(a - 1.0) * (1.0 - t).powf(b - 1.0), 0.0, x, 1e-13).value;
         let cf = inc_beta(a, b, x) * ln_beta(a, b).exp();
         assert!(
             ((quad - cf) / cf).abs() < 1e-9,
@@ -100,18 +95,14 @@ fn lambert_w_inverts_x_exp_x_found_by_root_finding() {
     for &z in &[0.1, 1.0, 10.0, 100.0, 1e4] {
         let root = resq_numerics::brent_root(|t| t * t.exp() - z, 0.0, 20.0, 1e-14).unwrap();
         let w = lambert_w0(z);
-        assert!(
-            (root - w).abs() < 1e-9,
-            "z={z}: brent {root} vs W0 {w}"
-        );
+        assert!((root - w).abs() < 1e-9, "z={z}: brent {root} vs W0 {w}");
     }
 }
 
 #[test]
 fn normal_quantile_agrees_with_brent_inversion() {
     for &p in &[0.01, 0.1, 0.3, 0.5, 0.9, 0.999] {
-        let root =
-            resq_numerics::brent_root(|x| norm_cdf(x) - p, -10.0, 10.0, 1e-14).unwrap();
+        let root = resq_numerics::brent_root(|x| norm_cdf(x) - p, -10.0, 10.0, 1e-14).unwrap();
         let q = norm_quantile(p);
         assert!((root - q).abs() < 1e-9, "p={p}: brent {root} vs Φ⁻¹ {q}");
     }
@@ -137,8 +128,7 @@ fn poisson_tail_gamma_duality_via_quadrature() {
     for k in 0..=n {
         sum += (-lam + k as f64 * lam.ln() - ln_factorial(k)).exp();
     }
-    let integral =
-        adaptive_simpson(|t| t.powi(n as i32) * (-t).exp(), 0.0, lam, 1e-13).value;
+    let integral = adaptive_simpson(|t| t.powi(n as i32) * (-t).exp(), 0.0, lam, 1e-13).value;
     let via_quad = 1.0 - integral / factorial(n);
     assert!(
         (sum - via_quad).abs() < 1e-12,

@@ -237,13 +237,16 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic_in_seed_and_index() {
-        let a = ChaosPolicy::parse("seed=9,panic=0.3,torn=0.3,flip=0.3,stall=0.3,slow=0.3").unwrap();
-        let b = ChaosPolicy::parse("seed=9,panic=0.3,torn=0.3,flip=0.3,stall=0.3,slow=0.3").unwrap();
+        let a =
+            ChaosPolicy::parse("seed=9,panic=0.3,torn=0.3,flip=0.3,stall=0.3,slow=0.3").unwrap();
+        let b =
+            ChaosPolicy::parse("seed=9,panic=0.3,torn=0.3,flip=0.3,stall=0.3,slow=0.3").unwrap();
         for i in 0..256 {
             assert_eq!(a.plan_for(i), b.plan_for(i), "index {i}");
         }
         // A different seed gives a different schedule somewhere.
-        let c = ChaosPolicy::parse("seed=10,panic=0.3,torn=0.3,flip=0.3,stall=0.3,slow=0.3").unwrap();
+        let c =
+            ChaosPolicy::parse("seed=10,panic=0.3,torn=0.3,flip=0.3,stall=0.3,slow=0.3").unwrap();
         assert!(
             (0..256).any(|i| a.plan_for(i) != c.plan_for(i)),
             "seeds 9 and 10 produced identical 256-connection schedules"

@@ -95,8 +95,8 @@ pub fn export(text: &str) -> Result<TraceExport, String> {
     let mut cur: Option<RunCtx> = None;
 
     let ensure_run = |cur: &mut Option<RunCtx>,
-                          runs: &mut usize,
-                          events: &mut Vec<String>|
+                      runs: &mut usize,
+                      events: &mut Vec<String>|
      -> u32 {
         if cur.is_none() {
             // Rows before any run-started: a synthetic process so the
@@ -131,12 +131,11 @@ pub fn export(text: &str) -> Result<TraceExport, String> {
             "run-started" => {
                 runs += 1;
                 let command = str_field(&row, "command").unwrap_or("?");
-                let (pid, label) = match str_field(&row, "run_id")
-                    .and_then(|h| u64::from_str_radix(h, 16).ok())
-                {
-                    Some(run_id) => (fold_pid(run_id), format!("{run_id:016x}")),
-                    None => (runs as u32, format!("#{runs}")),
-                };
+                let (pid, label) =
+                    match str_field(&row, "run_id").and_then(|h| u64::from_str_radix(h, 16).ok()) {
+                        Some(run_id) => (fold_pid(run_id), format!("{run_id:016x}")),
+                        None => (runs as u32, format!("#{runs}")),
+                    };
                 let mut proc_label = String::new();
                 json::write_escaped(&mut proc_label, &format!("resq {command} run {label}"));
                 events.push(format!(

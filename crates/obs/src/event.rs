@@ -174,7 +174,10 @@ mod tests {
         let parsed = json::parse(&text).unwrap();
         assert_eq!(parsed.get("seed").unwrap().as_u64(), Some(42));
         assert_eq!(parsed.get("oracle").unwrap().as_bool(), Some(false));
-        assert_eq!(parsed.get("task").unwrap().as_str(), Some("normal:3,0.5@0,"));
+        assert_eq!(
+            parsed.get("task").unwrap().as_str(),
+            Some("normal:3,0.5@0,")
+        );
     }
 
     #[test]

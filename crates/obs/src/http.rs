@@ -418,8 +418,7 @@ fn serve_core(config: ServerConfig, conn: ConnFn, shed: ShedFn) -> io::Result<Se
                             // exercising the backpressure path.
                             std::thread::sleep(Duration::from_millis(STALL_MILLIS));
                         }
-                        if let Err(TrySendError::Full((stream, _))) =
-                            tx.try_send((stream, faults))
+                        if let Err(TrySendError::Full((stream, _))) = tx.try_send((stream, faults))
                         {
                             // Bounded queue is the backpressure valve:
                             // shed load loudly instead of queueing
@@ -563,8 +562,7 @@ fn read_request_head(stream: &mut TcpStream, config: &ServerConfig, carry: Vec<u
             }
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 return if buf.is_empty() {
                     ReadOutcome::Closed
@@ -595,8 +593,7 @@ fn read_body(
             Ok(0) => return None,
             Ok(n) => carry.extend_from_slice(&chunk[..n]),
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 return None
             }
@@ -685,16 +682,10 @@ fn handle_http_connection(
         };
         if content_length > config.max_body_bytes {
             HTTP_ERRORS_TOTAL.inc();
-            write_response(
-                &stream,
-                &Response::error(413, "Content Too Large"),
-                false,
-            );
+            write_response(&stream, &Response::error(413, "Content Too Large"), false);
             break;
         }
-        if header_value(&head, "Expect")
-            .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
-        {
+        if header_value(&head, "Expect").is_some_and(|v| v.eq_ignore_ascii_case("100-continue")) {
             let _ = (&stream).write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
         }
         let deadline = Instant::now() + config.read_timeout;
@@ -720,9 +711,8 @@ fn handle_http_connection(
         served += 1;
         // Drain discipline: a stop request never cuts off the request in
         // flight — it is answered (with `Connection: close`) first.
-        let close = client_close
-            || stop.load(Ordering::SeqCst)
-            || served >= config.max_keepalive_requests;
+        let close =
+            client_close || stop.load(Ordering::SeqCst) || served >= config.max_keepalive_requests;
         if faults.any_response_fault() {
             let rendered = render_response(&response, !close);
             // Faults target the body only: corrupting the head or the
@@ -830,10 +820,7 @@ pub fn telemetry_response(request: &Request) -> Response {
         "/healthz" | "/healthz/live" => Response::ok("text/plain; charset=utf-8", "ok\n"),
         "/healthz/ready" => Response::ok(
             "application/json",
-            format!(
-                "{{\"status\":\"ok\",\"draining\":{}}}\n",
-                stop_requested()
-            ),
+            format!("{{\"status\":\"ok\",\"draining\":{}}}\n", stop_requested()),
         ),
         "/metrics" => {
             let snap = Snapshot::capture();
@@ -1131,9 +1118,15 @@ mod tests {
         assert!(parsed.get("counters").is_some());
         assert!(parsed.get("gauges").is_some());
         let spans = get(addr, "/spans");
-        assert!(json::parse(body_of(&spans)).expect("spans parses").get("process").is_some());
+        assert!(json::parse(body_of(&spans))
+            .expect("spans parses")
+            .get("process")
+            .is_some());
         let runs = get(addr, "/runs");
-        assert!(json::parse(body_of(&runs)).expect("runs parses").get("runs").is_some());
+        assert!(json::parse(body_of(&runs))
+            .expect("runs parses")
+            .get("runs")
+            .is_some());
         server.stop();
     }
 
@@ -1247,7 +1240,10 @@ mod tests {
             }
             let head_str = String::from_utf8_lossy(&buf).into_owned();
             assert!(head_str.starts_with("HTTP/1.1 200 OK\r\n"), "{head_str}");
-            assert!(head_str.contains("Connection: keep-alive\r\n"), "{head_str}");
+            assert!(
+                head_str.contains("Connection: keep-alive\r\n"),
+                "{head_str}"
+            );
             let len: usize = head_str
                 .lines()
                 .find_map(|l| l.strip_prefix("Content-Length: "))
@@ -1318,7 +1314,8 @@ mod tests {
         // An oversized length prefix gets a typed error frame, then EOF.
         let mut bad = TcpStream::connect(addr).expect("connect");
         bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        bad.write_all(&(1u32 << 30).to_le_bytes()).expect("send bad length");
+        bad.write_all(&(1u32 << 30).to_le_bytes())
+            .expect("send bad length");
         let mut len_buf = [0u8; 4];
         bad.read_exact(&mut len_buf).expect("read error length");
         let len = u32::from_le_bytes(len_buf) as usize;
@@ -1326,10 +1323,16 @@ mod tests {
         bad.read_exact(&mut payload).expect("read error payload");
         let err = json::parse(&String::from_utf8_lossy(&payload)).expect("error frame parses");
         assert_eq!(
-            err.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            err.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("frame")
         );
-        assert_eq!(bad.read(&mut len_buf).unwrap_or(0), 0, "connection stayed open");
+        assert_eq!(
+            bad.read(&mut len_buf).unwrap_or(0),
+            0,
+            "connection stayed open"
+        );
         server.stop();
     }
 
@@ -1361,7 +1364,10 @@ mod tests {
             Some(json::JsonValue::Array(rows)) => rows[0].clone(),
             other => panic!("runs not an array: {other:?}"),
         };
-        assert_eq!(row.get("run_id").unwrap().as_str(), Some("00000000000000ff"));
+        assert_eq!(
+            row.get("run_id").unwrap().as_str(),
+            Some("00000000000000ff")
+        );
         assert_eq!(row.get("trials_done").unwrap().as_u64(), Some(4096));
         assert_eq!(row.get("state").unwrap().as_str(), Some("running"));
         let spans = json::parse(&render_spans_json(&registry)).unwrap();
@@ -1462,7 +1468,11 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
         assert!(resp.contains("Content-Length: 3\r\n"), "{resp}");
         // …body corrupted: exactly what a checksumming client detects.
-        assert_ne!(body_of(&resp), "ok\n", "flip fault did not corrupt the body");
+        assert_ne!(
+            body_of(&resp),
+            "ok\n",
+            "flip fault did not corrupt the body"
+        );
         server.stop();
     }
 
@@ -1510,7 +1520,10 @@ mod tests {
         assert_eq!(len, 9, "length prefix was corrupted");
         let mut payload = vec![0u8; len];
         stream.read_exact(&mut payload).expect("read payload");
-        assert_ne!(&payload, b"ack:hello", "flip fault did not corrupt the payload");
+        assert_ne!(
+            &payload, b"ack:hello",
+            "flip fault did not corrupt the payload"
+        );
         server.stop();
     }
 

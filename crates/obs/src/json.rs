@@ -132,7 +132,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -439,7 +443,15 @@ mod tests {
 
     #[test]
     fn f64_writer_round_trips() {
-        for x in [0.0, -0.0, 1.5, 1.0 / 3.0, 1e-300, 2.2250738585072014e-308, 12345.0] {
+        for x in [
+            0.0,
+            -0.0,
+            1.5,
+            1.0 / 3.0,
+            1e-300,
+            2.2250738585072014e-308,
+            12345.0,
+        ] {
             let mut out = String::new();
             write_f64(&mut out, x);
             let back: f64 = out.parse().unwrap();

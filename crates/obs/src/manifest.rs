@@ -223,7 +223,10 @@ mod tests {
             .wall_time_secs(0.125);
         let text = m.to_json();
         let v = json::parse(&text).unwrap();
-        assert_eq!(v.get("tool").unwrap().as_str(), Some("resq-bench fig5_normal"));
+        assert_eq!(
+            v.get("tool").unwrap().as_str(),
+            Some("resq-bench fig5_normal")
+        );
         assert_eq!(v.get("seed").unwrap().as_u64(), Some(42));
         assert_eq!(v.get("threads").unwrap().as_u64(), Some(4));
         assert_eq!(v.get("trials").unwrap().as_u64(), Some(100_000));

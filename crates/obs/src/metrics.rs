@@ -80,7 +80,10 @@ impl Counter {
     /// one atomic add per call site regardless of how many increments or
     /// early returns the function has.
     pub fn tally(&self) -> Tally<'_> {
-        Tally { counter: self, n: 0 }
+        Tally {
+            counter: self,
+            n: 0,
+        }
     }
 }
 
@@ -689,10 +692,20 @@ impl Snapshot {
 pub fn format_summary() -> String {
     let mut out = String::from("metrics:\n");
     for c in ALL_COUNTERS {
-        out.push_str(&format!("  {:<24} {:>12}  {}\n", c.name(), c.get(), c.help()));
+        out.push_str(&format!(
+            "  {:<24} {:>12}  {}\n",
+            c.name(),
+            c.get(),
+            c.help()
+        ));
     }
     for g in ALL_GAUGES {
-        out.push_str(&format!("  {:<24} {:>12}  {}\n", g.name(), g.get(), g.help()));
+        out.push_str(&format!(
+            "  {:<24} {:>12}  {}\n",
+            g.name(),
+            g.get(),
+            g.help()
+        ));
     }
     for h in ALL_HISTOGRAMS {
         out.push_str(&format!(
@@ -745,7 +758,9 @@ fn prometheus_escape_help(s: &str) -> String {
 }
 
 fn prometheus_escape_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn prometheus_histogram(
@@ -807,13 +822,19 @@ pub fn format_prometheus_from(snap: &Snapshot, spans: &[span::SpanStats]) -> Str
     let mut out = String::new();
     for c in ALL_COUNTERS {
         let name = format!("{PROMETHEUS_PREFIX}{}", c.name());
-        out.push_str(&format!("# HELP {name} {}\n", prometheus_escape_help(c.help())));
+        out.push_str(&format!(
+            "# HELP {name} {}\n",
+            prometheus_escape_help(c.help())
+        ));
         out.push_str(&format!("# TYPE {name} counter\n"));
         out.push_str(&format!("{name} {}\n", snap.counter(c.name())));
     }
     for g in ALL_GAUGES {
         let name = format!("{PROMETHEUS_PREFIX}{}", g.name());
-        out.push_str(&format!("# HELP {name} {}\n", prometheus_escape_help(g.help())));
+        out.push_str(&format!(
+            "# HELP {name} {}\n",
+            prometheus_escape_help(g.help())
+        ));
         out.push_str(&format!("# TYPE {name} gauge\n"));
         out.push_str(&format!("{name} {}\n", snap.gauge(g.name())));
     }
@@ -822,7 +843,10 @@ pub fn format_prometheus_from(snap: &Snapshot, spans: &[span::SpanStats]) -> Str
             continue;
         };
         let name = format!("{PROMETHEUS_PREFIX}{}", h.name());
-        out.push_str(&format!("# HELP {name} {}\n", prometheus_escape_help(h.help())));
+        out.push_str(&format!(
+            "# HELP {name} {}\n",
+            prometheus_escape_help(h.help())
+        ));
         out.push_str(&format!("# TYPE {name} histogram\n"));
         prometheus_histogram(&mut out, &name, "", &hs.buckets, hs.sum);
     }
@@ -833,7 +857,13 @@ pub fn format_prometheus_from(snap: &Snapshot, spans: &[span::SpanStats]) -> Str
         out.push_str(&format!("# TYPE {SPAN_DURATION_METRIC} histogram\n"));
         for s in spans {
             let labels = format!("span=\"{}\"", prometheus_escape_label(&s.path));
-            prometheus_histogram(&mut out, SPAN_DURATION_METRIC, &labels, &s.buckets, s.total_nanos);
+            prometheus_histogram(
+                &mut out,
+                SPAN_DURATION_METRIC,
+                &labels,
+                &s.buckets,
+                s.total_nanos,
+            );
         }
     }
     out
@@ -1100,16 +1130,30 @@ mod tests {
         // Every counter appears with HELP, TYPE and a sample line.
         for c in ALL_COUNTERS {
             let name = format!("{PROMETHEUS_PREFIX}{}", c.name());
-            assert!(text.contains(&format!("# HELP {name} ")), "missing HELP for {name}");
-            assert!(text.contains(&format!("# TYPE {name} counter\n")), "missing TYPE for {name}");
-            assert!(text.contains(&format!("\n{name} ")) || text.starts_with(&format!("{name} ")),
-                "missing sample for {name}");
+            assert!(
+                text.contains(&format!("# HELP {name} ")),
+                "missing HELP for {name}"
+            );
+            assert!(
+                text.contains(&format!("# TYPE {name} counter\n")),
+                "missing TYPE for {name}"
+            );
+            assert!(
+                text.contains(&format!("\n{name} ")) || text.starts_with(&format!("{name} ")),
+                "missing sample for {name}"
+            );
         }
         // Every gauge appears with a gauge TYPE and a sample line.
         for g in ALL_GAUGES {
             let name = format!("{PROMETHEUS_PREFIX}{}", g.name());
-            assert!(text.contains(&format!("# TYPE {name} gauge\n")), "missing TYPE for {name}");
-            assert!(text.contains(&format!("\n{name} ")), "missing sample for {name}");
+            assert!(
+                text.contains(&format!("# TYPE {name} gauge\n")),
+                "missing TYPE for {name}"
+            );
+            assert!(
+                text.contains(&format!("\n{name} ")),
+                "missing sample for {name}"
+            );
         }
         // Histogram family with +Inf bucket, _sum, _count.
         assert!(text.contains("# TYPE resq_mc_worker_trials histogram"));
@@ -1118,14 +1162,17 @@ mod tests {
         assert!(text.contains("resq_mc_worker_trials_count"));
         // Span histogram with the span label.
         assert!(text.contains("# TYPE resq_span_duration_nanos histogram"));
-        assert!(text.contains("resq_span_duration_nanos_bucket{span=\"solve/preemptible\",le=\"+Inf\"} 2"));
+        assert!(text
+            .contains("resq_span_duration_nanos_bucket{span=\"solve/preemptible\",le=\"+Inf\"} 2"));
         assert!(text.contains("resq_span_duration_nanos_sum{span=\"solve/preemptible\"} 4000"));
         assert!(text.contains("resq_span_duration_nanos_count{span=\"solve/preemptible\"} 2"));
 
         // Bucket series are cumulative: counts never decrease as le grows.
         let mut last: Option<u64> = None;
         for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("resq_span_duration_nanos_bucket{span=\"solve/preemptible\"") {
+            if let Some(rest) =
+                line.strip_prefix("resq_span_duration_nanos_bucket{span=\"solve/preemptible\"")
+            {
                 let count: u64 = rest.rsplit(' ').next().unwrap().parse().unwrap();
                 if let Some(prev) = last {
                     assert!(count >= prev, "bucket series not cumulative: {line}");

@@ -176,10 +176,8 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_parseable_lines() {
-        let path = std::env::temp_dir().join(format!(
-            "resq-obs-sink-test-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("resq-obs-sink-test-{}.jsonl", std::process::id()));
         {
             let sink = JsonlSink::create(&path).unwrap();
             sink.emit(Event::new(event_type::RUN_STARTED).u64("seed", 1));

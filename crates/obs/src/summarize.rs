@@ -68,7 +68,10 @@ impl LogSummary {
             match ty {
                 "run-started" => {
                     if command.is_none() {
-                        command = row.get("command").and_then(|c| c.as_str()).map(String::from);
+                        command = row
+                            .get("command")
+                            .and_then(|c| c.as_str())
+                            .map(String::from);
                     }
                     if seed.is_none() {
                         seed = row.get("seed").and_then(|s| s.as_u64());
@@ -236,7 +239,11 @@ mod tests {
                     .f64("running_mean", 1.5),
             );
         }
-        sink.emit(Event::new(event_type::TRIAL_SAMPLE).u64("trial", 0).f64("value", 2.0));
+        sink.emit(
+            Event::new(event_type::TRIAL_SAMPLE)
+                .u64("trial", 0)
+                .f64("value", 2.0),
+        );
         sink.emit(
             Event::new(event_type::RUN_FINISHED)
                 .u64("trials", 9000)
@@ -275,7 +282,12 @@ mod tests {
 
     #[test]
     fn summary_tolerates_garbage_lines() {
-        let lines = ["not json", r#"{"no_type":1}"#, "", r#"{"type":"run-finished"}"#];
+        let lines = [
+            "not json",
+            r#"{"no_type":1}"#,
+            "",
+            r#"{"type":"run-finished"}"#,
+        ];
         let s = LogSummary::from_lines(lines);
         assert_eq!(s.rows, 3); // blank line skipped
         assert_eq!(s.malformed, 2);

@@ -134,7 +134,8 @@ impl<S: RunSink> TracedSink<S> {
 
 impl<S: RunSink> RunSink for TracedSink<S> {
     fn emit(&self, event: Event) {
-        self.inner.emit(event.str("run_id", self.run_id_hex.clone()));
+        self.inner
+            .emit(event.str("run_id", self.run_id_hex.clone()));
     }
 
     fn enabled(&self) -> bool {
@@ -399,15 +400,18 @@ impl Drop for RunGuard {
 mod tests {
     use super::*;
     use crate::event::event_type;
-    use crate::sink::MemorySink;
     use crate::json;
+    use crate::sink::MemorySink;
 
     #[test]
     fn run_id_is_deterministic_and_flag_sensitive() {
         let a = TraceCtx::derive("simulate", [("seed", "42"), ("trials", "1000")].into_iter());
         let b = TraceCtx::derive("simulate", [("seed", "42"), ("trials", "1000")].into_iter());
         let c = TraceCtx::derive("simulate", [("seed", "43"), ("trials", "1000")].into_iter());
-        let d = TraceCtx::derive("plan-static", [("seed", "42"), ("trials", "1000")].into_iter());
+        let d = TraceCtx::derive(
+            "plan-static",
+            [("seed", "42"), ("trials", "1000")].into_iter(),
+        );
         assert_eq!(a, b);
         assert_ne!(a.run_id, c.run_id);
         assert_ne!(a.run_id, d.run_id);

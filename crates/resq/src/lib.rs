@@ -51,10 +51,10 @@ pub use resq_core::{
     Action, AnswerSource, AxisSpec, CampaignModel, CheckpointFit, CheckpointPlan,
     CheckpointReliability, ControllerState, ConvolutionStatic, CoreError, DeterministicPlan,
     DeterministicWorkflow, DpSolution, DynamicStrategy, DynamicWorkflowPolicy, FixedLeadPolicy,
-    HeterogeneousDynamic, LatticeError, LatticeSpec, LawFamily,
-    PessimisticWorkflowPolicy, PolicyAnswer, PolicyLattice, PolicyQuery, Preemptible,
-    PreemptiblePolicy, ReservationController, RetryPolicy, RetryPreemptible, SolveCache, Stage,
-    StaticPlan, StaticStrategy, StaticWorkflowPolicy, TaskDuration, TaskParams, WorkflowPolicy,
+    HeterogeneousDynamic, LatticeError, LatticeSpec, LawFamily, PessimisticWorkflowPolicy,
+    PolicyAnswer, PolicyLattice, PolicyQuery, Preemptible, PreemptiblePolicy,
+    ReservationController, RetryPolicy, RetryPreemptible, SolveCache, Stage, StaticPlan,
+    StaticStrategy, StaticWorkflowPolicy, TaskDuration, TaskParams, WorkflowPolicy,
 };
 
 /// Special functions (re-export of `resq-specfun`).
@@ -100,8 +100,7 @@ mod tests {
     #[test]
     fn facade_exposes_the_headline_api() {
         use crate::dist::Uniform;
-        let model =
-            crate::Preemptible::new(Uniform::new(1.0, 7.5).unwrap(), 10.0).unwrap();
+        let model = crate::Preemptible::new(Uniform::new(1.0, 7.5).unwrap(), 10.0).unwrap();
         let plan = model.optimize();
         assert!((plan.lead_time - 5.5).abs() < 1e-6);
     }

@@ -139,7 +139,11 @@ mod tests {
         Truncated::above(Normal::new(mu, sigma).unwrap(), 0.0).unwrap()
     }
 
-    fn base_config(total_work: f64, billing: BillingModel, cont: ContinuationRule) -> CampaignConfig {
+    fn base_config(
+        total_work: f64,
+        billing: BillingModel,
+        cont: ContinuationRule,
+    ) -> CampaignConfig {
         CampaignConfig {
             model: CampaignModel::new(29.0, 2.0, total_work, billing, cont).unwrap(),
             max_reservations: 200,

@@ -40,8 +40,8 @@
 use crate::trial::{single_shot, Schedule};
 use rand::RngCore;
 use resq_core::policy::{Action, WorkflowPolicy};
-use resq_core::CoreError;
 use resq_core::workflow::task_law::TaskDuration;
+use resq_core::CoreError;
 use resq_dist::{Exponential, Sample};
 
 /// The Young/Daly first-order optimal checkpoint period
@@ -397,7 +397,10 @@ mod tests {
         // exceeds what the old recovery-is-safe model could produce on
         // the same wall-clock exposure. Coarse sanity band:
         let mean = interrupted_recoveries as f64 / 2000.0;
-        assert!(mean > 1.0 && mean < 1.2 * 0.2 * 29.0, "mean failures {mean}");
+        assert!(
+            mean > 1.0 && mean < 1.2 * 0.2 * 29.0,
+            "mean failures {mean}"
+        );
     }
 
     #[test]

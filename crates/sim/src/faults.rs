@@ -68,10 +68,7 @@ pub struct ReliabilityInjector {
 impl ReliabilityInjector {
     /// Builds the injector; `failstop_rate = 0` disables fail-stop
     /// errors entirely (and then consumes no RNG words for them).
-    pub fn new(
-        reliability: CheckpointReliability,
-        failstop_rate: f64,
-    ) -> Result<Self, CoreError> {
+    pub fn new(reliability: CheckpointReliability, failstop_rate: f64) -> Result<Self, CoreError> {
         reliability.validate()?;
         if !(failstop_rate.is_finite() && failstop_rate >= 0.0) {
             return Err(CoreError::InvalidParameter {
@@ -148,7 +145,11 @@ fn injected<'a, C: Sample>(
     let mut rng = Xoshiro256pp::new(rng.next_u64());
     let t_kill = injector.next_failstop(0.0, &mut rng);
     Schedule::new(
-        InjectedFaults { ckpt, injector, rng },
+        InjectedFaults {
+            ckpt,
+            injector,
+            rng,
+        },
         retry,
         reservation.min(t_kill),
         t_kill < reservation,
@@ -242,7 +243,13 @@ impl<X: TaskDuration, C: Sample> FaultyWorkflowSim<X, C> {
 
     /// The trial's fault model, split off `rng` after the task stream.
     fn schedule(&self, rng: &mut dyn RngCore) -> Schedule<InjectedFaults<'_, C>> {
-        injected(self.reservation, &self.ckpt, &self.injector, self.retry, rng)
+        injected(
+            self.reservation,
+            &self.ckpt,
+            &self.injector,
+            self.retry,
+            rng,
+        )
     }
 }
 
@@ -339,20 +346,13 @@ mod tests {
     use resq_core::policy::ThresholdWorkflowPolicy;
     use resq_dist::{Gamma, Uniform};
 
-    fn sim(
-        p: f64,
-        retry: RetryPolicy,
-        failstop: f64,
-    ) -> FaultyWorkflowSim<Gamma, Uniform> {
+    fn sim(p: f64, retry: RetryPolicy, failstop: f64) -> FaultyWorkflowSim<Gamma, Uniform> {
         FaultyWorkflowSim {
             reservation: 30.0,
             task: Gamma::new(9.0, 1.0 / 3.0).unwrap(),
             ckpt: Uniform::new(1.0, 2.0).unwrap(),
-            injector: ReliabilityInjector::new(
-                CheckpointReliability::PerAttempt { p },
-                failstop,
-            )
-            .unwrap(),
+            injector: ReliabilityInjector::new(CheckpointReliability::PerAttempt { p }, failstop)
+                .unwrap(),
             retry,
         }
     }
@@ -375,14 +375,24 @@ mod tests {
             let out = s.run_once(&policy, &mut rng);
             if out.outcome.checkpoint_attempted && !out.killed_by_failstop {
                 assert!(out.ckpt_attempts <= 1 || !out.outcome.checkpoint_succeeded);
-                assert_eq!(out.ckpt_failures + u32::from(out.outcome.checkpoint_succeeded), out.ckpt_attempts);
+                assert_eq!(
+                    out.ckpt_failures + u32::from(out.outcome.checkpoint_succeeded),
+                    out.ckpt_attempts
+                );
             }
         }
     }
 
     #[test]
     fn same_seed_same_outcome() {
-        let s = sim(0.6, RetryPolicy::Backoff { max_attempts: 4, delay: 0.3 }, 0.02);
+        let s = sim(
+            0.6,
+            RetryPolicy::Backoff {
+                max_attempts: 4,
+                delay: 0.3,
+            },
+            0.02,
+        );
         let policy = ThresholdWorkflowPolicy { threshold: 20.0 };
         let mut a = Xoshiro256pp::for_stream(7, 3);
         let mut b = Xoshiro256pp::for_stream(7, 3);
@@ -417,7 +427,10 @@ mod tests {
                 saw_retry = true;
             }
         }
-        assert!(saw_retry, "p = 0.5 over 500 trials must retry at least once");
+        assert!(
+            saw_retry,
+            "p = 0.5 over 500 trials must retry at least once"
+        );
     }
 
     #[test]
@@ -520,12 +533,18 @@ mod tests {
                 let mut rng = Xoshiro256pp::for_stream(17, i);
                 let out = s.run_once(6.0, &mut rng);
                 let ended_early = !out.succeeded && out.time_used < 10.0;
-                assert_eq!(out.killed_by_failstop, ended_early, "{retry:?}, trial {i}: {out:?}");
+                assert_eq!(
+                    out.killed_by_failstop, ended_early,
+                    "{retry:?}, trial {i}: {out:?}"
+                );
                 if ended_early && out.attempts > 0 {
                     after_attempts += 1;
                 }
             }
-            assert!(after_attempts > 0, "{retry:?}: no fail-stop ended a schedule");
+            assert!(
+                after_attempts > 0,
+                "{retry:?}: no fail-stop ended a schedule"
+            );
         }
     }
 }

@@ -42,8 +42,8 @@ pub mod monte_carlo;
 pub mod preemptible;
 pub mod stats;
 mod trial;
-pub mod workload;
 pub mod workflow;
+pub mod workload;
 
 pub use campaign::{CampaignConfig, CampaignOutcome, CampaignSimulator};
 pub use failures::{
@@ -53,7 +53,9 @@ pub use faults::{
     FaultyOutcome, FaultyPreemptibleOutcome, FaultyWorkflowSim, ReliabilityInjector,
     RetryPreemptibleSim,
 };
-pub use monte_carlo::{run_trials, run_trials_batched, run_trials_observed, MonteCarloConfig, CHUNK};
+pub use monte_carlo::{
+    run_trials, run_trials_batched, run_trials_observed, MonteCarloConfig, CHUNK,
+};
 pub use preemptible::{PreemptibleOutcome, PreemptibleSim};
 pub use stats::{Histogram, Summary, Welford};
 pub use workflow::{BatchScratch, WorkflowOutcome, WorkflowSim};

@@ -369,13 +369,22 @@ mod tests {
         let plain = run_trials(cfg, |_, rng| law.sample(rng));
         let sink = resq_obs::MemorySink::new();
         let observed = run_trials_observed(cfg, &sink, 1000, |_, rng| law.sample(rng));
-        assert_eq!(plain.mean, observed.mean, "observation must not perturb results");
+        assert_eq!(
+            plain.mean, observed.mean,
+            "observation must not perturb results"
+        );
         assert_eq!(plain.std_dev, observed.std_dev);
 
         let lines = sink.lines();
         // 10 sampled trials (0, 1000, ..., 9000) + 3 chunks of 4096.
-        let samples: Vec<_> = lines.iter().filter(|l| l.contains("trial-sample")).collect();
-        let progress: Vec<_> = lines.iter().filter(|l| l.contains("chunk-progress")).collect();
+        let samples: Vec<_> = lines
+            .iter()
+            .filter(|l| l.contains("trial-sample"))
+            .collect();
+        let progress: Vec<_> = lines
+            .iter()
+            .filter(|l| l.contains("chunk-progress"))
+            .collect();
         assert_eq!(samples.len(), 10);
         assert_eq!(progress.len(), 3);
         // Chunk-progress rows are cumulative and ordered.
@@ -432,9 +441,13 @@ mod tests {
             threads: 3,
         };
         let a = run_trials(cfg, |_, rng| law.sample(rng));
-        let b = run_trials_batched(cfg, &resq_obs::NullSink, 0, || (), |_, rng, _scratch| {
-            law.sample(rng)
-        });
+        let b = run_trials_batched(
+            cfg,
+            &resq_obs::NullSink,
+            0,
+            || (),
+            |_, rng, _scratch| law.sample(rng),
+        );
         assert_eq!(a.mean, b.mean);
         assert_eq!(a.std_dev, b.std_dev);
     }

@@ -253,7 +253,13 @@ mod tests {
         assert!((w.mean() - mean).abs() < 1e-12);
         assert!((w.variance() - var).abs() < 1e-10);
         assert_eq!(w.count(), 1000);
-        assert_eq!(w.summary().min, *data.iter().min_by(|a, b| a.partial_cmp(b).unwrap()).unwrap());
+        assert_eq!(
+            w.summary().min,
+            *data
+                .iter()
+                .min_by(|a, b| a.partial_cmp(b).unwrap())
+                .unwrap()
+        );
     }
 
     #[test]

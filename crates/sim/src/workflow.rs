@@ -276,9 +276,10 @@ mod tests {
             threads: 0,
         };
         let scalar = run_trials(cfg, |_, rng| sim.run_once(&policy, rng).work_saved);
-        let batched = run_trials_batched(cfg, &NullSink, 0, BatchScratch::new, |_, rng, scratch| {
-            sim.run_once_batched(&policy, rng, scratch).work_saved
-        });
+        let batched =
+            run_trials_batched(cfg, &NullSink, 0, BatchScratch::new, |_, rng, scratch| {
+                sim.run_once_batched(&policy, rng, scratch).work_saved
+            });
         let tol = 4.0 * (scalar.std_error.powi(2) + batched.std_error.powi(2)).sqrt();
         assert!(
             (scalar.mean - batched.mean).abs() < tol,
@@ -325,7 +326,11 @@ mod tests {
         assert!(!out.checkpoint_attempted);
         assert_eq!(out.time_used, 29.0);
         // ~29/3 tasks fitted.
-        assert!((8..=10).contains(&out.tasks_completed), "{}", out.tasks_completed);
+        assert!(
+            (8..=10).contains(&out.tasks_completed),
+            "{}",
+            out.tasks_completed
+        );
     }
 
     #[test]
@@ -355,12 +360,8 @@ mod tests {
         // The paper's E(n) assumes plain-Normal tasks; our simulator draws
         // truncated-Normal tasks. At μ/σ = 6 the truncation mass is ~1e-9,
         // so the analytic Normal model applies to the simulated data.
-        let analytic = StaticStrategy::new(
-            Normal::new(3.0, 0.5).unwrap(),
-            tn(5.0, 0.4),
-            29.0,
-        )
-        .unwrap();
+        let analytic =
+            StaticStrategy::new(Normal::new(3.0, 0.5).unwrap(), tn(5.0, 0.4), 29.0).unwrap();
         for &n in &[5u64, 7, 8] {
             let policy = StaticWorkflowPolicy { n_opt: n };
             let s = run_trials(
@@ -386,14 +387,10 @@ mod tests {
         // The paper's motivation for §4.3: accounting for observed work
         // can only help (in expectation).
         let sim = sim_fig8();
-        let static_plan = StaticStrategy::new(
-            Normal::new(3.0, 0.5).unwrap(),
-            tn(5.0, 0.4),
-            29.0,
-        )
-        .unwrap()
-        .optimize()
-        .unwrap();
+        let static_plan = StaticStrategy::new(Normal::new(3.0, 0.5).unwrap(), tn(5.0, 0.4), 29.0)
+            .unwrap()
+            .optimize()
+            .unwrap();
         let dynamic = DynamicStrategy::new(tn(3.0, 0.5), tn(5.0, 0.4), 29.0).unwrap();
         let threshold = ThresholdWorkflowPolicy {
             threshold: dynamic.threshold().unwrap().unwrap(),

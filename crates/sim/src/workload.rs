@@ -134,8 +134,12 @@ mod tests {
             ..model()
         };
         let mut rng = resq_dist::Xoshiro256pp::new(7);
-        let n_slow: u64 = (0..200).map(|_| slow.iterations_needed(10_000, &mut rng)).sum();
-        let n_fast: u64 = (0..200).map(|_| fast.iterations_needed(10_000, &mut rng)).sum();
+        let n_slow: u64 = (0..200)
+            .map(|_| slow.iterations_needed(10_000, &mut rng))
+            .sum();
+        let n_fast: u64 = (0..200)
+            .map(|_| fast.iterations_needed(10_000, &mut rng))
+            .sum();
         assert!(n_fast < n_slow / 2, "fast {n_fast} vs slow {n_slow}");
     }
 
@@ -161,6 +165,10 @@ mod tests {
         let (n, work) = job.sample_job(&mut rng);
         assert!(n > 20 && n < 100, "n = {n}");
         // Work ≈ 3s per iteration.
-        assert!((work / n as f64 - 3.0).abs() < 0.5, "avg {}", work / n as f64);
+        assert!(
+            (work / n as f64 - 3.0).abs() < 0.5,
+            "avg {}",
+            work / n as f64
+        );
     }
 }

@@ -89,7 +89,8 @@ pub fn digamma(x: f64) -> f64 {
     // Asymptotic: ψ(x) ~ ln x − 1/(2x) − Σ B_{2k}/(2k x^{2k}).
     let inv = 1.0 / x;
     let inv2 = inv * inv;
-    acc + x.ln() - 0.5 * inv
+    acc + x.ln()
+        - 0.5 * inv
         - inv2
             * (1.0 / 12.0
                 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
@@ -116,7 +117,10 @@ pub fn trigamma(x: f64) -> f64 {
     }
     let inv = 1.0 / x;
     let inv2 = inv * inv;
-    acc + inv * (1.0 + 0.5 * inv + inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))))
+    acc + inv
+        * (1.0
+            + 0.5 * inv
+            + inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))))
 }
 
 #[cfg(test)]
@@ -124,7 +128,7 @@ mod tests {
     use super::*;
 
     const LN_GAMMA_REFS: &[(f64, f64)] = &[
-        (0.5, 0.5723649429247001),   // ln sqrt(pi)
+        (0.5, 0.5723649429247001), // ln sqrt(pi)
         (1.0, 0.0),
         (1.5, -0.12078223763524522),
         (2.0, 0.0),
@@ -140,7 +144,10 @@ mod tests {
         for &(x, want) in LN_GAMMA_REFS {
             let got = ln_gamma(x);
             let tol = 1e-12 * want.abs().max(1.0);
-            assert!((got - want).abs() < tol, "ln_gamma({x}) = {got}, want {want}");
+            assert!(
+                (got - want).abs() < tol,
+                "ln_gamma({x}) = {got}, want {want}"
+            );
         }
     }
 

@@ -297,10 +297,7 @@ mod tests {
                 let p = i as f64 / 20.0;
                 let x = inv_gamma_p(a, p);
                 let back = gamma_p(a, x);
-                assert!(
-                    (back - p).abs() < 1e-10,
-                    "a={a}, p={p}, x={x}, back={back}"
-                );
+                assert!((back - p).abs() < 1e-10, "a={a}, p={p}, x={x}, back={back}");
             }
         }
     }

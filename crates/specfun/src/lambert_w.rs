@@ -135,25 +135,28 @@ mod tests {
             let w = lambert_w0(z);
             let back = w * w.exp();
             let tol = 1e-12 * z.abs().max(1e-12);
-            assert!(
-                (back - z).abs() < tol,
-                "W0({z}) = {w}, w e^w = {back}"
-            );
+            assert!((back - z).abs() < tol, "W0({z}) = {w}, w e^w = {back}");
         }
     }
 
     #[test]
     fn wm1_defining_identity() {
-        let zs = [-0.36787944, -0.35, -0.2, -0.1, -0.01, -1e-4, -1e-10, -1e-100];
+        let zs = [
+            -0.36787944,
+            -0.35,
+            -0.2,
+            -0.1,
+            -0.01,
+            -1e-4,
+            -1e-10,
+            -1e-100,
+        ];
         for &z in &zs {
             let w = lambert_wm1(z);
             assert!(w <= -1.0, "W-1({z}) = {w} not <= -1");
             let back = w * w.exp();
             let tol = 1e-11 * z.abs();
-            assert!(
-                (back - z).abs() < tol,
-                "W-1({z}) = {w}, w e^w = {back}"
-            );
+            assert!((back - z).abs() < tol, "W-1({z}) = {w}, w e^w = {back}");
         }
     }
 

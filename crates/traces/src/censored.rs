@@ -48,7 +48,10 @@ impl std::fmt::Display for CensoredFitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::TooFewCompleted { got } => {
-                write!(f, "censored fit needs >= 2 completed observations, got {got}")
+                write!(
+                    f,
+                    "censored fit needs >= 2 completed observations, got {got}"
+                )
             }
             Self::NonFiniteData => write!(f, "data contains non-finite values"),
             Self::Degenerate(msg) => write!(f, "censored fit degenerated: {msg}"),
@@ -132,8 +135,8 @@ pub fn fit_normal_censored(
         }
     }
     let sigma = var.sqrt();
-    let model =
-        Normal::new(mu, sigma).map_err(|e: DistError| CensoredFitError::Degenerate(e.to_string()))?;
+    let model = Normal::new(mu, sigma)
+        .map_err(|e: DistError| CensoredFitError::Degenerate(e.to_string()))?;
     // Log-likelihood for reporting.
     let mut ll = 0.0;
     for &x in completed {
@@ -261,7 +264,11 @@ mod tests {
             });
         }
         let fit = fit_from_log(&log, 200, 1e-12).unwrap();
-        assert!((fit.model.mean() - 5.0).abs() < 0.05, "mu {}", fit.model.mean());
+        assert!(
+            (fit.model.mean() - 5.0).abs() < 0.05,
+            "mu {}",
+            fit.model.mean()
+        );
     }
 
     #[test]
@@ -294,7 +301,10 @@ mod tests {
             ll
         };
         let wrong = eval_ll(4.0, 0.4);
-        assert!(fit.log_likelihood > wrong, "EM LL not better than wrong model");
+        assert!(
+            fit.log_likelihood > wrong,
+            "EM LL not better than wrong model"
+        );
         // Truncated-Normal helper sanity: E[X | X>5] for N(5, 0.4).
         let t = Truncated::above(Normal::new(5.0, 0.4).unwrap(), 5.0).unwrap();
         let lam = inverse_mills(0.0);

@@ -251,7 +251,10 @@ mod tests {
         let mut rng = Xoshiro256pp::new(4);
         let law = reference();
         for _ in 0..100 {
-            assert!(!det.observe(law.sample(&mut rng)), "false alarm pre-outlier");
+            assert!(
+                !det.observe(law.sample(&mut rng)),
+                "false alarm pre-outlier"
+            );
         }
         det.observe(15.0); // isolated 25σ outlier
         assert!(!det.drifted(), "single outlier tripped CUSUM");

@@ -240,7 +240,11 @@ mod tests {
         let data = trace(5000, 1);
         let learned = learn_checkpoint_law(&data, LearnConfig::default()).unwrap();
         assert_eq!(learned.family, ModelFamily::Normal);
-        assert!((learned.mean() - 5.0).abs() < 0.05, "mean {}", learned.mean());
+        assert!(
+            (learned.mean() - 5.0).abs() < 0.05,
+            "mean {}",
+            learned.mean()
+        );
         assert!(learned.ks_statistic < 0.02);
         assert_eq!(learned.observations, 5000);
         // Support brackets the truth comfortably.
@@ -259,12 +263,15 @@ mod tests {
         assert!(opt.expected_work >= pess.expected_work - 1e-9);
 
         // True model, truncated to the same kind of interval.
-        let truth = Trunc::new(Normal::new(5.0, 0.4).unwrap(), learned.support.0, learned.support.1)
-            .unwrap();
+        let truth = Trunc::new(
+            Normal::new(5.0, 0.4).unwrap(),
+            learned.support.0,
+            learned.support.1,
+        )
+        .unwrap();
         let true_model = Preemptible::new(truth, r).unwrap();
         let true_opt = true_model.optimize();
-        let regret =
-            (true_model.expected_work(opt.lead_time) - true_opt.expected_work).abs();
+        let regret = (true_model.expected_work(opt.lead_time) - true_opt.expected_work).abs();
         assert!(
             regret < 0.02 * true_opt.expected_work,
             "regret {regret} vs optimum {}",
@@ -310,7 +317,10 @@ mod tests {
         let data = trace(10, 3);
         assert!(matches!(
             learn_checkpoint_law(&data, LearnConfig::default()),
-            Err(LearnError::TooFewObservations { needed: 30, got: 10 })
+            Err(LearnError::TooFewObservations {
+                needed: 30,
+                got: 10
+            })
         ));
     }
 
@@ -351,7 +361,9 @@ mod flexible_tests {
             (0.3, Normal::new(9.0, 0.5).unwrap()),
         ])
         .unwrap();
-        SyntheticTrace::clean(truth).generate(n, seed).completed_durations()
+        SyntheticTrace::clean(truth)
+            .generate(n, seed)
+            .completed_durations()
     }
 
     #[test]
@@ -363,8 +375,7 @@ mod flexible_tests {
             Err(LearnError::ModelRejected { .. })
         ));
         // ...flexible pipeline fits a 2-component mixture.
-        let learned =
-            learn_checkpoint_law_flexible(&data, LearnConfig::default(), 3).unwrap();
+        let learned = learn_checkpoint_law_flexible(&data, LearnConfig::default(), 3).unwrap();
         assert_eq!(learned.components, 2);
         assert!(learned.ks_p_value >= LearnConfig::default().min_p_value);
         // And plans sensibly: the optimum may gamble on the fast mode.
@@ -379,8 +390,7 @@ mod flexible_tests {
         let data = SyntheticTrace::clean(truth)
             .generate(5000, 2)
             .completed_durations();
-        let learned =
-            learn_checkpoint_law_flexible(&data, LearnConfig::default(), 3).unwrap();
+        let learned = learn_checkpoint_law_flexible(&data, LearnConfig::default(), 3).unwrap();
         assert_eq!(learned.components, 1);
         assert_eq!(learned.family, ModelFamily::Normal);
     }
@@ -391,8 +401,7 @@ mod flexible_tests {
         // Plan with the learned mixture; execute against the true bimodal
         // law. The optimal plan should beat the pessimistic one.
         let data = bimodal_trace(8000, 3);
-        let learned =
-            learn_checkpoint_law_flexible(&data, LearnConfig::default(), 3).unwrap();
+        let learned = learn_checkpoint_law_flexible(&data, LearnConfig::default(), 3).unwrap();
         let r = 30.0;
         let (opt, pess) = learned.plan(r).unwrap();
 

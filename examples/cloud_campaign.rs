@@ -34,8 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w_int = DynamicStrategy::new(task, ckpt, r - recovery_mean)?
         .threshold()?
         .expect("feasible reservation");
-    println!("UQ campaign: {total_work} s of work, reservations of {r} s, recovery ~{recovery_mean} s");
-    println!("dynamic checkpoint threshold (tuned for R - r = {} s): W_int = {w_int:.2} s\n", r - recovery_mean);
+    println!(
+        "UQ campaign: {total_work} s of work, reservations of {r} s, recovery ~{recovery_mean} s"
+    );
+    println!(
+        "dynamic checkpoint threshold (tuned for R - r = {} s): W_int = {w_int:.2} s\n",
+        r - recovery_mean
+    );
 
     let sim = CampaignSimulator {
         task,
@@ -72,8 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let res = run_trials(cfg_mc, |_, rng| {
                     sim.run_once(&config, &policy, rng).reservations as f64
                 });
-                let cost =
-                    run_trials(cfg_mc, |_, rng| sim.run_once(&config, &policy, rng).cost);
+                let cost = run_trials(cfg_mc, |_, rng| sim.run_once(&config, &policy, rng).cost);
                 println!(
                     "  {pname:<22} {bname:<18} {rname:<14} {:>13.2} {:>10.1}",
                     res.mean, cost.mean

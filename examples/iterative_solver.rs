@@ -66,7 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  simulating 200k reservations per policy...\n");
     let s_pess = run_trials(cfg, |_, rng| sim.run_once(&pessimistic, rng).work_saved);
     let s_static = run_trials(cfg, |_, rng| sim.run_once(&static_policy, rng).work_saved);
-    let s_dyn = run_trials(cfg, |_, rng| sim.run_once(&threshold_policy, rng).work_saved);
+    let s_dyn = run_trials(cfg, |_, rng| {
+        sim.run_once(&threshold_policy, rng).work_saved
+    });
 
     println!("  policy        mean saved work   success-adjusted detail");
     for (name, s) in [

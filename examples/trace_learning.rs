@@ -50,11 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &n in &[50usize, 200, 1000, 5000, 20000, 50000] {
         let log = generator.generate(n, 1000 + n as u64);
         let durations = log.completed_durations();
-        let learned = match learn_checkpoint_law_flexible(
-            &durations,
-            LearnConfig::default(),
-            3,
-        ) {
+        let learned = match learn_checkpoint_law_flexible(&durations, LearnConfig::default(), 3) {
             Ok(m) => m,
             Err(e) => {
                 println!("  {n:>7} -> learning failed: {e}");

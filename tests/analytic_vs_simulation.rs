@@ -112,8 +112,7 @@ fn static_strategy_equation3_gamma_tasks() {
 #[test]
 fn static_strategy_equation3_poisson_tasks() {
     // Discrete instantiation (Fig 7 parameters) vs simulation.
-    let analytic =
-        StaticStrategy::new(Poisson::new(3.0).unwrap(), ckpt(5.0, 0.4), 29.0).unwrap();
+    let analytic = StaticStrategy::new(Poisson::new(3.0).unwrap(), ckpt(5.0, 0.4), 29.0).unwrap();
     let sim = WorkflowSim {
         reservation: 29.0,
         task: Poisson::new(3.0).unwrap(),
@@ -141,7 +140,7 @@ fn dynamic_comparator_is_locally_optimal() {
     let task = Truncated::above(Normal::new(3.0, 0.5).unwrap(), 0.0).unwrap();
     let strategy = DynamicStrategy::new(task, ckpt(5.0, 0.4), 29.0).unwrap();
     let w = 18.0; // below W_int: continuing should win
-    // Simulate "checkpoint now" from w.
+                  // Simulate "checkpoint now" from w.
     let c_law = ckpt(5.0, 0.4);
     let s_now = run_trials(mc(300_000, 300), |_, rng| {
         use resq::dist::Sample;
@@ -206,8 +205,13 @@ fn policy_ordering_oracle_dynamic_static_pessimistic() {
 
     let cfg = mc(400_000, 400);
     let s_static = run_trials(cfg, |_, rng| {
-        sim.run_once(&StaticWorkflowPolicy { n_opt: static_plan.n_opt }, rng)
-            .work_saved
+        sim.run_once(
+            &StaticWorkflowPolicy {
+                n_opt: static_plan.n_opt,
+            },
+            rng,
+        )
+        .work_saved
     });
     let s_dynamic = run_trials(cfg, |_, rng| {
         sim.run_once(&ThresholdWorkflowPolicy { threshold: w_int }, rng)

@@ -22,8 +22,7 @@ use resq::obs::json;
 use resq::obs::metrics::{LATTICE_QUARANTINED_TOTAL, WORKERS_RESTARTED_TOTAL};
 use resq::{AnswerSource, LatticeSpec, LawFamily, PolicyQuery, SolveCache, TaskParams};
 use resq_cli::serve::{
-    frame_handler, http_handler, render_request, run_load, DecisionService, LoadOptions,
-    LoadProto,
+    frame_handler, http_handler, render_request, run_load, DecisionService, LoadOptions, LoadProto,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -118,8 +117,7 @@ fn seeded_chaos_recovers_byte_identical_on_both_protocols() {
                 }
             };
 
-            let mut opts =
-                LoadOptions::new(server.local_addr().to_string(), proto, body.clone());
+            let mut opts = LoadOptions::new(server.local_addr().to_string(), proto, body.clone());
             opts.connections = 4;
             opts.requests = 10;
             opts.max_attempts = 40;
@@ -197,11 +195,7 @@ fn chaos_off_path_is_fault_free_without_retries() {
         frame_handler(Arc::clone(&service)),
     )
     .expect("bind");
-    let mut opts = LoadOptions::new(
-        server.local_addr().to_string(),
-        LoadProto::Framed,
-        body,
-    );
+    let mut opts = LoadOptions::new(server.local_addr().to_string(), LoadProto::Framed, body);
     opts.connections = 4;
     opts.requests = 25;
     opts.expect_body = Some(expect);
@@ -218,9 +212,8 @@ fn chaos_off_path_is_fault_free_without_retries() {
 /// dropped connection.
 #[test]
 fn overrun_deadline_is_a_typed_504_over_http() {
-    let service = Arc::new(
-        DecisionService::new(Vec::new(), 2, 8).with_deadline(Some(Duration::ZERO)),
-    );
+    let service =
+        Arc::new(DecisionService::new(Vec::new(), 2, 8).with_deadline(Some(Duration::ZERO)));
     let server = http::serve_with(
         ServerConfig::new("127.0.0.1:0"),
         http_handler(Arc::clone(&service)),
@@ -368,7 +361,9 @@ fn tampered_reload_quarantines_and_serves_exact_bytes_under_load() {
     // service that never had the lattice.
     let bare = DecisionService::new(Vec::new(), 4, 64);
     assert_eq!(
-        service.answer_single(&lattice_body).expect("degraded answer"),
+        service
+            .answer_single(&lattice_body)
+            .expect("degraded answer"),
         bare.answer_single(&lattice_body).expect("bare answer"),
         "degraded mode diverged from exact"
     );

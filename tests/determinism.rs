@@ -81,7 +81,10 @@ fn per_trial_values_depend_only_on_seed_and_index() {
     assert_eq!(a.len(), 20_000);
     assert_eq!(b.len(), a.len());
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert!(x.contains(&format!("\"trial\":{i},")), "row {i} is not trial {i}: {x}");
+        assert!(
+            x.contains(&format!("\"trial\":{i},")),
+            "row {i} is not trial {i}: {x}"
+        );
         assert_eq!(x, y, "trial {i} differs");
     }
 }
@@ -140,8 +143,8 @@ fn span_structure_is_thread_count_invariant() {
     // (registry, path) pairs, so `sim/mc/chunk` counts cannot depend on
     // which thread ran a chunk.
     use resq::obs::span::{self, SpanRegistry};
-    use resq::sim::run_trials_observed;
     use resq::obs::NullSink;
+    use resq::sim::run_trials_observed;
 
     let s = sim();
     let policy = ThresholdWorkflowPolicy { threshold: 20.26 };
@@ -249,7 +252,10 @@ fn batched_event_log_bit_identical_across_thread_counts() {
             summary.mean.to_bits(),
             "batched summary differs at {threads} threads"
         );
-        assert_eq!(base_log, log, "batched event log differs at {threads} threads");
+        assert_eq!(
+            base_log, log,
+            "batched event log differs at {threads} threads"
+        );
     }
 }
 
@@ -354,7 +360,9 @@ fn relocked_draw_stream_matches_pinned_golden() {
     let mut rng = Xoshiro256pp::for_stream(99, 0);
     let mut buf = [0.0f64; 4];
     use resq::dist::Sample;
-    Normal::new(0.0, 1.0).unwrap().sample_batch_mono(&mut rng, &mut buf);
+    Normal::new(0.0, 1.0)
+        .unwrap()
+        .sample_batch_mono(&mut rng, &mut buf);
     let golden_normal: [u64; 4] = [
         0xbfed4bc353f0f9bb, // -0.9154984130362246
         0x3fd3e6fd1c3209a1, //  0.31097343209708056
@@ -511,7 +519,11 @@ fn fault_injected_runs_bit_identical_across_threads_and_batch() {
             &sink,
             1_000,
             BatchScratch::new,
-            |_, rng, scratch| fs.run_once_batched(&policy, rng, scratch).outcome.work_saved,
+            |_, rng, scratch| {
+                fs.run_once_batched(&policy, rng, scratch)
+                    .outcome
+                    .work_saved
+            },
         );
         (summary, sink.lines())
     };
@@ -525,7 +537,10 @@ fn fault_injected_runs_bit_identical_across_threads_and_batch() {
             summary.mean.to_bits(),
             "faulty scalar summary differs at {threads} threads"
         );
-        assert_eq!(base_log, log, "faulty event log differs at {threads} threads");
+        assert_eq!(
+            base_log, log,
+            "faulty event log differs at {threads} threads"
+        );
     }
     for threads in [1usize, 2, max_threads] {
         let (summary, log) = batched(threads);
@@ -658,7 +673,10 @@ fn concurrent_scraping_does_not_perturb_events_or_spans() {
     let (quiet_log, quiet_spans) = run(false);
     let (scraped_log, scraped_spans) = run(true);
     assert!(!quiet_log.is_empty());
-    assert_eq!(quiet_log, scraped_log, "a live scraper changed the event log");
+    assert_eq!(
+        quiet_log, scraped_log,
+        "a live scraper changed the event log"
+    );
     assert_eq!(
         quiet_spans, scraped_spans,
         "a live scraper changed the span structure"

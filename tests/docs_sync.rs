@@ -199,7 +199,10 @@ fn observability_doc_covers_every_span_name() {
 #[test]
 fn obs_subcommands_are_in_usage_and_docs() {
     let doc = read("docs/OBSERVABILITY.md");
-    assert!(USAGE.contains("\n  obs "), "USAGE lost the `obs` subcommand");
+    assert!(
+        USAGE.contains("\n  obs "),
+        "USAGE lost the `obs` subcommand"
+    );
     for action in resq_cli::OBS_ACTIONS {
         assert!(
             USAGE.contains(&format!("obs {action} ")),
@@ -220,8 +223,14 @@ fn serve_subcommands_are_in_usage_and_docs() {
     // code (`DECIDE_ENDPOINTS`, `BENCH_ACTIONS`, `LOAD_PROTOS`).
     let ops = read("docs/OPERATIONS.md");
     let obs_doc = read("docs/OBSERVABILITY.md");
-    assert!(USAGE.contains("\n  serve "), "USAGE lost the `serve` subcommand");
-    assert!(USAGE.contains("\n  bench "), "USAGE lost the `bench` subcommand");
+    assert!(
+        USAGE.contains("\n  serve "),
+        "USAGE lost the `serve` subcommand"
+    );
+    assert!(
+        USAGE.contains("\n  bench "),
+        "USAGE lost the `bench` subcommand"
+    );
     for action in resq_cli::BENCH_ACTIONS {
         assert!(
             USAGE.contains(&format!("bench {action} ")),
@@ -311,10 +320,7 @@ fn lattices_doc_pins_the_artifact_contract() {
 fn metrics_formats_are_in_usage_and_docs() {
     let doc = read("docs/OBSERVABILITY.md");
     for fmt in resq_cli::METRICS_FORMATS {
-        assert!(
-            USAGE.contains(fmt),
-            "USAGE lost metrics format `{fmt}`"
-        );
+        assert!(USAGE.contains(fmt), "USAGE lost metrics format `{fmt}`");
         assert!(
             doc.contains(&format!("`{fmt}`")),
             "docs/OBSERVABILITY.md does not document metrics format `{fmt}`"

@@ -138,7 +138,11 @@ fn campaign_with_dynamic_policy_completes_realistic_job() {
         },
         |_, rng| sim.run_once(&config, &policy, rng).completed as u64 as f64,
     );
-    assert!(completions.mean > 0.999, "completion rate {}", completions.mean);
+    assert!(
+        completions.mean > 0.999,
+        "completion rate {}",
+        completions.mean
+    );
 
     let reservations = run_trials(
         MonteCarloConfig {

@@ -22,13 +22,8 @@ fn tn(mu: f64, sigma: f64) -> TN {
 #[test]
 fn convolution_planner_reproduces_paper_n_opt() {
     // Fig 6 (Gamma): n_opt = 12.
-    let conv = ConvolutionStatic::new(
-        &Gamma::new(1.0, 0.5).unwrap(),
-        tn(2.0, 0.4),
-        10.0,
-        1024,
-    )
-    .unwrap();
+    let conv =
+        ConvolutionStatic::new(&Gamma::new(1.0, 0.5).unwrap(), tn(2.0, 0.4), 10.0, 1024).unwrap();
     assert_eq!(conv.optimize().n_opt, 12);
 }
 
@@ -53,7 +48,10 @@ fn convolution_planner_matches_simulation_for_lognormal_tasks() {
                 seed: 900 + n,
                 threads: 0,
             },
-            |_, rng| sim.run_once(&StaticWorkflowPolicy { n_opt: n }, rng).work_saved,
+            |_, rng| {
+                sim.run_once(&StaticWorkflowPolicy { n_opt: n }, rng)
+                    .work_saved
+            },
         );
         assert!(
             (s.mean - analytic).abs() < s.ci999_half_width() + 0.05,

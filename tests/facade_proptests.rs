@@ -11,7 +11,13 @@ use resq::{DynamicStrategy, FixedLeadPolicy, Preemptible, StaticStrategy};
 /// `sample_batch_mono` calls split at `k` consumes the RNG stream exactly like
 /// `n` scalar draws — the contract that lets the batched Monte-Carlo
 /// runner stay bit-identical to the scalar one for these laws.
-fn assert_split_batch_matches_scalar<D: Sample>(name: &str, law: &D, seed: u64, n: usize, k: usize) {
+fn assert_split_batch_matches_scalar<D: Sample>(
+    name: &str,
+    law: &D,
+    seed: u64,
+    n: usize,
+    k: usize,
+) {
     let mut scalar_rng = Xoshiro256pp::new(seed);
     let scalar: Vec<f64> = (0..n).map(|_| law.sample(&mut scalar_rng)).collect();
 
@@ -21,7 +27,10 @@ fn assert_split_batch_matches_scalar<D: Sample>(name: &str, law: &D, seed: u64, 
     law.sample_batch_mono(&mut batch_rng, head);
     law.sample_batch_mono(&mut batch_rng, tail);
 
-    assert_eq!(scalar, batch, "{name}: split batch at {k}/{n} diverged from scalar draws");
+    assert_eq!(
+        scalar, batch,
+        "{name}: split batch at {k}/{n} diverged from scalar draws"
+    );
     // Both consumers must leave the stream at the same position: one
     // more draw from each side still agrees bitwise.
     assert_eq!(

@@ -20,11 +20,8 @@ fn fixed_seed_fault_run_reproduces_golden_counters() {
         reservation: 30.0,
         task: Gamma::new(9.0, 1.0 / 3.0).unwrap(),
         ckpt: Uniform::new(1.0, 2.0).unwrap(),
-        injector: ReliabilityInjector::new(
-            CheckpointReliability::PerAttempt { p: 0.6 },
-            0.02,
-        )
-        .unwrap(),
+        injector: ReliabilityInjector::new(CheckpointReliability::PerAttempt { p: 0.6 }, 0.02)
+            .unwrap(),
         retry: RetryPolicy::Backoff {
             max_attempts: 3,
             delay: 0.25,

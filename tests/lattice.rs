@@ -60,7 +60,9 @@ fn golden_artifact_round_trips_byte_identically() {
     let coords: Vec<f64> = axes.iter().map(|a| 0.5 * (a.lo + a.hi)).collect();
     let q = lattice.query_for_coords(&coords, 10.0);
     let mut cache = SolveCache::new();
-    let a = lattice.query(&q, &mut cache).expect("golden artifact answers");
+    let a = lattice
+        .query(&q, &mut cache)
+        .expect("golden artifact answers");
     assert!(a.n_opt >= 1);
     assert!(a.expected_work > 0.0 && a.x_opt > 0.0);
 }

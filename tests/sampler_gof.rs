@@ -21,7 +21,9 @@ use resq::dist::{
 
 /// True when the slow, high-resolution tier is requested.
 fn slow_enabled() -> bool {
-    std::env::var("RESQ_SLOW_TESTS").map(|v| v == "1").unwrap_or(false)
+    std::env::var("RESQ_SLOW_TESTS")
+        .map(|v| v == "1")
+        .unwrap_or(false)
 }
 
 /// KS-checks `law`'s scalar path with `n` variates, and checks that
@@ -57,10 +59,28 @@ fn check_gof<D: Continuous + Sample>(name: &str, law: &D, seed: u64, n: usize, p
 /// Runs the whole sampler roster through [`check_gof`].
 fn run_roster(n: usize, p_floor: f64) {
     check_gof("uniform", &Uniform::new(1.0, 7.5).unwrap(), 11, n, p_floor);
-    check_gof("exponential", &Exponential::new(0.5).unwrap(), 12, n, p_floor);
+    check_gof(
+        "exponential",
+        &Exponential::new(0.5).unwrap(),
+        12,
+        n,
+        p_floor,
+    );
     check_gof("normal", &Normal::new(3.0, 0.5).unwrap(), 13, n, p_floor);
-    check_gof("lognormal", &LogNormal::new(1.0, 0.35).unwrap(), 14, n, p_floor);
-    check_gof("gamma", &Gamma::new(9.0, 1.0 / 3.0).unwrap(), 15, n, p_floor);
+    check_gof(
+        "lognormal",
+        &LogNormal::new(1.0, 0.35).unwrap(),
+        14,
+        n,
+        p_floor,
+    );
+    check_gof(
+        "gamma",
+        &Gamma::new(9.0, 1.0 / 3.0).unwrap(),
+        15,
+        n,
+        p_floor,
+    );
     check_gof("weibull", &Weibull::new(1.5, 2.0).unwrap(), 16, n, p_floor);
     check_gof("beta", &Beta::new(2.0, 3.0).unwrap(), 17, n, p_floor);
     check_gof("pareto", &Pareto::new(1.0, 3.0).unwrap(), 18, n, p_floor);

@@ -67,8 +67,14 @@ fn out_of_grid_query(lattice: &resq::PolicyLattice, base: &PolicyQuery) -> Polic
         ..*base
     };
     let mut cache = SolveCache::new();
-    let ans = lattice.query(&q, &mut cache).expect("fallback still solves");
-    assert_eq!(ans.source, AnswerSource::Exact, "short r must be out of grid");
+    let ans = lattice
+        .query(&q, &mut cache)
+        .expect("fallback still solves");
+    assert_eq!(
+        ans.source,
+        AnswerSource::Exact,
+        "short r must be out of grid"
+    );
     q
 }
 
@@ -148,9 +154,15 @@ fn concurrent_responses_are_byte_identical_to_fresh_solves() {
         render_answer(&ans, work)
     };
     let cases: Vec<(String, String)> = vec![
-        (render_request(&hit_q, Some(10.0)), expect(&hit_q, Some(10.0))),
+        (
+            render_request(&hit_q, Some(10.0)),
+            expect(&hit_q, Some(10.0)),
+        ),
         (render_request(&grid_q, None), expect(&grid_q, None)),
-        (render_request(&fall_q, Some(25.0)), expect(&fall_q, Some(25.0))),
+        (
+            render_request(&fall_q, Some(25.0)),
+            expect(&fall_q, Some(25.0)),
+        ),
     ];
 
     let service = Arc::new(DecisionService::new(vec![small_lattice()], 4, 64));
@@ -259,7 +271,8 @@ fn framed_and_http_answers_are_identical() {
     for (path, body) in [("/decide", &single), ("/decide/batch", &batch)] {
         let (status, via_http) = post(&mut hs, path, body);
         assert_eq!(status, 200, "{via_http}");
-        fs.write_all(&http::encode_frame(body.as_bytes())).expect("write frame");
+        fs.write_all(&http::encode_frame(body.as_bytes()))
+            .expect("write frame");
         let mut len_buf = [0u8; 4];
         fs.read_exact(&mut len_buf).expect("frame length");
         let mut payload = vec![0u8; u32::from_le_bytes(len_buf) as usize];
@@ -301,19 +314,21 @@ fn saturated_daemon_sheds_with_429_and_recovers() {
     }
     let head = String::from_utf8(raw).expect("head");
     assert!(head.starts_with("HTTP/1.1 429"), "{head}");
-    assert!(
-        head.lines().any(|l| l.trim() == "Retry-After: 1"),
-        "{head}"
-    );
+    assert!(head.lines().any(|l| l.trim() == "Retry-After: 1"), "{head}");
     let len: usize = head
         .lines()
-        .find_map(|l| l.strip_prefix("Content-Length:").map(|v| v.trim().parse().unwrap()))
+        .find_map(|l| {
+            l.strip_prefix("Content-Length:")
+                .map(|v| v.trim().parse().unwrap())
+        })
         .expect("length");
     let mut body_buf = vec![0u8; len];
     stream.read_exact(&mut body_buf).expect("429 body");
     let err = json::parse(std::str::from_utf8(&body_buf).unwrap()).expect("typed body");
     assert_eq!(
-        err.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+        err.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(|k| k.as_str()),
         Some("saturated")
     );
     // Release the slot: the same keep-alive connection now gets served.
