@@ -5,8 +5,8 @@
 //! type is only known at run time still plugs into the strongly-typed
 //! planners and simulators. It forwards every method of
 //! [`Distribution`], [`Continuous`] and [`Sample`] (partial means, the
-//! log-density and the batch kernel included) to the law it wraps, so it
-//! answers every one of them exactly as that law does.
+//! log-density, the batch CDF and the batch kernel included) to the law
+//! it wraps, so it answers every one of them exactly as that law does.
 
 use crate::{Continuous, Distribution, Sample};
 use rand::RngCore;
@@ -17,6 +17,7 @@ use std::sync::Arc;
 trait ErasedLaw: Debug + Send + Sync {
     fn pdf(&self, x: f64) -> f64;
     fn cdf(&self, x: f64) -> f64;
+    fn cdf_into(&self, xs: &[f64], out: &mut [f64]);
     fn sf(&self, x: f64) -> f64;
     fn quantile(&self, p: f64) -> f64;
     fn support(&self) -> (f64, f64);
@@ -37,6 +38,9 @@ impl<D: Continuous + Sample + Debug + Send + Sync> ErasedLaw for D {
     }
     fn cdf(&self, x: f64) -> f64 {
         Continuous::cdf(self, x)
+    }
+    fn cdf_into(&self, xs: &[f64], out: &mut [f64]) {
+        Continuous::cdf_into(self, xs, out)
     }
     fn sf(&self, x: f64) -> f64 {
         Continuous::sf(self, x)
@@ -107,6 +111,9 @@ impl Continuous for DynLaw {
     }
     fn cdf(&self, x: f64) -> f64 {
         self.0.cdf(x)
+    }
+    fn cdf_into(&self, xs: &[f64], out: &mut [f64]) {
+        self.0.cdf_into(xs, out)
     }
     fn sf(&self, x: f64) -> f64 {
         self.0.sf(x)

@@ -24,6 +24,16 @@ pub trait Continuous: Distribution {
     fn pdf(&self, x: f64) -> f64;
     /// `P(X ≤ x)`.
     fn cdf(&self, x: f64) -> f64;
+    /// [`Continuous::cdf`] of every `xs[i]` into `out[i]`, with the same
+    /// bits; `xs` and `out` have the same length. The default is the
+    /// per-point loop. A law whose CDF goes through `erfc` overrides it
+    /// with one [`resq_specfun::erfc_into`] call, so a caller holding
+    /// many points at once (a quadrature panel) gets them on lanes.
+    fn cdf_into(&self, xs: &[f64], out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.cdf(x);
+        }
+    }
     /// `inf { x : cdf(x) ≥ p }` for `p ∈ [0, 1]`.
     fn quantile(&self, p: f64) -> f64;
     /// Support as `(lower, upper)` (may be infinite).

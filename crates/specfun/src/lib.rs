@@ -16,7 +16,8 @@
 //!
 //! * [`erf()`], [`erfc`], [`erfcx`], [`inv_erf`], [`inv_erfc`] — error
 //!   function family (a tabulated Taylor kernel under `erfc`, checked
-//!   against the incomplete-gamma evaluation [`erfc_reference`]).
+//!   against the incomplete-gamma evaluation [`erfc_reference`]), and
+//!   [`erfc_into`], the same kernel over eight lanes, bit for bit.
 //! * [`norm_cdf`], [`norm_pdf`], [`norm_quantile`] — standard Normal
 //!   helpers (`Φ`, `φ`, `Φ⁻¹`).
 //! * [`ln_gamma`], [`gamma()`], [`digamma`], [`trigamma`] — Gamma function
@@ -42,7 +43,7 @@ pub mod normal;
 pub mod poly;
 
 pub use beta::{inc_beta, inv_inc_beta, ln_beta};
-pub use erf::{erf, erfc, erfc_reference, erfcx, inv_erf, inv_erfc};
+pub use erf::{erf, erfc, erfc_into, erfc_reference, erfcx, inv_erf, inv_erfc};
 pub use factorial::{factorial, ln_factorial};
 pub use gamma::{digamma, gamma, ln_gamma, trigamma};
 pub use incgamma::{gamma_p, gamma_q, inv_gamma_p};
